@@ -10,6 +10,7 @@ pseudoinverse and reverse-order-law machinery in the sibling modules work.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -142,12 +143,18 @@ class DenseTensor:
 
     Notes
     -----
-    Instances are immutable: the backing array is copied on construction
-    and marked read-only, so tensors are safe to share across threads.
-    ``A @ B`` is the Einstein product and ``A.H`` the conjugate transpose.
+    The only stored array is the matricization: a C-contiguous
+    ``(row_count, col_count)`` complex matrix whose rows enumerate the row
+    index tuples and whose columns enumerate the column index tuples, both
+    row-major.  Every operation works on that matrix directly, since the
+    Einstein product is its matrix product and the conjugate transpose its
+    matrix adjoint.  Instances are immutable: the matrix is copied on
+    construction and marked read-only, so tensors are safe to share across
+    threads.  ``A @ B`` is the Einstein product and ``A.H`` the conjugate
+    transpose.
     """
 
-    __slots__ = ("shape", "_array")
+    __slots__ = ("shape", "_mat")
 
     def __init__(self, shape: ModeShape, entries) -> None:
         if not isinstance(shape, ModeShape):
@@ -161,20 +168,20 @@ class DenseTensor:
         if not np.isfinite(arr).all():
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise ValueError(f"non-finite entry at flat index {bad}")
-        full = arr.reshape(shape.dims)
-        full.setflags(write=False)
+        mat = arr.reshape(shape.row_count, shape.col_count)
+        mat.setflags(write=False)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_array", full)
+        object.__setattr__(self, "_mat", mat)
 
     @classmethod
-    def _from_owned(cls, shape: ModeShape, arr: np.ndarray) -> "DenseTensor":
-        # Internal fast path: arr is a freshly computed complex128 array of
-        # the right size that no caller retains.
+    def _from_owned(cls, shape: ModeShape, mat: np.ndarray) -> "DenseTensor":
+        # Internal fast path: mat is a freshly computed complex128
+        # (row_count, col_count) array that no caller retains.
         self = object.__new__(cls)
-        full = np.ascontiguousarray(arr.reshape(shape.dims), dtype=np.complex128)
-        full.setflags(write=False)
+        mat = np.ascontiguousarray(mat, dtype=np.complex128)
+        mat.setflags(write=False)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_array", full)
+        object.__setattr__(self, "_mat", mat)
         return self
 
     def __setattr__(self, name, value):
@@ -182,13 +189,13 @@ class DenseTensor:
 
     @property
     def array(self) -> np.ndarray:
-        """Read-only ndarray view shaped ``row_dims + col_dims``."""
-        return self._array
+        """Read-only view of the stored matrix, shaped ``row_dims + col_dims``."""
+        return self._mat.reshape(self.shape.dims)
 
     @property
     def entries(self) -> np.ndarray:
         """Read-only flat view in canonical row-major order."""
-        return self._array.reshape(-1)
+        return self._mat.reshape(-1)
 
     @property
     def H(self) -> "DenseTensor":
@@ -210,7 +217,7 @@ class DenseTensor:
         return add_scale(1.0, self, -1.0, other)
 
     def __mul__(self, alpha) -> "DenseTensor":
-        return DenseTensor._from_owned(self.shape, self._array * complex(alpha))
+        return DenseTensor._from_owned(self.shape, self._mat * complex(alpha))
 
     __rmul__ = __mul__
 
@@ -230,7 +237,7 @@ def zeros(row_dims: Sequence[int], col_dims: Sequence[int]) -> DenseTensor:
     """All-zero tensor of the given mode split."""
     shape = ModeShape(tuple(row_dims), tuple(col_dims))
     return DenseTensor._from_owned(
-        shape, np.zeros(shape.row_count * shape.col_count, dtype=np.complex128)
+        shape, np.zeros((shape.row_count, shape.col_count), dtype=np.complex128)
     )
 
 
@@ -270,7 +277,8 @@ def einstein_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """Einstein product contracting the column modes of ``a`` with the row modes of ``b``.
 
     ``(a @ b)[i..., j...] = sum_k a[i..., k...] * b[k..., j...]`` where the
-    sum runs over all ``len(a.shape.col_dims)`` contracted modes.
+    sum runs over all ``len(a.shape.col_dims)`` contracted modes; on the
+    stored matricizations this is the matrix product.
 
     Raises
     ------
@@ -282,12 +290,12 @@ def einstein_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
             f"cannot contract {a.shape} with {b.shape}: "
             f"column dims {a.shape.col_dims} != row dims {b.shape.row_dims}"
         )
-    n = len(a.shape.col_dims)
-    nrow = len(a.shape.row_dims)
-    axes_a = list(range(nrow, nrow + n))
-    axes_b = list(range(n))
-    out = np.tensordot(a.array, b.array, axes=(axes_a, axes_b))
-    return DenseTensor._from_owned(ModeShape(a.shape.row_dims, b.shape.col_dims), out)
+    return DenseTensor._from_owned(ModeShape(a.shape.row_dims, b.shape.col_dims), a._mat @ b._mat)
+
+
+def _chain(*ts: DenseTensor) -> DenseTensor:
+    """Einstein product of ``ts`` taken left to right."""
+    return functools.reduce(einstein_product, ts)
 
 
 def conj_transpose(a: DenseTensor) -> DenseTensor:
@@ -296,18 +304,14 @@ def conj_transpose(a: DenseTensor) -> DenseTensor:
     An involution, and an anti-homomorphism for the Einstein product:
     ``(A @ B).H == B.H @ A.H``.
     """
-    nrow = len(a.shape.row_dims)
-    ncol = len(a.shape.col_dims)
-    perm = tuple(range(nrow, nrow + ncol)) + tuple(range(nrow))
-    out = np.conj(np.transpose(a.array, perm))
-    return DenseTensor._from_owned(a.shape.transposed, out)
+    return DenseTensor._from_owned(a.shape.transposed, a._mat.conj().T)
 
 
 def add_scale(alpha: complex, a: DenseTensor, beta: complex, b: DenseTensor) -> DenseTensor:
     """Linear combination ``alpha * a + beta * b`` of same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeMismatchError(f"cannot combine shapes {a.shape} and {b.shape}")
-    out = complex(alpha) * a.array + complex(beta) * b.array
+    out = complex(alpha) * a._mat + complex(beta) * b._mat
     return DenseTensor._from_owned(a.shape, out)
 
 
@@ -319,8 +323,7 @@ def trace(a: DenseTensor) -> complex:
     """
     if not a.shape.is_square:
         raise ShapeMismatchError(f"trace requires a square mode split, got {a.shape}")
-    n = a.shape.row_count
-    return complex(np.trace(a.array.reshape(n, n)))
+    return complex(np.trace(a._mat))
 
 
 def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
@@ -328,33 +331,24 @@ def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
 
     The result has row dims ``a.row_dims + b.row_dims`` and column dims
     ``a.col_dims + b.col_dims`` with entry
-    ``c[(i, k), (j, l)] = a[i, j] * b[k, l]``.
+    ``c[(i, k), (j, l)] = a[i, j] * b[k, l]``.  Under the row-major
+    flattening of the concatenated tuples this is the matrix Kronecker
+    product of the two matricizations.
     """
-    ra, ca = len(a.shape.row_dims), len(a.shape.col_dims)
-    rb, cb = len(b.shape.row_dims), len(b.shape.col_dims)
-    outer = np.multiply.outer(a.array, b.array)
-    # outer axes: a-rows, a-cols, b-rows, b-cols -> a-rows, b-rows, a-cols, b-cols
-    perm = (
-        tuple(range(ra))
-        + tuple(range(ra + ca, ra + ca + rb))
-        + tuple(range(ra, ra + ca))
-        + tuple(range(ra + ca + rb, ra + ca + rb + cb))
-    )
-    out = np.transpose(outer, perm)
     shape = ModeShape(a.shape.row_dims + b.shape.row_dims, a.shape.col_dims + b.shape.col_dims)
-    return DenseTensor._from_owned(shape, out)
+    return DenseTensor._from_owned(shape, np.kron(a._mat, b._mat))
 
 
 def frobenius_norm(a: DenseTensor) -> float:
     """Frobenius norm, the root of the sum of squared entry magnitudes."""
-    return float(np.linalg.norm(a.entries))
+    return float(np.linalg.norm(a._mat))
 
 
 def inner_product(a: DenseTensor, b: DenseTensor) -> complex:
     """Frobenius inner product ``trace(a.H @ b)`` of same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeMismatchError(f"inner product requires equal shapes, got {a.shape} and {b.shape}")
-    return complex(np.vdot(a.entries, b.entries))
+    return complex(np.vdot(a._mat, b._mat))
 
 
 def rel_residual(a: DenseTensor, b: DenseTensor, *, scale: float | None = None) -> float:
@@ -366,7 +360,7 @@ def rel_residual(a: DenseTensor, b: DenseTensor, *, scale: float | None = None) 
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"cannot compare shapes {a.shape} and {b.shape}")
-    diff = float(np.linalg.norm(a.entries - b.entries))
+    diff = float(np.linalg.norm(a._mat - b._mat))
     if scale is None:
         scale = max(frobenius_norm(a), frobenius_norm(b))
     return diff / max(1.0, scale)
@@ -401,7 +395,7 @@ def classify(a: DenseTensor, policy: NumericPolicy | None = None) -> StructuralF
     """Classify structural properties of ``a`` under the shared residual rule."""
     policy = policy or DEFAULT_POLICY
     tol = policy.eq_tol
-    mat = a.array.reshape(a.shape.row_count, a.shape.col_count)
+    mat = a._mat
     mask = np.eye(a.shape.row_count, a.shape.col_count, dtype=bool)
     off = float(np.linalg.norm(mat[~mask])) if mat.size else 0.0
     diagonal = off / max(1.0, float(np.linalg.norm(mat))) <= tol

@@ -20,6 +20,7 @@ from .core import (
     ModeShape,
     NumericPolicy,
     ShapeMismatchError,
+    _chain,
     conj_transpose,
     einstein_product,
     frobenius_norm,
@@ -123,7 +124,7 @@ def tsvd(a: DenseTensor, policy: NumericPolicy | None = None) -> SvdFactors:
     SvdConvergenceError
         If the underlying Jacobi iteration does not converge.
     """
-    u, s, v = matrix_svd(matricize(a), policy)
+    u, s, v = matrix_svd(matricize(a))
     rows, cols = a.shape.row_count, a.shape.col_count
     d = np.zeros((rows, cols), dtype=np.complex128)
     d[np.arange(s.size), np.arange(s.size)] = s
@@ -153,7 +154,7 @@ def pinv(a: DenseTensor, policy: NumericPolicy | None = None) -> DenseTensor:
         Tensor with split J x I satisfying the four Penrose equations.
     """
     policy = policy or DEFAULT_POLICY
-    u, s, v = matrix_svd(matricize(a), policy)
+    u, s, v = matrix_svd(matricize(a))
     k = s.size
     sinv = np.zeros(k, dtype=np.complex128)
     if k and s[0] > 0.0:
@@ -220,26 +221,19 @@ def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> Ident
     gram_p = pinv(gram, policy)
     cogram_p = pinv(cogram, policy)
     ap_a = einstein_product(ap, a)
-
-    def chain(*ts: DenseTensor) -> DenseTensor:
-        out = ts[0]
-        for t in ts[1:]:
-            out = einstein_product(out, t)
-        return out
-
     residuals = {
-        "star_via_pinv_left": rel_residual(chain(ap, a, ah), ah),
-        "star_via_pinv_right": rel_residual(chain(ah, a, ap), ah),
-        "recover_right": rel_residual(chain(a, ah, ahp), a),
-        "recover_left": rel_residual(chain(ahp, ah, a), a),
-        "pinv_via_gram": rel_residual(chain(gram_p, ah), ap),
-        "pinv_via_cogram": rel_residual(chain(ah, cogram_p), ap),
-        "gram_pinv_split": rel_residual(gram_p, chain(ap, ahp)),
-        "cogram_pinv_split": rel_residual(cogram_p, chain(ahp, ap)),
-        "gram_sandwich_left": rel_residual(gram_p, chain(ap, cogram_p, a)),
-        "gram_sandwich_right": rel_residual(gram_p, chain(ah, cogram_p, ahp)),
-        "row_projector_right": rel_residual(ap_a, chain(gram, gram_p)),
-        "row_projector_left": rel_residual(ap_a, chain(gram_p, gram)),
+        "star_via_pinv_left": rel_residual(_chain(ap, a, ah), ah),
+        "star_via_pinv_right": rel_residual(_chain(ah, a, ap), ah),
+        "recover_right": rel_residual(_chain(a, ah, ahp), a),
+        "recover_left": rel_residual(_chain(ahp, ah, a), a),
+        "pinv_via_gram": rel_residual(_chain(gram_p, ah), ap),
+        "pinv_via_cogram": rel_residual(_chain(ah, cogram_p), ap),
+        "gram_pinv_split": rel_residual(gram_p, _chain(ap, ahp)),
+        "cogram_pinv_split": rel_residual(cogram_p, _chain(ahp, ap)),
+        "gram_sandwich_left": rel_residual(gram_p, _chain(ap, cogram_p, a)),
+        "gram_sandwich_right": rel_residual(gram_p, _chain(ah, cogram_p, ahp)),
+        "row_projector_right": rel_residual(ap_a, _chain(gram, gram_p)),
+        "row_projector_left": rel_residual(ap_a, _chain(gram_p, gram)),
     }
     if a.shape.is_square:
         normal_residual = rel_residual(cogram, gram)

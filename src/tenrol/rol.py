@@ -37,6 +37,7 @@ from .core import (
     ModeShape,
     NumericPolicy,
     ShapeMismatchError,
+    _chain,
     conj_transpose,
     diagonal_from,
     einstein_product,
@@ -140,13 +141,6 @@ class RolReport:
             "consistent": self.consistent,
             "implication_ok": self.implication_ok,
         }
-
-
-def _chain(*ts: DenseTensor) -> DenseTensor:
-    out = ts[0]
-    for t in ts[1:]:
-        out = einstein_product(out, t)
-    return out
 
 
 def rol_report(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None) -> RolReport:

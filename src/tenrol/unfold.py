@@ -4,9 +4,11 @@
 index tuples and whose columns enumerate the column index tuples, both in
 row-major order with the last index varying fastest.  The map is a ring
 isomorphism: it sends the Einstein product to matrix multiplication and
-the conjugate transpose to the matrix conjugate transpose.  Everything
-spectral in this package (SVD, pseudoinverse, rank) is computed through
-this matrix image and mapped back.
+the conjugate transpose to the matrix conjugate transpose.  A
+``DenseTensor`` stores exactly this matrix, so ``matricize`` returns a
+copy of it and ``dematricize`` wraps a validated copy of its input.
+Everything spectral in this package (SVD, pseudoinverse, rank) is computed
+through this matrix image and mapped back.
 
 The SVD itself is a one-sided Jacobi: plane rotations orthogonalize the
 columns of the matrix, chosen for its simplicity, its reliable convergence
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DenseTensor, ModeShape, NumericPolicy
+from .core import DenseTensor, ModeShape
 
 try:  # pragma: no cover - exercised indirectly by the backend parity tests
     from . import _jacobi_cy as _kernel
@@ -54,7 +56,7 @@ class SvdConvergenceError(RuntimeError):
 
 def matricize(t: DenseTensor) -> np.ndarray:
     """Matrix image of ``t``: shape ``(row_count, col_count)``, writable copy."""
-    return np.array(t.array.reshape(t.shape.row_count, t.shape.col_count))
+    return t._mat.copy()
 
 
 def dematricize(mat: np.ndarray, shape: ModeShape) -> DenseTensor:
@@ -63,49 +65,26 @@ def dematricize(mat: np.ndarray, shape: ModeShape) -> DenseTensor:
     Raises
     ------
     ValueError
-        If ``mat`` is not ``(row_count, col_count)`` for ``shape``.
+        If ``mat`` is not ``(row_count, col_count)`` for ``shape``, or has a
+        non-finite entry.
     """
     arr = np.asarray(mat, dtype=np.complex128)
     expected = (shape.row_count, shape.col_count)
     if arr.shape != expected:
         raise ValueError(f"matrix shape {arr.shape} does not match mode split {shape} {expected}")
-    return DenseTensor(shape, arr.reshape(-1))
+    return DenseTensor(shape, arr)
 
 
-def _complete_basis(u: np.ndarray, have: int) -> None:
-    """Fill columns ``have:`` of the square matrix ``u`` with an orthonormal
-    completion of its first ``have`` columns, using standard basis vectors."""
-    dim = u.shape[0]
-    k = have
-    for j in range(dim):
-        if k == dim:
-            return
-        cand = np.zeros(dim, dtype=np.complex128)
-        cand[j] = 1.0
-        # two Gram-Schmidt passes keep the completion orthonormal to working precision
-        for _ in range(2):
-            cand -= u[:, :k] @ (u[:, :k].conj().T @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 0.5:
-            u[:, k] = cand / nrm
-            k += 1
-    if k != dim:  # pragma: no cover - standard basis always completes
-        raise RuntimeError("orthonormal completion failed")
-
-
-def matrix_svd(
-    m: np.ndarray, policy: NumericPolicy | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``m = u @ diag(s) @ v.conj().T`` by one-sided Jacobi.
+
+    The iteration thresholds are fixed (``JACOBI_EPS``, ``MAX_SWEEPS``)
+    and no rank truncation happens here.
 
     Parameters
     ----------
     m : (rows, cols) array_like of complex
         Matrix to decompose.
-    policy : NumericPolicy, optional
-        Accepted for interface symmetry; the iteration thresholds are
-        fixed (``JACOBI_EPS``, ``MAX_SWEEPS``) and no rank truncation
-        happens here.
 
     Returns
     -------
@@ -127,7 +106,7 @@ def matrix_svd(
     rows, cols = mat.shape
     if rows < cols:
         # orthogonalize the smaller column set and swap the factors back
-        u, s, v = matrix_svd(mat.conj().T, policy)
+        u, s, v = matrix_svd(mat.conj().T)
         return v, s, u
 
     colrows = np.ascontiguousarray(mat.T)  # row k holds column k
@@ -151,5 +130,7 @@ def matrix_svd(
     if have < cols:
         # exactly-zero columns contribute nothing; shift their sigmas to the tail
         s = np.concatenate([s[:have], np.zeros(cols - have)])
-    _complete_basis(u, have)
+    # the complete QR of the first ``have`` columns extends them to a unitary basis
+    q, _ = np.linalg.qr(u[:, :have], mode="complete")
+    u[:, have:] = q[:, have:]
     return u, s, vrows.T

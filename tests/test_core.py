@@ -331,6 +331,15 @@ class TestKronecker:
         rhs = trace(a) * trace(b)
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
+    def test_entries_of_rectangular_multimode_factors(self, rng):
+        a = golden.random_tensor(rng, ModeShape((2, 3), (2,)))
+        b = golden.random_tensor(rng, ModeShape((2,), (3, 2)))
+        k = kronecker(a, b)
+        assert k.shape == ModeShape((2, 3, 2), (2, 3, 2))
+        # c[(i, k), (j, l)] = a[i, j] * b[k, l] with i, k, j, l multi-indices.
+        want = np.einsum("pqj,klm->pqkjlm", a.array, b.array)
+        assert_allclose(k.array, want, atol=0)
+
     def test_mixed_product_rule(self, rng):
         a = golden.random_tensor(rng, ModeShape((2,), (2,)))
         b = golden.random_tensor(rng, ModeShape((2,), (2,)))

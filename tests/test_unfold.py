@@ -196,6 +196,17 @@ class TestMatrixSvd:
         _, s1, _ = matrix_svd(q @ m @ w)
         assert_allclose(s1, s0, atol=1e-10 * max(1.0, s0[0]))
 
+    def test_tall_basis_completion_regression(self):
+        # This input once exhausted a standard-basis completion of the 60
+        # missing columns of u and raised instead of returning.
+        rng = np.random.default_rng(119)
+        m = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
+        u, s, v = matrix_svd(m)
+        assert_allclose(u.conj().T @ u, np.eye(64), atol=1e-12)
+        assert_allclose(s, np.linalg.svd(m, compute_uv=False), atol=1e-12)
+        recon = (u[:, :4] * s) @ v.conj().T
+        assert np.linalg.norm(recon - m) <= 1e-12 * np.linalg.norm(m)
+
     def test_convergence_error_carries_sweep_count(self):
         err = SvdConvergenceError(30)
         assert err.sweeps == 30

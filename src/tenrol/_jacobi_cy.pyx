@@ -1,12 +1,16 @@
 """Compiled lane of the one-sided Jacobi kernel.
 
 Contract documented in ``tenrol._jacobi_py``; this version carries the
-hot pairwise-rotation loop in C.
+hot pairwise-rotation loop in C and visits the pairs of a sweep one at a
+time in row order.
 """
 
 from libc.math cimport fabs, hypot, sqrt
 
 BACKEND = "compiled"
+
+# same null-column floor as tenrol._jacobi_py.NULL_NORM2
+cdef double NULL_NORM2 = 1e-64
 
 
 def jacobi_sweeps(
@@ -23,6 +27,7 @@ def jacobi_sweeps(
     cdef double app, aqq, g, zeta, t, c, s
     cdef double complex apq, dc, tp, tq
     cdef bint rotated
+    cdef int result = -1
 
     if n < 2:
         return 0
@@ -38,7 +43,7 @@ def jacobi_sweeps(
                     aqq += cols[q, i].real * cols[q, i].real + cols[q, i].imag * cols[q, i].imag
                     apq += cols[p, i].conjugate() * cols[q, i]
                 g = sqrt(apq.real * apq.real + apq.imag * apq.imag)
-                if g == 0.0 or g <= eps * sqrt(app * aqq):
+                if g == 0.0 or g <= eps * sqrt(app * aqq) or app <= NULL_NORM2 or aqq <= NULL_NORM2:
                     continue
                 rotated = True
                 zeta = (aqq - app) / (2.0 * g)
@@ -60,5 +65,13 @@ def jacobi_sweeps(
                     vrows[p, i] = c * tp - s * tq
                     vrows[q, i] = s * tp + c * tq
         if not rotated:
-            return sweep + 1
-    return -1
+            result = sweep + 1
+            break
+    for p in range(n):
+        app = 0.0
+        for i in range(m):
+            app += cols[p, i].real * cols[p, i].real + cols[p, i].imag * cols[p, i].imag
+        if app <= NULL_NORM2:
+            for i in range(m):
+                cols[p, i] = 0.0
+    return result

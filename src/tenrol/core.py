@@ -70,6 +70,15 @@ class ModeShape:
         object.__setattr__(self, "row_dims", _as_dims(self.row_dims))
         object.__setattr__(self, "col_dims", _as_dims(self.col_dims))
 
+    @classmethod
+    def _of(cls, row_dims: tuple[int, ...], col_dims: tuple[int, ...]) -> "ModeShape":
+        # Internal fast path: both tuples come from shapes that were
+        # already validated, so they are not checked again.
+        self = object.__new__(cls)
+        object.__setattr__(self, "row_dims", row_dims)
+        object.__setattr__(self, "col_dims", col_dims)
+        return self
+
     @property
     def row_count(self) -> int:
         """Number of flat row positions."""
@@ -88,7 +97,7 @@ class ModeShape:
     @property
     def transposed(self) -> "ModeShape":
         """Shape of the conjugate transpose."""
-        return ModeShape(self.col_dims, self.row_dims)
+        return ModeShape._of(self.col_dims, self.row_dims)
 
     @property
     def is_square(self) -> bool:
@@ -290,7 +299,7 @@ def einstein_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
             f"cannot contract {a.shape} with {b.shape}: "
             f"column dims {a.shape.col_dims} != row dims {b.shape.row_dims}"
         )
-    return DenseTensor._from_owned(ModeShape(a.shape.row_dims, b.shape.col_dims), a._mat @ b._mat)
+    return DenseTensor._from_owned(ModeShape._of(a.shape.row_dims, b.shape.col_dims), a._mat @ b._mat)
 
 
 def _chain(*ts: DenseTensor) -> DenseTensor:
@@ -335,7 +344,7 @@ def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     flattening of the concatenated tuples this is the matrix Kronecker
     product of the two matricizations.
     """
-    shape = ModeShape(a.shape.row_dims + b.shape.row_dims, a.shape.col_dims + b.shape.col_dims)
+    shape = ModeShape._of(a.shape.row_dims + b.shape.row_dims, a.shape.col_dims + b.shape.col_dims)
     return DenseTensor._from_owned(shape, np.kron(a._mat, b._mat))
 
 

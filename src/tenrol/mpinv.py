@@ -111,7 +111,7 @@ class PenroseResiduals:
         }
 
 
-def tsvd(a: DenseTensor, policy: NumericPolicy | None = None) -> SvdFactors:
+def tsvd(a: DenseTensor) -> SvdFactors:
     """Tensor SVD of ``a`` via one-sided Jacobi on the matricization.
 
     Returns

@@ -44,6 +44,19 @@ class TestModeShape:
         s = ModeShape((2, 3), (4,))
         assert s.transposed == ModeShape((4,), (2, 3))
 
+    def test_derived_shapes_equal_validated_ones(self, rng):
+        # products, adjoints and Kronecker factors reuse already validated dims
+        a = golden.random_tensor(rng, ModeShape((2, 3), (4,)))
+        b = golden.random_tensor(rng, ModeShape((4,), (2,)))
+        for got, want in [
+            ((a @ b).shape, ModeShape((2, 3), (2,))),
+            (a.H.shape, ModeShape((4,), (2, 3))),
+            (kronecker(a, b).shape, ModeShape((2, 3, 4), (4, 2))),
+        ]:
+            assert got == want
+            assert hash(got) == hash(want)
+            assert str(got) == str(want)
+
     def test_square_requires_equal_dim_tuples(self):
         assert ModeShape((2, 2), (2, 2)).is_square
         # 4 = 4 entries but the mode tuples differ, so not square.

@@ -20,9 +20,28 @@ from tenrol import (
     identity,
     matricize,
     matrix_svd,
+    pinv,
     zeros,
 )
 from tenrol import _jacobi_py
+from tenrol import unfold as unfold_mod
+
+# Rank-deficient integer matrices whose null column shrank by about 1e-16
+# per sweep until it underflowed and turned the rotation into NaN: the
+# first in row order, the second in round-robin order.
+NULL_COLUMN_EXAMPLES = [
+    np.array([[-4, 0, 4, -2], [-2, 0, 2, -1], [-2, 0, -1, -1], [2, 2, 1, -2]], dtype=np.complex128),
+    np.array([[-3, 0, 0, 3], [-3, -4, -2, 2], [3, 4, 2, -2], [3, 4, 2, -2]], dtype=np.complex128),
+]
+
+
+def built_lanes() -> list:
+    """The kernel lanes importable here: always python, compiled when built."""
+    try:
+        from tenrol import _jacobi_cy
+    except ImportError:
+        return [_jacobi_py]
+    return [_jacobi_py, _jacobi_cy]
 
 
 def bareiss_det(mat: list[list[int]]) -> int:
@@ -60,6 +79,32 @@ def loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += a[i, p] * b[p, j]
             out[i, j] = acc
     return out
+
+
+def sequential_sweeps(cols: np.ndarray, vrows: np.ndarray, eps: float, max_sweeps: int) -> int:
+    """Reference Jacobi kernel: one pair at a time in row order, as the compiled lane does."""
+    n = cols.shape[0]
+    for sweep in range(max_sweeps):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                app = np.vdot(cols[p], cols[p]).real
+                aqq = np.vdot(cols[q], cols[q]).real
+                apq = np.vdot(cols[p], cols[q])
+                g = abs(apq)
+                if g == 0.0 or g <= eps * np.sqrt(app * aqq):
+                    continue
+                rotated = True
+                zeta = (aqq - app) / (2.0 * g)
+                t = 1.0 if zeta == 0.0 else np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                for rows in (cols, vrows):
+                    qd = np.conj(apq) / g * rows[q]
+                    rows[p], rows[q] = c * rows[p] - s * qd, s * rows[p] + c * qd
+        if not rotated:
+            return sweep + 1
+    return -1
 
 
 class TestMatricize:
@@ -207,10 +252,70 @@ class TestMatrixSvd:
         recon = (u[:, :4] * s) @ v.conj().T
         assert np.linalg.norm(recon - m) <= 1e-12 * np.linalg.norm(m)
 
+    def test_column_graded_singular_values_to_high_relative_accuracy(self):
+        # Jacobi keeps every singular value of a column-graded matrix to a
+        # few ulps of itself; on these inputs np.linalg.svd is off by 1e-14
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(3)
+        with mpmath.workdps(50):
+            for _ in range(6):
+                m = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) * np.logspace(0, -14, 8)
+                exact = mpmath.svd_c(mpmath.matrix(m.tolist()), compute_uv=False)
+                want = np.sort([float(x) for x in exact])[::-1]
+                _, s, _ = matrix_svd(m)
+                assert np.max(np.abs(s - want) / want) <= 4e-15
+
+    def test_input_is_left_unchanged(self, rng):
+        # a Fortran-ordered input once reached the kernel without a copy
+        m = np.asfortranarray(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+        before = m.copy()
+        matrix_svd(m)
+        assert np.array_equal(m, before)
+
+    def test_negligible_singular_values_are_exact_zeros(self):
+        # squared column norms at most 1e-64 of the prescaled matrix count as null
+        _, s, _ = matrix_svd(np.diag([1.0, 1e-40]).astype(np.complex128))
+        assert s[0] == 1.0
+        assert s[1] == 0.0
+
     def test_convergence_error_carries_sweep_count(self):
         err = SvdConvergenceError(30)
         assert err.sweeps == 30
         assert "30" in str(err)
+
+
+class TestScaleAndNullColumns:
+    @pytest.mark.parametrize("lane", built_lanes(), ids=lambda lane: lane.BACKEND)
+    def test_pinv_is_exactly_scale_equivariant_under_powers_of_two(self, rng, monkeypatch, lane):
+        monkeypatch.setattr(unfold_mod, "_kernel", lane)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        base = pinv(as_tensor(m, (2, 2), (2, 2))).array
+        for k in range(-500, 501):
+            scaled = pinv(as_tensor(m * 2.0**k, (2, 2), (2, 2))).array
+            assert np.array_equal(scaled, base * 2.0**-k), f"k = {k}"
+
+    @pytest.mark.parametrize("lane", built_lanes(), ids=lambda lane: lane.BACKEND)
+    @pytest.mark.parametrize("m", NULL_COLUMN_EXAMPLES, ids=["row_order", "round_robin"])
+    def test_null_column_examples_terminate(self, monkeypatch, lane, m):
+        monkeypatch.setattr(unfold_mod, "_kernel", lane)
+        u, s, v = matrix_svd(m)
+        assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-13)
+        assert_allclose(s, np.linalg.svd(m, compute_uv=False), atol=1e-13)
+        x = pinv(as_tensor(m, (2, 2), (2, 2))).array.reshape(4, 4)
+        want = np.linalg.pinv(m)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_rank_deficient_integer_inputs_match_numpy(self):
+        rng = np.random.default_rng(4096)
+        checked = 0
+        while checked < 300:
+            m = rng.integers(-4, 5, (4, 4)).astype(np.complex128)
+            if np.linalg.matrix_rank(m) == 4:
+                continue
+            checked += 1
+            x = pinv(as_tensor(m, (2, 2), (2, 2))).array.reshape(4, 4)
+            want = np.linalg.pinv(m)
+            assert np.linalg.norm(x - want) <= 1e-12 * max(1.0, np.linalg.norm(want)), m.real
 
 
 class TestKernelParity:
@@ -230,20 +335,54 @@ class TestKernelParity:
         assert np.linalg.norm(recon - m) <= 1e-12 * np.linalg.norm(m)
         assert_allclose(np.sort(s)[::-1], np.linalg.svd(m, compute_uv=False), atol=1e-11)
 
+    @pytest.mark.parametrize("n", range(2, 34))
+    def test_round_robin_schedule(self, n):
+        perm = _jacobi_py.round_robin(n)
+        slots = np.arange(perm.size)
+        half = perm.size // 2
+        seen = []
+        for _ in range(perm.size - 1):
+            pairs = [(int(p), int(q)) for p, q in zip(slots[:half], slots[half:])]
+            assert len({i for pair in pairs for i in pair}) == perm.size  # disjoint within the round
+            seen += [tuple(sorted(pair)) for pair in pairs if max(pair) < n]
+            slots = slots[perm]
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert np.array_equal(slots, np.arange(perm.size))  # every column back in its slot
+
+    @pytest.mark.parametrize("shape", [(4, 4), (7, 5), (16, 16), (33, 17), (64, 4)])
+    def test_round_robin_matches_sequential_reference(self, rng, shape):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        runs = []
+        for kernel in (_jacobi_py.jacobi_sweeps, sequential_sweeps):
+            cols = np.ascontiguousarray(m.T)
+            vrows = np.eye(shape[1], dtype=np.complex128)
+            assert kernel(cols, vrows, 1e-14, 30) > 0
+            assert np.linalg.norm(cols.T @ vrows.conj() - m) <= 1e-13 * np.linalg.norm(m)
+            runs.append(np.sort(np.linalg.norm(cols, axis=1))[::-1])
+        assert_allclose(runs[0], runs[1], rtol=1e-13)
+
+    def test_non_finite_column_never_counts_as_converged(self, rng):
+        cols = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        cols[1, 2] = np.nan
+        vrows = np.eye(3, dtype=np.complex128)
+        with np.errstate(invalid="ignore"):  # NaN comparisons inside the rotation step
+            assert _jacobi_py.jacobi_sweeps(cols, vrows, 1e-14, 30) == -1
+
     def test_single_column_returns_immediately(self):
         cols = np.ones((1, 3), dtype=np.complex128)
         vrows = np.eye(1, dtype=np.complex128)
         assert _jacobi_py.jacobi_sweeps(cols, vrows, 1e-14, 30) == 0
 
     def test_compiled_and_python_lanes_agree(self, rng, monkeypatch):
-        from tenrol import unfold as unfold_mod
         try:
             from tenrol import _jacobi_cy
         except ImportError:
             pytest.skip("compiled kernel not built")
         assert _jacobi_cy.BACKEND == "compiled"
-        for shape in [(4, 4), (5, 3), (3, 5)]:
-            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mats = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in [(4, 4), (5, 3), (3, 5)]]
+        for m in mats + NULL_COLUMN_EXAMPLES:
+            shape = m.shape
             monkeypatch.setattr(unfold_mod, "_kernel", _jacobi_py)
             up, sp, vp = unfold_mod.matrix_svd(m)
             monkeypatch.setattr(unfold_mod, "_kernel", _jacobi_cy)

@@ -7,9 +7,8 @@ tensor SVD, the Moore-Penrose inverse, an identity suite, and diagnostics
 for the reverse-order law ``pinv(A @ B) == pinv(B) @ pinv(A)`` with every
 known equivalent characterization cross-checked.
 
-``KERNEL_BACKEND`` names the rotation kernel selected at import:
-``"compiled"`` for the Cython extension, ``"python"`` for the numpy
-fallback.
+The SVD is a one-sided Jacobi whose rotation kernel is written in numpy;
+``KERNEL_BACKEND`` names it and is always ``"python"``.
 """
 
 from .core import (

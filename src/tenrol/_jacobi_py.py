@@ -1,11 +1,9 @@
-"""Pure numpy lane of the one-sided Jacobi kernel.
+"""The one-sided Jacobi rotation kernel, in numpy.
 
-Shares its contract with the compiled module ``tenrol._jacobi_cy``;
-``tenrol.unfold`` picks whichever is importable, preferring the compiled
-one.  The compiled lane visits the pairs of a sweep one at a time in row
-order; this lane visits them in the round-robin order of Brent and Luk
-(1985), so that each numpy call rotates many pairs at once.  The two
-lanes agree to rounding, not bit for bit.
+``tenrol.unfold.matrix_svd`` calls :func:`jacobi_sweeps` on its prescaled
+matrix.  A sweep visits the column pairs in the round-robin order of Brent
+and Luk (1985), so that each numpy call rotates many disjoint pairs at
+once.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-BACKEND = "python"
 
 #: Squared column norm at or below which a column counts as null: pairs
 #: with a null column are not rotated, and null columns are zeroed on exit.

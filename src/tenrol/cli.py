@@ -8,9 +8,10 @@ with entries in the package-wide row-major order (row tuple before column
 tuple, last index varying fastest) and numbers written with 17 significant
 digits so a write-then-read round trip is value-exact.
 
-Exit codes: 0 success, 1 I/O or input error, 2 usage error, 3 a checked
-law does not hold (``rol``) or a fuzz run saw an equivalence violation,
-4 SVD non-convergence.
+Exit codes: 0 success, 1 I/O or input error (including a non-finite
+intermediate, such as a product that overflows), 2 usage error, 3 a
+checked law does not hold (``rol``) or a fuzz run saw an equivalence
+violation, 4 SVD non-convergence.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ __all__ = [
 
 
 class TensorFormatError(ValueError):
-    """A tensor document failed to parse.
+    """A tensor document failed to parse, or a tensor cannot be written as one.
 
     ``code`` is one of ``malformed-json``, ``bad-shape``, ``bad-entry``,
     ``length-mismatch`` or ``non-finite``; ``index`` locates the
@@ -121,7 +122,18 @@ def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
 
 
 def format_tensor(t: DenseTensor) -> str:
-    """Serialize ``t`` as a tensor document with 17-significant-digit numbers."""
+    """Serialize ``t`` as a tensor document with 17-significant-digit numbers.
+
+    Raises
+    ------
+    TensorFormatError
+        With code ``non-finite`` and the flat index of the first NaN or
+        infinite entry, which JSON cannot represent.
+    """
+    finite = np.isfinite(t.entries)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise TensorFormatError("non-finite", i, f"entry {t.entries[i]!r} is not finite")
     body = ",".join(f"[{_fmt17(z.real)},{_fmt17(z.imag)}]" for z in t.entries)
     return (
         '{"row_dims":' + json.dumps(list(t.shape.row_dims))

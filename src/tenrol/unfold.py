@@ -13,30 +13,26 @@ through this matrix image and mapped back.
 The SVD itself is a one-sided Jacobi: plane rotations orthogonalize the
 columns of the matrix, chosen for its simplicity, its reliable convergence
 at these sizes, and its high relative accuracy.  The rotation loop is the
-hot kernel of the package and exists in two lanes with one contract, a
-Cython extension that visits the pairs of a sweep one by one in row order
-and a pure numpy fallback that visits them in round-robin rounds of
-disjoint pairs, selected at import time.  Before the kernel runs,
+hot kernel of the package; it lives in ``tenrol._jacobi_py``, which visits
+the pairs of a sweep in round-robin rounds of disjoint pairs so that each
+numpy call rotates many pairs at once.  Before the kernel runs,
 ``matrix_svd`` scales the matrix by an exact power of two so that its
-largest real or imaginary part lies in [0.5, 1); both lanes treat a column
-whose squared norm is at most 1e-64 of that scaled matrix as null, so
-singular values at or below about ``1e-32 * max|entry|`` come out as
-exactly 0.
+largest real or imaginary part lies in [0.5, 1); the kernel treats a
+column whose squared norm is at most 1e-64 of that scaled matrix as null,
+so singular values at or below about ``1e-32 * max|entry|`` come out as
+exactly 0.  A matrix with a NaN or infinite entry is rejected with
+``ValueError`` before any rotation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import _jacobi_py as _kernel
 from .core import DenseTensor, ModeShape
 
-try:  # pragma: no cover - exercised indirectly by the backend parity tests
-    from . import _jacobi_cy as _kernel
-except ImportError:  # pragma: no cover
-    from . import _jacobi_py as _kernel
-
-#: Name of the selected rotation kernel: "compiled" or "python".
-KERNEL_BACKEND: str = _kernel.BACKEND
+#: Name of the rotation kernel; the numpy kernel is the only one.
+KERNEL_BACKEND: str = "python"
 
 #: Sweep cap and pairwise orthogonality threshold of the Jacobi iteration.
 MAX_SWEEPS: int = 30
@@ -105,6 +101,8 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Raises
     ------
+    ValueError
+        If ``m`` is not a matrix or has a NaN or infinite entry.
     SvdConvergenceError
         If the rotation sweeps do not converge within ``MAX_SWEEPS``.
     """
@@ -124,7 +122,10 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # powers of two.  ldexp also makes a fresh array, so the caller's input
     # is never rotated in place.
     parts = np.ascontiguousarray(mat.T).view(np.float64)
-    e = int(np.frexp(np.abs(parts).max(initial=0.0))[1])
+    top = np.abs(parts).max(initial=0.0)
+    if not np.isfinite(top):
+        raise ValueError("non-finite entry in the matrix to decompose")
+    e = int(np.frexp(top)[1])
     colrows = np.ldexp(parts, -e).view(np.complex128)
     vrows = np.eye(cols, dtype=np.complex128)
     sweeps = _kernel.jacobi_sweeps(colrows, vrows, JACOBI_EPS, MAX_SWEEPS)

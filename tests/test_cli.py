@@ -94,6 +94,16 @@ class TestParseErrors:
         doc = '{"row_dims": [1], "col_dims": [2], "entries": [[1,0],[true,0]]}'
         self.check(doc, "bad-entry", 1)
 
+    def test_format_refuses_non_finite_entry(self):
+        # tensors are built finite, but a product can overflow
+        a = as_tensor(np.diag([1.0, 1e200]), (2,), (2,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = a @ a
+        with pytest.raises(TensorFormatError) as info:
+            format_tensor(t)
+        assert info.value.code == "non-finite"
+        assert info.value.index == 3
+
     def test_non_finite_entry(self):
         doc = '{"row_dims": [1], "col_dims": [3], "entries": [[1,0],[0,0],[Infinity,0]]}'
         self.check(doc, "non-finite", 2)
@@ -280,6 +290,29 @@ class TestExitCodes:
         ])
         assert code == 4
         assert "error:" in capsys.readouterr().err
+
+    def test_product_overflow_is_input_error_and_writes_nothing(self, tmp_path, capsys):
+        # inf and nan are not JSON: the file once held [inf,nan] and exit was 0
+        src = tmp_path / "big.json"
+        write_tensor_file(src, as_tensor(np.full((2, 2), 1e200), (2,), (2,)))
+        out = tmp_path / "o.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_command(["product", "--a", str(src), "--b", str(src), "--out", str(out)])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rol_overflow_is_input_error_not_non_convergence(self, tmp_path, capsys):
+        # a @ b overflows; the infinite product once ran to the sweep cap and exited 4
+        rng = np.random.default_rng(5)
+        src = tmp_path / "big.json"
+        write_tensor_file(src, as_tensor(1e200 * rng.standard_normal((2, 2, 2, 2)), (2, 2), (2, 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_command(["rol", "--a", str(src), "--b", str(src)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite entry" in err
+        assert "did not converge" not in err
 
     def test_main_is_run_command(self, data_dir, capsys):
         assert main(["trace", "--in", str(data_dir / "identity_2x2.json")]) == 0

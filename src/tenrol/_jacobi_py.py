@@ -1,9 +1,10 @@
 """The one-sided Jacobi rotation kernel, in numpy.
 
 ``tenrol.unfold.matrix_svd`` calls :func:`jacobi_sweeps` on its prescaled
-matrix.  A sweep visits the column pairs in the round-robin order of Brent
-and Luk (1985), so that each numpy call rotates many disjoint pairs at
-once.
+matrix, or on a stack of prescaled matrices of one shape.  A sweep visits
+the column pairs in the round-robin order of Brent and Luk (1985), so that
+each numpy call rotates many disjoint pairs at once, of every matrix in
+the stack.
 """
 
 from __future__ import annotations
@@ -53,11 +54,18 @@ def jacobi_sweeps(
     exit, so null columns neither stall convergence nor underflow into
     NaN.  A non-finite pair never counts as orthogonal.
 
+    A stack of T matrices is rotated by the same rounds, one numpy call
+    each for the whole stack.  A matrix none of whose pairs is active in
+    a round gets the exact identity rotation (c = 1, s = 0), and a matrix
+    leaves the stack after its first rotation-free sweep, so each matrix
+    comes out as it would from a call of its own, up to the sign of zero
+    entries.
+
     Parameters
     ----------
-    cols : (n, m) complex128 ndarray
+    cols : (n, m) or (T, n, m) complex128 ndarray
         Row k holds column k of the matrix being decomposed.
-    vrows : (n, n) complex128 ndarray
+    vrows : (n, n) or (T, n, n) complex128 ndarray
         Row k holds column k of the accumulated right factor; receives
         the same rotations.
     eps : float
@@ -69,45 +77,64 @@ def jacobi_sweeps(
     Returns
     -------
     int
-        Sweeps performed until a rotation-free sweep, or -1 if the cap
-        was reached first.
+        Sweeps performed until every matrix had a rotation-free sweep, or
+        -1 if some matrix reached the cap first.
     """
-    n, m = cols.shape
-    if n < 2:
+    n, m = cols.shape[-2:]
+    if n < 2 or cols.size == 0:
         return 0
+    stacked = cols.ndim == 3
+    # stack index of each matrix still in ``work`` (a single matrix: all of it)
+    live = np.arange(len(cols)) if stacked else ...
     perm = round_robin(n)
     h = perm.size // 2
-    work = np.zeros((2 * h, m + n), dtype=np.complex128)
-    work[:n, :m] = cols
-    work[:n, m:] = vrows
-    result = -1
+    work = np.zeros((*cols.shape[:-2], 2 * h, m + n), dtype=np.complex128)
+    work[..., :n, :m] = cols
+    work[..., :n, m:] = vrows
     for sweep in range(max_sweeps):
-        rotated = False
+        # per matrix and pair on a stack; a single matrix needs only a flag
+        rotated = np.zeros((live.size, h), dtype=bool) if stacked else False
         for _ in range(2 * h - 1):
-            cw = work[:, :m]
+            cw = work[..., :m]
             norm2 = np.vecdot(cw, cw).real
-            app, aqq = norm2[:h], norm2[h:]
-            apq = np.vecdot(cw[:h], cw[h:])
+            app, aqq = norm2[..., :h], norm2[..., h:]
+            apq = np.vecdot(cw[..., :h, :], cw[..., h:, :])
             g = np.abs(apq)
             # written so that NaN makes a pair active: it must never pass as orthogonal
             active = ~((g <= eps * np.sqrt(app * aqq)) | (np.minimum(app, aqq) <= NULL_NORM2))
             if active.any():
-                rotated = True
+                if stacked:
+                    rotated |= active
+                else:
+                    rotated = True
                 g = np.where(active, g, 1.0)
                 zeta = (aqq - app) / (2.0 * g)
                 t = np.where(active, np.copysign(1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta), 0.0)
                 c = 1.0 / np.sqrt(1.0 + t * t)
-                s = (c * t)[:, None]
-                c = c[:, None]
+                s = (c * t)[..., None]
+                c = c[..., None]
                 dc = np.where(active, apq.conj() / g, 1.0)
-                x = work[:h].view(np.float64)
-                y = (dc[:, None] * work[h:]).view(np.float64)
-                work = np.concatenate((c * x - s * y, s * x + c * y)).view(np.complex128)
-            work = work.take(perm, axis=0)
-        if not rotated:
+                x = work[..., :h, :].view(np.float64)
+                y = (dc[..., None] * work[..., h:, :]).view(np.float64)
+                work = np.concatenate((c * x - s * y, s * x + c * y), axis=-2).view(np.complex128)
+            work = work.take(perm, axis=-2)
+        if not stacked:
+            if rotated:
+                continue
             result = sweep + 1
             break
-    cols[...] = work[:n, :m]
-    vrows[...] = work[:n, m:]
+        busy = rotated.any(axis=-1)
+        if not busy.all():
+            # retire the matrices whose sweep was rotation-free
+            result = sweep + 1
+            cols[live[~busy]] = work[~busy, :n, :m]
+            vrows[live[~busy]] = work[~busy, :n, m:]
+            work, live = work[busy], live[busy]
+            if not live.size:
+                break
+    else:
+        result = -1
+    cols[live] = work[..., :n, :m]
+    vrows[live] = work[..., :n, m:]
     cols[np.vecdot(cols, cols).real <= NULL_NORM2] = 0.0
     return result

@@ -4,7 +4,9 @@ Every tensor A with split I x J factors as ``A = U @ D @ V.H`` with U, V
 unitary and D diagonal nonnegative; the pseudoinverse is then
 ``pinv(A) = V @ pinv(D) @ U.H``, the unique X satisfying the four Penrose
 equations A@X@A = A, X@A@X = X, (A@X).H = A@X and (X@A).H = X@A.  All of
-it is computed through the matricization isomorphism.
+it is computed through the matricization isomorphism.  ``pinv`` also takes
+a sequence of tensors and decomposes those of one matricization shape by
+one stacked SVD.
 """
 
 from __future__ import annotations
@@ -135,33 +137,58 @@ def tsvd(a: DenseTensor) -> SvdFactors:
     )
 
 
-def pinv(a: DenseTensor, policy: NumericPolicy | None = None) -> DenseTensor:
-    """Moore-Penrose inverse of ``a``.
+def pinv(
+    a: DenseTensor | Sequence[DenseTensor], policy: NumericPolicy | None = None
+) -> DenseTensor | tuple[DenseTensor, ...]:
+    """Moore-Penrose inverse of ``a``, or of each tensor in a sequence.
 
     Singular values below ``rank_tol * sigma_max`` are treated as zero;
     the threshold itself is kept (ties count toward the rank).
 
     Parameters
     ----------
-    a : DenseTensor
-        Tensor with split I x J.
+    a : DenseTensor or sequence of DenseTensor
+        Tensor with split I x J, or tensors of any splits.  The tensors of
+        a sequence whose matricizations share a shape are decomposed by one
+        stacked :func:`tenrol.unfold.matrix_svd` call; each result equals
+        the one for that tensor alone.
     policy : NumericPolicy, optional
         Supplies ``rank_tol``.
 
     Returns
     -------
-    DenseTensor
-        Tensor with split J x I satisfying the four Penrose equations.
+    DenseTensor or tuple of DenseTensor
+        Tensor with split J x I satisfying the four Penrose equations; for
+        a sequence, a tuple of them in the same order.
     """
     policy = policy or DEFAULT_POLICY
-    u, s, v = matrix_svd(matricize(a))
-    k = s.size
-    sinv = np.zeros(k, dtype=np.complex128)
-    if k and s[0] > 0.0:
-        keep = s >= policy.rank_tol * s[0]
+    if isinstance(a, DenseTensor):
+        return dematricize(_pinv_matrix(matricize(a), policy.rank_tol), a.shape.transposed)
+    ts = tuple(a)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, t in enumerate(ts):
+        groups.setdefault((t.shape.row_count, t.shape.col_count), []).append(i)
+    out: list[DenseTensor | None] = [None] * len(ts)
+    for idx in groups.values():
+        mats = [matricize(ts[i]) for i in idx]
+        if len(mats) == 1:  # a lone matrix takes the plain single call
+            xs = [_pinv_matrix(mats[0], policy.rank_tol)]
+        else:
+            xs = _pinv_matrix(np.stack(mats), policy.rank_tol)
+        for i, x in zip(idx, xs):
+            out[i] = dematricize(x, ts[i].shape.transposed)
+    return tuple(out)
+
+
+def _pinv_matrix(mat: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Pseudoinverse of a matrix or of each matrix in a stack."""
+    u, s, v = matrix_svd(mat)
+    k = s.shape[-1]
+    sinv = np.zeros(s.shape, dtype=np.complex128)
+    if k:
+        keep = (s >= rank_tol * s[..., :1]) & (s[..., :1] > 0.0)
         sinv[keep] = 1.0 / s[keep]
-    x = (v[:, :k] * sinv) @ u[:, :k].conj().T
-    return dematricize(x, a.shape.transposed)
+    return (v[..., :k] * sinv[..., None, :]) @ u[..., :k].conj().swapaxes(-1, -2)
 
 
 def penrose_residuals(a: DenseTensor, x: DenseTensor) -> PenroseResiduals:
@@ -210,16 +237,15 @@ def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> Ident
     ``pinv(a)`` is computed once and reused; the adjoint's pseudoinverse
     comes from the conjugation identity ``pinv(a.H) == pinv(a).H``.  The
     two Gram pseudoinverses are fresh computations, otherwise the Gram
-    identities would compare an expression against itself.
+    identities would compare an expression against itself; all three come
+    from one :func:`pinv` call.
     """
     policy = policy or DEFAULT_POLICY
     ah = conj_transpose(a)
-    ap = pinv(a, policy)
-    ahp = conj_transpose(ap)
     gram = einstein_product(ah, a)  # A* A, split J x J
     cogram = einstein_product(a, ah)  # A A*, split I x I
-    gram_p = pinv(gram, policy)
-    cogram_p = pinv(cogram, policy)
+    ap, gram_p, cogram_p = pinv((a, gram, cogram), policy)
+    ahp = conj_transpose(ap)
     ap_a = einstein_product(ap, a)
     residuals = {
         "star_via_pinv_left": rel_residual(_chain(ap, a, ah), ah),
@@ -259,7 +285,8 @@ def pinv_sum(tensors: Sequence[DenseTensor], policy: NumericPolicy | None = None
 
     Requires ``Ai @ Aj.H == 0`` and ``Ai.H @ Aj == 0`` for every pair
     i != j; then ``pinv(sum Ai) == sum pinv(Ai)``, which is what is
-    returned.
+    returned.  The summand pseudoinverses come from one :func:`pinv` call
+    and are added left to right.
 
     Raises
     ------
@@ -287,9 +314,10 @@ def pinv_sum(tensors: Sequence[DenseTensor], policy: NumericPolicy | None = None
             )
             if r > policy.eq_tol:
                 raise OrthogonalityError((i, j), r)
-    out = pinv(ts[0], policy)
-    for t in ts[1:]:
-        out = out + pinv(t, policy)
+    parts = pinv(ts, policy)
+    out = parts[0]
+    for part in parts[1:]:
+        out = out + part
     return out
 
 

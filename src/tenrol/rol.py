@@ -23,11 +23,16 @@ J x K; ``P = pinv(A) @ A`` and ``Q = B @ pinv(B)`` are the projectors):
 ``direct``, ``absorb_left AND absorb_right``, ``herm_left AND
 herm_right``, ``paired_product`` and ``factor_left AND factor_right`` are
 equivalent; ``commute`` is only implied by them, not conversely.
+
+:func:`rol_report` also takes two sequences of factors and returns one
+report per pair; all of their pseudoinverses come from one ``pinv`` call,
+which is how :func:`fuzz_search` evaluates a block of trials at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -143,24 +148,56 @@ class RolReport:
         }
 
 
-def rol_report(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None) -> RolReport:
+def rol_report(
+    a: DenseTensor | Sequence[DenseTensor],
+    b: DenseTensor | Sequence[DenseTensor],
+    policy: NumericPolicy | None = None,
+) -> RolReport | tuple[RolReport, ...]:
     """Evaluate every reverse-order-law characterization on the pair (a, b).
 
-    Exactly three pseudoinverses are computed: ``pinv(a)``, ``pinv(b)``
-    and ``pinv(a @ b)``; everything else is products.
+    Exactly three pseudoinverses are computed per pair: ``pinv(a)``,
+    ``pinv(b)`` and ``pinv(a @ b)``; everything else is products.  ``a``
+    and ``b`` may also be equal-length sequences, evaluated pair by pair
+    into a tuple of reports.  Either way every pseudoinverse comes from one
+    :func:`tenrol.mpinv.pinv` call, and each report equals the one for its
+    pair alone.
 
     Raises
     ------
     ShapeMismatchError
-        If ``a.col_dims != b.row_dims``.
+        If ``a.col_dims != b.row_dims`` for some pair.
+    ValueError
+        If ``a @ b`` overflows to a non-finite entry (the message names the
+        pair of a sequence), or the sequences differ in length.
+    TypeError
+        If one of ``a`` and ``b`` is a tensor and the other a sequence.
     """
     policy = policy or DEFAULT_POLICY
+    single = isinstance(a, DenseTensor)
+    if single != isinstance(b, DenseTensor):
+        raise TypeError("rol_report takes two tensors or two sequences of tensors")
+    as_, bs = ((a,), (b,)) if single else (tuple(a), tuple(b))
+    if len(as_) != len(bs):
+        raise ValueError(f"rol_report got {len(as_)} left factors and {len(bs)} right factors")
+    abs_ = tuple(einstein_product(x, y) for x, y in zip(as_, bs))
+    for i, ab in enumerate(abs_):
+        if not np.isfinite(ab.entries).all():
+            where = "" if single else f" of pair {i}"
+            raise ValueError(f"non-finite entry in a @ b{where}: the product overflowed")
+    n = len(as_)
+    inv = pinv(as_ + bs + abs_, policy)
+    reports = tuple(
+        _report(as_[i], bs[i], inv[i], inv[n + i], inv[2 * n + i], policy.eq_tol) for i in range(n)
+    )
+    return reports[0] if single else reports
+
+
+def _report(
+    a: DenseTensor, b: DenseTensor, ap: DenseTensor, bp: DenseTensor, abp: DenseTensor, tol: float
+) -> RolReport:
+    """The report on (a, b) from ``pinv(a)``, ``pinv(b)`` and ``pinv(a @ b)``."""
     ah = conj_transpose(a)
     bh = conj_transpose(b)
-    ap = pinv(a, policy)
-    bp = pinv(b, policy)
-    abp = pinv(einstein_product(a, b), policy)
-
     p = einstein_product(ap, a)  # pinv(A) @ A
     q = einstein_product(b, bp)  # B @ pinv(B)
     bbh = einstein_product(b, bh)
@@ -178,7 +215,7 @@ def rol_report(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = No
         factor_left=rel_residual(_chain(p, b), _chain(b, abp, a, b)),
         factor_right=rel_residual(_chain(q, ah), _chain(aha, b, abp)),
         commute=rel_residual(_chain(p, q), _chain(q, p)),
-        tol=policy.eq_tol,
+        tol=tol,
     )
 
 
@@ -401,8 +438,7 @@ def projector_commute_report(
         )
     ah = conj_transpose(a)
     bh = conj_transpose(b)
-    ap = pinv(a, policy)
-    bp = pinv(b, policy)
+    ap, bp = pinv((a, b), policy)
     p = einstein_product(ap, a)  # J x J
     q = einstein_product(b, bp)  # J x J
     r = einstein_product(a, ap)  # I x I
@@ -442,6 +478,11 @@ FUZZ_FAMILIES: tuple[str, ...] = (
     "diagonal",
     "orthogonal_sum",
 )
+
+
+#: Trials evaluated by one ``rol_report`` call in ``fuzz_search``; it bounds
+#: the memory a run holds at once.
+_FUZZ_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -557,7 +598,10 @@ def fuzz_search(
     ``FUZZ_FAMILIES``; the ``unitary_factor`` family is skipped when the
     flat counts differ, since no unitary B exists then.  Each trial uses
     an independently derived substream of ``seed``, so results do not
-    depend on evaluation order.
+    depend on evaluation order.  Trials are evaluated in fixed-size
+    blocks, one :func:`rol_report` call per block, so that the
+    pseudoinverses of a whole block come from one stacked SVD and memory
+    does not grow with ``trials``.
 
     Returns
     -------
@@ -578,26 +622,32 @@ def fuzz_search(
         for f in FUZZ_FAMILIES
         if f != "unitary_factor" or shape.row_count == shape.col_count
     ]
-    children = np.random.SeedSequence(seed).spawn(trials)
+    root = np.random.SeedSequence(seed)
     direct_true = 0
     direct_false = 0
     family_counts = {f: 0 for f in families}
     violations = 0
     first_violation: dict | None = None
-    for t in range(trials):
-        family = families[t % len(families)]
-        rng = np.random.default_rng(children[t])
-        a, b = _draw_pair(rng, shape, family)
-        report = rol_report(a, b, policy)
-        family_counts[family] += 1
-        if report.holds:
-            direct_true += 1
-        else:
-            direct_false += 1
-        if not (report.consistent and report.implication_ok):
-            violations += 1
-            if first_violation is None:
-                first_violation = {"trial": t, "family": family, "report": report.as_dict()}
+    for start in range(0, trials, _FUZZ_BLOCK):
+        block = range(start, min(start + _FUZZ_BLOCK, trials))
+        # successive spawns continue one child sequence: trial t always
+        # draws from child t, whatever the block size
+        pairs = [
+            _draw_pair(np.random.default_rng(child), shape, families[t % len(families)])
+            for t, child in zip(block, root.spawn(len(block)))
+        ]
+        reports = rol_report([a for a, _ in pairs], [b for _, b in pairs], policy)
+        for t, report in zip(block, reports):
+            family = families[t % len(families)]
+            family_counts[family] += 1
+            if report.holds:
+                direct_true += 1
+            else:
+                direct_false += 1
+            if not (report.consistent and report.implication_ok):
+                violations += 1
+                if first_violation is None:
+                    first_violation = {"trial": t, "family": family, "report": report.as_dict()}
     return FuzzSummary(
         trials=trials,
         direct_true=direct_true,

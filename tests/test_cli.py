@@ -312,6 +312,7 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "non-finite entry" in err
+        assert "a @ b" in err
         assert "did not converge" not in err
 
     def test_main_is_run_command(self, data_dir, capsys):

@@ -318,6 +318,35 @@ class TestInvertibleFactorAbsorption:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs), a.norm * ap.norm * b.norm)
 
 
+class TestPinvSequence:
+    def test_sequence_matches_single_calls_over_mixed_shapes(self, rng):
+        shapes = [golden.SQ22, ModeShape((2,), (3,)), golden.SQ22, ModeShape((3,), (2,)),
+                  ModeShape((2, 2), (2,)), golden.SQ22, ModeShape((2,), (3,))]
+        ts = [golden.random_tensor(rng, s) for s in shapes]
+        ts[2] = zeros((2, 2), (2, 2))
+        ts[5] = einstein_product(ts[0], diagonal_from((2, 2), (2, 2), [1, 0, 1, 0]))  # rank 2
+        got = pinv(ts)
+        assert isinstance(got, tuple) and len(got) == len(ts)
+        for t, x in zip(ts, got):
+            want = pinv(t)
+            assert x.shape == want.shape == t.shape.transposed
+            assert np.array_equal(x.array, want.array)
+
+    def test_empty_sequence(self):
+        assert pinv([]) == ()
+
+    def test_sum_equals_sum_of_single_calls(self, rng):
+        a = golden.random_tensor(rng, golden.SQ22)
+        f = tsvd(a)
+        s = f.singular_values
+        parts = [f.u @ diagonal_from((2, 2), (2, 2), np.where(np.arange(4) == k, s, 0.0)) @ f.v.H
+                 for k in range(4)]
+        want = pinv(parts[0])
+        for part in parts[1:]:
+            want = want + pinv(part)
+        assert np.array_equal(pinv_sum(parts).array, want.array)
+
+
 class TestPinvSum:
     def test_single_part_reduces_to_pinv(self, rng):
         a = golden.random_tensor(rng, ModeShape((2, 2), (2,)))

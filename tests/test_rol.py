@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 import golden
 from tenrol import (
     FUZZ_FAMILIES,
+    FuzzSummary,
     ModeShape,
     NumericPolicy,
     RolReport,
@@ -29,8 +32,22 @@ from tenrol import (
     zero_equivalence,
     zeros,
 )
+from tenrol.rol import _FUZZ_BLOCK, _draw_pair
 
 SQ22 = golden.SQ22
+
+# FuzzSummary of 200 trials, as the per-pair evaluation gave it before
+# trials were evaluated in blocks: (direct_true, direct_false) by shape and seed.
+FUZZ_BASELINE = {
+    ("2x2:2x2", 0): (163, 37), ("2x2:2x2", 1): (162, 38), ("2x2:2x2", 7): (161, 39),
+    ("2:3", 0): (100, 100), ("2:3", 1): (100, 100), ("2:3", 7): (100, 100),
+    ("4:2x2", 0): (163, 37), ("4:2x2", 1): (162, 38), ("4:2x2", 7): (161, 39),
+}
+FUZZ_SHAPES = {
+    "2x2:2x2": ModeShape((2, 2), (2, 2)),
+    "2:3": ModeShape((2,), (3,)),
+    "4:2x2": ModeShape((4,), (2, 2)),
+}
 
 
 class TestRolReport:
@@ -322,3 +339,68 @@ class TestFuzzSearch:
         # The law should fail somewhere once ranks drop.
         s = fuzz_search(SQ22, 50, 42)
         assert s.direct_false >= 5
+
+
+class TestRolReportBatch:
+    def pool(self, shape: ModeShape, count: int) -> tuple[list, list]:
+        families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
+        rng = np.random.default_rng(31)
+        pairs = [_draw_pair(rng, shape, families[k % len(families)]) for k in range(count)]
+        return [a for a, _ in pairs], [b for _, b in pairs]
+
+    @pytest.mark.parametrize("shape", list(FUZZ_SHAPES.values()), ids=list(FUZZ_SHAPES))
+    def test_batch_equals_per_pair_reports(self, shape):
+        as_, bs = self.pool(shape, 25)
+        reports = rol_report(as_, bs)
+        assert isinstance(reports, tuple) and len(reports) == 25
+        assert reports == tuple(rol_report(a, b) for a, b in zip(as_, bs))
+
+    def test_empty_batch(self):
+        assert rol_report([], []) == ()
+
+    def test_length_mismatch_is_a_value_error(self, rng):
+        as_, bs = self.pool(SQ22, 3)
+        with pytest.raises(ValueError, match="3 left factors and 2 right factors"):
+            rol_report(as_, bs[:2])
+
+    def test_tensor_and_sequence_do_not_mix(self, rng):
+        as_, bs = self.pool(SQ22, 2)
+        with pytest.raises(TypeError):
+            rol_report(as_[0], bs)
+        with pytest.raises(TypeError):
+            rol_report(as_, bs[0])
+
+    def test_overflowing_product_is_named(self, rng):
+        big = as_tensor(1e200 * rng.standard_normal((2, 2, 2, 2)), (2, 2), (2, 2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as single:
+            rol_report(big, big)
+        assert "non-finite entry" in str(single.value) and "a @ b" in str(single.value)
+        as_, bs = self.pool(SQ22, 3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as batch:
+            rol_report([as_[0], big, as_[2]], [bs[0], big, bs[2]])
+        assert "non-finite entry" in str(batch.value) and "a @ b of pair 1" in str(batch.value)
+
+
+class TestFuzzBaseline:
+    @pytest.mark.parametrize("key", list(FUZZ_BASELINE), ids=[f"{s}-seed{n}" for s, n in FUZZ_BASELINE])
+    def test_summary_matches_per_pair_evaluation(self, key):
+        shape = FUZZ_SHAPES[key[0]]
+        families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
+        direct_true, direct_false = FUZZ_BASELINE[key]
+        assert fuzz_search(shape, 200, key[1]) == FuzzSummary(
+            trials=200,
+            direct_true=direct_true,
+            direct_false=direct_false,
+            family_counts={f: 200 // len(families) for f in families},
+            violations=0,
+            first_violation=None,
+        )
+
+    def test_memory_does_not_grow_with_trials(self):
+        peaks = []
+        for trials in (2 * _FUZZ_BLOCK, 8 * _FUZZ_BLOCK):
+            tracemalloc.start()
+            fuzz_search(SQ22, trials, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks

@@ -25,6 +25,7 @@ from tenrol import (
 )
 from tenrol import _jacobi_py
 from tenrol import unfold as unfold_mod
+from tenrol.rol import FUZZ_FAMILIES, _draw_pair
 
 # Rank-deficient integer matrices whose null column shrank by about 1e-16
 # per sweep until it underflowed and turned the rotation into NaN: the
@@ -374,3 +375,99 @@ class TestKernelParity:
         vrows = np.eye(3, dtype=np.complex128)
         assert _jacobi_py.jacobi_sweeps(cols, vrows, 1e-14, 30) == 1
         assert np.array_equal(vrows, np.eye(3))
+
+
+def family_pool(n: int) -> list[np.ndarray]:
+    """Matrices a, b and a @ b of every fuzz family at n x n, and at (n + 2) x n."""
+    rng = np.random.default_rng(n)
+    pool = []
+    for shape in (ModeShape((n,), (n,)), ModeShape((n + 2,), (n,))):
+        for family in FUZZ_FAMILIES:
+            if family == "unitary_factor" and not shape.is_square:
+                continue
+            a, b = _draw_pair(rng, shape, family)
+            pool += [matricize(a), matricize(b), matricize(a @ b)]
+    return pool
+
+
+def stacked_and_single(mats: list[np.ndarray]):
+    """Kernel results on the stack of ``mats``, and on each matrix alone."""
+    cols = np.stack([np.ascontiguousarray(m.T) for m in mats])
+    vrows = np.stack([np.eye(len(c), dtype=np.complex128) for c in cols])
+    singles = [(c.copy(), v.copy()) for c, v in zip(cols, vrows)]
+    sweeps = _jacobi_py.jacobi_sweeps(cols, vrows, 1e-14, 30)
+    single_sweeps = [_jacobi_py.jacobi_sweeps(c, v, 1e-14, 30) for c, v in singles]
+    return (cols, vrows, sweeps), (singles, single_sweeps)
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_stack_matches_single_calls(self, n):
+        pool = family_pool(n)
+        square = [m for m in pool if m.shape == (n, n)]
+        tall = [m if m.shape == (n + 2, n) else m.conj().T for m in pool if sorted(m.shape) == [n, n + 2]]
+        for mats in (square, tall):
+            (cols, vrows, sweeps), (singles, single_sweeps) = stacked_and_single(mats)
+            assert type(sweeps) is int
+            assert sweeps == max(single_sweeps) > 0
+            for i, (c, v) in enumerate(singles):
+                assert np.array_equal(cols[i], c), i
+                assert np.array_equal(vrows[i], v), i
+
+    def test_stack_with_one_nan_matrix_returns_minus_one(self, rng):
+        mats = [rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)) for _ in range(5)]
+        mats[2][1, 2] = np.nan
+        with np.errstate(invalid="ignore"):  # NaN comparisons inside the rotation step
+            (cols, _, sweeps), (singles, _) = stacked_and_single(mats)
+        assert sweeps == -1
+        for i in (0, 1, 3, 4):  # the finite matrices still converge as they would alone
+            assert np.array_equal(cols[i], singles[i][0])
+
+    def test_empty_stack(self):
+        cols = np.zeros((0, 3, 4), dtype=np.complex128)
+        vrows = np.zeros((0, 3, 3), dtype=np.complex128)
+        assert _jacobi_py.jacobi_sweeps(cols, vrows, 1e-14, 30) == 0
+
+
+class TestStackedSvd:
+    @staticmethod
+    def check(stack: np.ndarray) -> None:
+        u, s, v = matrix_svd(stack)
+        assert u.shape[0] == s.shape[0] == v.shape[0] == len(stack)
+        for i, m in enumerate(stack):
+            for got, want in zip((u[i], s[i], v[i]), matrix_svd(m)):
+                assert np.array_equal(got, want), i
+
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 6), (4, 4)])
+    def test_stack_matches_single_calls(self, rng, shape):
+        stack = rng.standard_normal((6, *shape)) + 1j * rng.standard_normal((6, *shape))
+        stack[1, :, -1] = stack[1, :, 0]  # rank-deficient
+        stack[2, 0] = stack[2, 1]  # rank-deficient the other way
+        stack[3] = 0.0
+        stack[4] *= 2.0**500
+        stack[5] *= 2.0**-500
+        self.check(stack)
+
+    def test_rank_deficient_family_pool(self):
+        for n in (3, 4, 5):
+            self.check(np.stack([m for m in family_pool(n) if m.shape == (n, n)]))
+
+    def test_stack_split_over_kernel_calls(self, rng, monkeypatch):
+        # a budget of two matrices per call leaves a lone matrix at the end
+        monkeypatch.setattr(unfold_mod, "KERNEL_BUDGET", 2 * 6 * 11)
+        calls = []
+        kernel = _jacobi_py.jacobi_sweeps
+        monkeypatch.setattr(_jacobi_py, "jacobi_sweeps", lambda c, *rest: calls.append(c.ndim) or kernel(c, *rest))
+        stack = rng.standard_normal((5, 6, 5)) + 1j * rng.standard_normal((5, 6, 5))
+        self.check(stack)
+        assert calls[:3] == [3, 3, 2]
+
+    def test_stack_of_one_non_finite_matrix_is_a_value_error(self, rng):
+        stack = rng.standard_normal((3, 4, 4)) + 0j
+        stack[1, 2, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_svd(stack)
+
+    def test_rejects_higher_rank_arrays(self):
+        with pytest.raises(ValueError, match="ndim 4"):
+            matrix_svd(np.zeros((2, 2, 2, 2)))

@@ -6,17 +6,22 @@ Tensors travel as JSON documents::
 
 with entries in the package-wide row-major order (row tuple before column
 tuple, last index varying fastest) and numbers written with 17 significant
-digits so a write-then-read round trip is value-exact.
+digits so a write-then-read round trip is value-exact.  A document that
+fails to parse is reported at its first offending entry; an integer beyond
+double range is ``non-finite``.
 
-Exit codes: 0 success, 1 I/O or input error (including a non-finite
-intermediate, such as a product that overflows), 2 usage error, 3 a
-checked law does not hold (``rol``) or a fuzz run saw an equivalence
-violation, 4 SVD non-convergence.
+Exit codes: 0 success, 1 I/O or input error (including a missing input
+file and a non-finite intermediate, such as a product or a ``rol``
+residual that overflows), 2 usage error, 3 a checked law does not hold
+(``rol``) or a fuzz run saw an equivalence violation, 4 SVD
+non-convergence.  Command-line paths are always read as files; the
+library's :func:`parse_tensor_file` also takes raw JSON text.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -73,6 +78,24 @@ def _dims_from(doc: dict, key: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+# JSON numbers load as exactly these types; bool, a subclass of int, is excluded.
+_NUMBER_TYPES = {int, float}
+_scalars = itertools.chain.from_iterable
+
+
+def _entry_error(entries: list) -> TensorFormatError:
+    """The error naming the first entry that is not a finite [re, im] number pair."""
+    for i, pair in enumerate(entries):
+        if not isinstance(pair, list) or len(pair) != 2 or not set(map(type, pair)) <= _NUMBER_TYPES:
+            return TensorFormatError("bad-entry", i, f"entry must be a [re, im] number pair, got {pair!r}")
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except OverflowError:
+            return TensorFormatError("non-finite", i, "entry has an integer beyond double range")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            return TensorFormatError("non-finite", i, f"entry [{re!r}, {im!r}] is not finite")
+
+
 def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
     """Parse a tensor document from a file path or raw JSON text.
 
@@ -81,7 +104,8 @@ def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
     TensorFormatError
         With a distinct ``code`` and offending ``index`` for malformed
         JSON, bad shape fields, malformed entry pairs, an entry-count
-        mismatch, or non-finite numbers.
+        mismatch, or non-finite numbers (an integer beyond double range
+        included); the index is that of the first offending entry.
     OSError
         If ``source`` is a path that cannot be read.
     """
@@ -106,19 +130,16 @@ def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
             len(entries),
             f"shape {shape} needs {expected} entries, got {len(entries)}",
         )
-    values = np.empty(expected, dtype=np.complex128)
-    for i, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise TensorFormatError("bad-entry", i, f"entry must be a [re, im] number pair, got {pair!r}")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise TensorFormatError("non-finite", i, f"entry [{re!r}, {im!r}] is not finite")
-        values[i] = complex(re, im)
-    return DenseTensor(shape, values)
+    # One C-level pass per check; a document that fails any of them is
+    # scanned only to name its first offending entry.
+    try:
+        well_formed = set(map(len, entries)) == {2} and set(map(type, _scalars(entries))) <= _NUMBER_TYPES
+        pairs = np.fromiter(_scalars(entries), np.float64, 2 * expected) if well_formed else None
+    except (TypeError, OverflowError):
+        pairs = None
+    if pairs is None or not np.isfinite(pairs).all():
+        raise _entry_error(entries)
+    return DenseTensor(shape, pairs.view(np.complex128))
 
 
 def format_tensor(t: DenseTensor) -> str:
@@ -134,7 +155,9 @@ def format_tensor(t: DenseTensor) -> str:
     if not finite.all():
         i = int(np.argmin(finite))
         raise TensorFormatError("non-finite", i, f"entry {t.entries[i]!r} is not finite")
-    body = ",".join(f"[{_fmt17(z.real)},{_fmt17(z.imag)}]" for z in t.entries)
+    body = ",".join(["[%.17g,%.17g]"] * t.entries.size) % tuple(t.entries.view(np.float64).tolist())
+    # "-0" would come back through JSON as the integer 0, dropping the sign.
+    body = body.replace("[-0,", "[-0.0,").replace(",-0]", ",-0.0]")
     return (
         '{"row_dims":' + json.dumps(list(t.shape.row_dims))
         + ',"col_dims":' + json.dumps(list(t.shape.col_dims))
@@ -204,7 +227,8 @@ def _cmd_rol(args: argparse.Namespace) -> int:
     policy = DEFAULT_POLICY if args.tol is None else NumericPolicy(eq_tol=args.tol)
     report = rol_report(parse_tensor_file(args.a), parse_tensor_file(args.b), policy)
     if args.report:
-        Path(args.report).write_text(json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(report.as_dict(), indent=2, allow_nan=False)
+        Path(args.report).write_text(text + "\n", encoding="utf-8")
     booleans = report.booleans
     for name, residual in report.residuals.items():
         print(f"{name:<16} {residual:12.5e}  {'ok' if booleans[name] else 'fail'}")
@@ -250,13 +274,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("product", help="Einstein product of two tensor files")
-    p.add_argument("--a", required=True, help="left operand file")
-    p.add_argument("--b", required=True, help="right operand file")
+    p.add_argument("--a", type=Path, required=True, help="left operand file")
+    p.add_argument("--b", type=Path, required=True, help="right operand file")
     p.add_argument("--out", required=True, help="output file")
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("pinv", help="Moore-Penrose inverse of a tensor file")
-    p.add_argument("--in", dest="infile", required=True, help="input file")
+    p.add_argument("--in", dest="infile", type=Path, required=True, help="input file")
     p.add_argument("--out", required=True, help="output file")
     p.add_argument(
         "--rank-tol",
@@ -267,25 +291,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pinv)
 
     p = sub.add_parser("svd", help="tensor SVD factors U, D, V")
-    p.add_argument("--in", dest="infile", required=True, help="input file")
+    p.add_argument("--in", dest="infile", type=Path, required=True, help="input file")
     p.add_argument("--out-u", required=True, help="output file for U")
     p.add_argument("--out-d", required=True, help="output file for D")
     p.add_argument("--out-v", required=True, help="output file for V")
     p.set_defaults(func=_cmd_svd)
 
     p = sub.add_parser("trace", help="print the trace as 're im'")
-    p.add_argument("--in", dest="infile", required=True, help="input file")
+    p.add_argument("--in", dest="infile", type=Path, required=True, help="input file")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("solve", help="minimum-norm least-squares solve of A @ X = B")
-    p.add_argument("--a", required=True, help="system tensor file")
-    p.add_argument("--b", required=True, help="right-hand side file")
+    p.add_argument("--a", type=Path, required=True, help="system tensor file")
+    p.add_argument("--b", type=Path, required=True, help="right-hand side file")
     p.add_argument("--out", required=True, help="output file for X")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("rol", help="reverse-order-law report for a pair")
-    p.add_argument("--a", required=True, help="left factor file")
-    p.add_argument("--b", required=True, help="right factor file")
+    p.add_argument("--a", type=Path, required=True, help="left factor file")
+    p.add_argument("--b", type=Path, required=True, help="right factor file")
     p.add_argument(
         "--tol",
         type=float,
@@ -307,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("identities", help="pseudoinverse identity residuals for one tensor")
-    p.add_argument("--in", dest="infile", required=True, help="input file")
+    p.add_argument("--in", dest="infile", type=Path, required=True, help="input file")
     p.set_defaults(func=_cmd_identities)
 
     return parser

@@ -31,6 +31,7 @@ which is how :func:`fuzz_search` evaluates a block of trials at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -167,8 +168,10 @@ def rol_report(
     ShapeMismatchError
         If ``a.col_dims != b.row_dims`` for some pair.
     ValueError
-        If ``a @ b`` overflows to a non-finite entry (the message names the
-        pair of a sequence), or the sequences differ in length.
+        If ``a @ b`` overflows to a non-finite entry, or a residual is
+        non-finite because an intermediate product overflowed (either
+        message names the pair of a sequence), or the sequences differ in
+        length.
     TypeError
         If one of ``a`` and ``b`` is a tensor and the other a sequence.
     """
@@ -189,6 +192,11 @@ def rol_report(
     reports = tuple(
         _report(as_[i], bs[i], inv[i], inv[n + i], inv[2 * n + i], policy.eq_tol) for i in range(n)
     )
+    for i, report in enumerate(reports):
+        bad = next((k for k, r in report.residuals.items() if not math.isfinite(r)), None)
+        if bad is not None:
+            where = "" if single else f" of pair {i}"
+            raise ValueError(f"non-finite residual in {bad}{where}: an intermediate product overflowed")
     return reports[0] if single else reports
 
 

@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["fuzz", "spectral"])
+@pytest.mark.parametrize("workload", ["fuzz", "spectral", "cli"])
 def test_traced_workload_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,

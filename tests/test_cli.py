@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -11,9 +12,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import golden
-from tenrol import ModeShape, as_tensor, diagonal_from, identity, zeros
+from tenrol import DenseTensor, ModeShape, as_tensor, diagonal_from, identity, zeros
 from tenrol.cli import (
     TensorFormatError,
+    _fmt17,
     format_tensor,
     main,
     parse_tensor_file,
@@ -21,6 +23,116 @@ from tenrol.cli import (
     write_tensor_file,
 )
 from tenrol.unfold import SvdConvergenceError
+
+
+def reference_parse(text: str) -> DenseTensor:
+    """The per-entry parser that the vectorized codec replaced, kept as its reference.
+
+    Only the entry conversion is reproduced: callers pass documents whose
+    dims and entry count are valid.
+    """
+    doc = json.loads(text)
+    shape = ModeShape(tuple(doc["row_dims"]), tuple(doc["col_dims"]))
+    values = np.empty(shape.row_count * shape.col_count, dtype=np.complex128)
+    for i, pair in enumerate(doc["entries"]):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+        ):
+            raise TensorFormatError("bad-entry", i, f"entry must be a [re, im] number pair, got {pair!r}")
+        re, im = float(pair[0]), float(pair[1])
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise TensorFormatError("non-finite", i, f"entry [{re!r}, {im!r}] is not finite")
+        values[i] = complex(re, im)
+    return DenseTensor(shape, values)
+
+
+def reference_format(t: DenseTensor) -> str:
+    """The per-entry f-string formatter that the vectorized codec replaced."""
+    body = ",".join(f"[{_fmt17(z.real)},{_fmt17(z.imag)}]" for z in t.entries)
+    return (
+        '{"row_dims":' + json.dumps(list(t.shape.row_dims))
+        + ',"col_dims":' + json.dumps(list(t.shape.col_dims))
+        + ',"entries":[' + body + "]}"
+    )
+
+
+def awkward_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
+    """Entries with exponents from -300 to 300, signed zeros, integers and subnormals."""
+    n = 2 * shape.row_count * shape.col_count
+    parts = rng.uniform(-10, 10, n) * 10.0 ** rng.integers(-300, 301, n)
+    kind = rng.integers(0, 6, n)
+    integers = np.round(rng.uniform(-1, 1, n) * 10.0 ** rng.integers(0, 22, n))
+    subnormals = rng.integers(-(2**52), 2**52, n) * 5e-324
+    parts[kind == 0] = -0.0
+    parts[kind == 1] = 0.0
+    parts[kind == 2] = integers[kind == 2]
+    parts[kind == 3] = subnormals[kind == 3]
+    return DenseTensor(shape, parts.view(np.complex128))
+
+
+def entries_doc(entries: str) -> str:
+    """A 1x3 tensor document around three comma-separated entries."""
+    return f'{{"row_dims": [1], "col_dims": [3], "entries": [{entries}]}}'
+
+
+# Three-entry documents with one offending entry or more; dims and count are valid.
+MALFORMED_ENTRIES = [
+    "[1,0],[true,0],[0,0]",
+    "[1,0],[0,false],[0,0]",
+    '[1,0],["1.5",0],[0,0]',
+    "[1,0],[null,0],[0,0]",
+    "[1,0],[[1],0],[0,0]",
+    "[1,0],[1],[0,0]",
+    "[1,0],[1,2,3],[0,0]",
+    "[1,0],[],[0,0]",
+    '[1,0],{"re":1,"im":0},[0,0]',
+    '[1,0],"ab",[0,0]',
+    "[1,0],5,[0,0]",
+    "[1,0],null,[0,0]",
+    "[true,false],[true,false],[true,false]",
+    "[NaN,0],[true,0],[0,0]",
+    "[1,0],[true,0],[Infinity,0]",
+    "[1,0],[0,-Infinity],[1]",
+    "[1,0],[1],[0,NaN]",
+    "[1,0],[0,0],[1e400,0]",
+]
+
+HUGE = "1" + "0" * 400  # beyond double range, so float() of it overflows
+
+
+class TestCodecMatchesReference:
+    @pytest.mark.parametrize("dims", [((1,), (1,)), ((2, 3), (4,)), ((16,), (16, 4))])
+    def test_written_text_is_byte_equal(self, rng, dims):
+        for _ in range(20):
+            t = awkward_tensor(rng, ModeShape(*dims))
+            text = format_tensor(t)
+            assert text == reference_format(t)
+            assert parse_tensor_file(text).entries.tobytes() == t.entries.tobytes()
+
+    def test_parsed_values_are_bit_equal(self, rng):
+        for _ in range(20):
+            text = reference_format(awkward_tensor(rng, ModeShape((4,), (8,))))
+            assert parse_tensor_file(text).entries.tobytes() == reference_parse(text).entries.tobytes()
+
+    def test_integers_convert_like_float(self):
+        # 2**53 + 1 is not a double; both routes must round it to the same one
+        text = entries_doc(f"[9007199254740993,-9007199254740993],[{2**70},0],[1e308,-0.0]")
+        got = parse_tensor_file(text)
+        assert got.entries.tobytes() == reference_parse(text).entries.tobytes()
+        assert got.entries[0] == complex(float(9007199254740993), float(-9007199254740993))
+
+    @pytest.mark.parametrize("entries", MALFORMED_ENTRIES)
+    def test_errors_match_reference(self, entries):
+        text = entries_doc(entries)
+        with pytest.raises(TensorFormatError) as ref:
+            reference_parse(text)
+        with pytest.raises(TensorFormatError) as got:
+            parse_tensor_file(text)
+        assert (got.value.code, got.value.index, str(got.value)) == (
+            ref.value.code, ref.value.index, str(ref.value),
+        )
 
 
 class TestFormatRoundTrip:
@@ -107,6 +219,19 @@ class TestParseErrors:
     def test_non_finite_entry(self):
         doc = '{"row_dims": [1], "col_dims": [3], "entries": [[1,0],[0,0],[Infinity,0]]}'
         self.check(doc, "non-finite", 2)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_integer_beyond_double_range_is_non_finite(self, sign, index, tmp_path, capsys):
+        # float() of such an integer raises OverflowError, which once escaped as a traceback
+        pairs = ["[1,0]", "[0,1]", "[0,0]"]
+        pairs[index] = f"[0.5,{sign}{HUGE}]"
+        text = entries_doc(",".join(pairs))
+        self.check(text, "non-finite", index)
+        src = tmp_path / "huge.json"
+        src.write_text(text)
+        assert run_command(["trace", "--in", str(src)]) == 1
+        assert f"non-finite at index {index}" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -256,10 +381,14 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_file_is_parse_error(self, capsys):
-        code = run_command(["trace", "--in", "/no/such/file.json"])
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
+        # a CLI path is never read as JSON text, so this is not malformed-json
+        missing = tmp_path / "no_such_file.json"
+        code = run_command(["trace", "--in", str(missing)])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "no_such_file.json" in err
+        assert "malformed-json" not in err
 
     def test_shape_mismatch_is_input_error(self, data_dir, tmp_path, capsys):
         src = tmp_path / "r.json"
@@ -314,6 +443,24 @@ class TestExitCodes:
         assert "non-finite entry" in err
         assert "a @ b" in err
         assert "did not converge" not in err
+
+    def test_rol_residual_overflow_is_input_error(self, tmp_path, capsys):
+        # a @ b is finite; NaN residuals once printed "fail", exited 0 and wrote NaN to the report
+        rng = np.random.default_rng(3)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            big = 1e120 * (rng.standard_normal((2,) * 4) + 1j * rng.standard_normal((2,) * 4))
+            write_tensor_file(path, as_tensor(big, (2, 2), (2, 2)))
+        report_path = tmp_path / "report.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_command([
+                "rol", "--a", str(paths[0]), "--b", str(paths[1]), "--report", str(report_path),
+            ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "non-finite residual in absorb_left" in captured.err
+        assert "holds" not in captured.out
+        assert not report_path.exists()
 
     def test_main_is_run_command(self, data_dir, capsys):
         assert main(["trace", "--in", str(data_dir / "identity_2x2.json")]) == 0

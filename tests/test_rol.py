@@ -380,6 +380,24 @@ class TestRolReportBatch:
             rol_report([as_[0], big, as_[2]], [bs[0], big, bs[2]])
         assert "non-finite entry" in str(batch.value) and "a @ b of pair 1" in str(batch.value)
 
+    def test_overflowing_residual_is_named(self):
+        # a @ b is finite, but Gram products near 1e480 overflow to inf, and
+        # inf - inf once made six residuals NaN, each read as a failed check
+        rng = np.random.default_rng(3)
+        big_a, big_b = (
+            as_tensor(1e120 * (rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2))),
+                      (2, 2), (2, 2))
+            for _ in range(2)
+        )
+        assert np.isfinite((big_a @ big_b).entries).all()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as single:
+            rol_report(big_a, big_b)
+        assert str(single.value) == "non-finite residual in absorb_left: an intermediate product overflowed"
+        as_, bs = self.pool(SQ22, 3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as batch:
+            rol_report([as_[0], as_[1], big_a], [bs[0], bs[1], big_b])
+        assert "non-finite residual in absorb_left of pair 2" in str(batch.value)
+
 
 class TestFuzzBaseline:
     @pytest.mark.parametrize("key", list(FUZZ_BASELINE), ids=[f"{s}-seed{n}" for s, n in FUZZ_BASELINE])

@@ -96,6 +96,14 @@ def _entry_error(entries: list) -> TensorFormatError:
             return TensorFormatError("non-finite", i, f"entry [{re!r}, {im!r}] is not finite")
 
 
+def _int_or_float(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:
+        # past int()'s digit limit, so far beyond double range: +-inf
+        return float(text)
+
+
 def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
     """Parse a tensor document from a file path or raw JSON text.
 
@@ -105,7 +113,9 @@ def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
         With a distinct ``code`` and offending ``index`` for malformed
         JSON, bad shape fields, malformed entry pairs, an entry-count
         mismatch, or non-finite numbers (an integer beyond double range
-        included); the index is that of the first offending entry.
+        included); the index is that of the first offending entry.  An
+        integer too long for ``int()`` is ``non-finite`` as an entry and
+        ``bad-shape`` as a dimension.
     OSError
         If ``source`` is a path that cannot be read.
     """
@@ -114,7 +124,14 @@ def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
     else:
         text = str(source)
     try:
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # only int()'s digit limit raises a plain ValueError; the hook stays
+            # off the first pass, where it would double the cost of integers
+            doc = json.loads(text, parse_int=_int_or_float)
     except json.JSONDecodeError as exc:
         raise TensorFormatError("malformed-json", exc.pos, exc.msg) from exc
     if not isinstance(doc, dict):
@@ -154,7 +171,8 @@ def format_tensor(t: DenseTensor) -> str:
     finite = np.isfinite(t.entries)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise TensorFormatError("non-finite", i, f"entry {t.entries[i]!r} is not finite")
+        re, im = float(t.entries[i].real), float(t.entries[i].imag)
+        raise TensorFormatError("non-finite", i, f"entry [{re!r}, {im!r}] is not finite")
     body = ",".join(["[%.17g,%.17g]"] * t.entries.size) % tuple(t.entries.view(np.float64).tolist())
     # "-0" would come back through JSON as the integer 0, dropping the sign.
     body = body.replace("[-0,", "[-0.0,").replace(",-0]", ",-0.0]")

@@ -375,6 +375,25 @@ def rel_residual(a: DenseTensor, b: DenseTensor, *, scale: float | None = None) 
     return diff / max(1.0, scale)
 
 
+def _zero_residual(x: DenseTensor, scale: float) -> float:
+    """``rel_residual(x, 0, scale=scale)`` without building the zero tensor."""
+    return frobenius_norm(x) / max(1.0, scale)
+
+
+def _unitary_residual(t: DenseTensor, grams: tuple[DenseTensor, DenseTensor] | None = None) -> float:
+    """The larger residual of ``t @ t.H == I`` and ``t.H @ t == I``; inf unless ``t`` is square.
+
+    A caller that holds them passes ``grams = (t @ t.H, t.H @ t)``.
+    """
+    if not t.shape.is_square:
+        return math.inf
+    if grams is None:
+        th = conj_transpose(t)
+        grams = (einstein_product(t, th), einstein_product(th, t))
+    eye = identity(t.shape.row_dims)
+    return max(rel_residual(grams[0], eye), rel_residual(grams[1], eye))
+
+
 def approx_equal(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None) -> bool:
     """True when ``rel_residual(a, b)`` is within ``policy.eq_tol``."""
     policy = policy or DEFAULT_POLICY
@@ -421,11 +440,10 @@ def classify(a: DenseTensor, policy: NumericPolicy | None = None) -> StructuralF
     ah = conj_transpose(a)
     gram = einstein_product(a, ah)
     cogram = einstein_product(ah, a)
-    eye = identity(a.shape.row_dims)
     return StructuralFlags(
         hermitian=rel_residual(a, ah) <= tol,
         skew_hermitian=rel_residual(a, -ah) <= tol,
-        unitary=max(rel_residual(gram, eye), rel_residual(cogram, eye)) <= tol,
+        unitary=_unitary_residual(a, (gram, cogram)) <= tol,
         idempotent=rel_residual(einstein_product(a, a), a) <= tol,
         diagonal=diagonal,
         normal=rel_residual(gram, cogram) <= tol,

@@ -11,7 +11,7 @@ one stacked SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,11 +23,11 @@ from .core import (
     NumericPolicy,
     ShapeMismatchError,
     _chain,
+    _zero_residual,
     conj_transpose,
     einstein_product,
     frobenius_norm,
     rel_residual,
-    zeros,
 )
 from .unfold import dematricize, matricize, matrix_svd
 
@@ -105,12 +105,7 @@ class PenroseResiduals:
         return self.max_residual <= tol
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "axa": self.axa,
-            "xax": self.xax,
-            "ax_herm": self.ax_herm,
-            "xa_herm": self.xa_herm,
-        }
+        return asdict(self)
 
 
 def tsvd(a: DenseTensor) -> SvdFactors:
@@ -303,16 +298,14 @@ def pinv_sum(tensors: Sequence[DenseTensor], policy: NumericPolicy | None = None
     for i, t in enumerate(ts):
         if t.shape != shape:
             raise ShapeMismatchError(f"tensor {i} has shape {t.shape}, expected {shape}")
-    zero_l = zeros(shape.row_dims, shape.row_dims)
-    zero_r = zeros(shape.col_dims, shape.col_dims)
     for i in range(len(ts)):
         for j in range(i + 1, len(ts)):
-            scale = max(1.0, frobenius_norm(ts[i]) * frobenius_norm(ts[j]))
+            scale = frobenius_norm(ts[i]) * frobenius_norm(ts[j])
             r = max(
-                rel_residual(einstein_product(ts[i], conj_transpose(ts[j])), zero_l, scale=scale),
-                rel_residual(einstein_product(conj_transpose(ts[i]), ts[j]), zero_r, scale=scale),
+                _zero_residual(einstein_product(ts[i], conj_transpose(ts[j])), scale),
+                _zero_residual(einstein_product(conj_transpose(ts[i]), ts[j]), scale),
             )
-            if r > policy.eq_tol:
+            if not r <= policy.eq_tol:  # a NaN from an overflow fails too
                 raise OrthogonalityError((i, j), r)
     parts = pinv(ts, policy)
     out = parts[0]
@@ -340,7 +333,7 @@ def idempotent_factorization(
     if not c.shape.is_square:
         raise ShapeMismatchError(f"idempotent factorization needs a square split, got {c.shape}")
     r = rel_residual(einstein_product(c, c), c)
-    if r > policy.eq_tol:
+    if not r <= policy.eq_tol:  # a NaN from an overflow fails too
         raise NotIdempotentError(r)
     cp = pinv(c, policy)
     return einstein_product(c, cp), einstein_product(cp, c)

@@ -31,9 +31,10 @@ which is how :func:`fuzz_search` evaluates a block of trials at once.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -44,13 +45,14 @@ from .core import (
     NumericPolicy,
     ShapeMismatchError,
     _chain,
+    _unitary_residual,
+    _zero_residual,
     conj_transpose,
     diagonal_from,
     einstein_product,
     frobenius_norm,
     identity,
     rel_residual,
-    zeros,
 )
 from .mpinv import pinv
 from .unfold import dematricize
@@ -70,15 +72,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RolReport:
-    """Residuals of every reverse-order-law characterization for one pair.
+_Report = TypeVar("_Report", bound="_ResidualReport")
 
-    All residuals follow the shared relative rule of
-    :func:`tenrol.core.rel_residual`; booleans threshold them at ``tol``.
+
+@dataclass(frozen=True)
+class _ResidualReport:
+    """Base of the residual reports below.
+
+    Every field of a report but its last, ``tol``, is a residual under the
+    shared relative rule of :func:`tenrol.core.rel_residual`; ``residuals``
+    lists them in field order and ``booleans`` thresholds them at ``tol``.
     Residual magnitudes legitimately differ across conditions, so
-    equivalence is judged on booleans, never on residual values.
+    equivalence is judged on booleans, never on residual values.  A NaN or
+    infinite residual would read as a failed check, so every builder
+    refuses one with ``ValueError``.
     """
+
+    @classmethod
+    @functools.cache
+    def _residual_names(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(cls) if f.name != "tol")
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in self._residual_names()}
+
+    @property
+    def booleans(self) -> dict[str, bool]:
+        return {name: r <= self.tol for name, r in self.residuals.items()}
+
+    def as_dict(self) -> dict:
+        return {"tol": self.tol, "residuals": self.residuals, "booleans": self.booleans}
+
+    def _checked(self: _Report, where: str = "") -> _Report:
+        """``self``, or ``ValueError`` naming the first non-finite residual."""
+        bad = next((k for k, r in self.residuals.items() if not math.isfinite(r)), None)
+        if bad is not None:
+            raise ValueError(f"non-finite residual in {bad}{where}: an intermediate product overflowed")
+        return self
+
+
+@dataclass(frozen=True)
+class RolReport(_ResidualReport):
+    """Residuals of every reverse-order-law characterization for one pair."""
 
     direct: float
     absorb_left: float
@@ -90,24 +126,6 @@ class RolReport:
     factor_right: float
     commute: float
     tol: float
-
-    @property
-    def residuals(self) -> dict[str, float]:
-        return {
-            "direct": self.direct,
-            "absorb_left": self.absorb_left,
-            "absorb_right": self.absorb_right,
-            "herm_left": self.herm_left,
-            "herm_right": self.herm_right,
-            "paired_product": self.paired_product,
-            "factor_left": self.factor_left,
-            "factor_right": self.factor_right,
-            "commute": self.commute,
-        }
-
-    @property
-    def booleans(self) -> dict[str, bool]:
-        return {name: r <= self.tol for name, r in self.residuals.items()}
 
     @property
     def groups(self) -> dict[str, bool]:
@@ -139,9 +157,7 @@ class RolReport:
 
     def as_dict(self) -> dict:
         return {
-            "tol": self.tol,
-            "residuals": self.residuals,
-            "booleans": self.booleans,
+            **super().as_dict(),
             "groups": self.groups,
             "holds": self.holds,
             "consistent": self.consistent,
@@ -182,21 +198,17 @@ def rol_report(
     as_, bs = ((a,), (b,)) if single else (tuple(a), tuple(b))
     if len(as_) != len(bs):
         raise ValueError(f"rol_report got {len(as_)} left factors and {len(bs)} right factors")
-    abs_ = tuple(einstein_product(x, y) for x, y in zip(as_, bs))
-    for i, ab in enumerate(abs_):
-        if not np.isfinite(ab.entries).all():
-            where = "" if single else f" of pair {i}"
-            raise ValueError(f"non-finite entry in a @ b{where}: the product overflowed")
     n = len(as_)
+    wheres = [""] if single else [f" of pair {i}" for i in range(n)]
+    abs_ = tuple(einstein_product(x, y) for x, y in zip(as_, bs))
+    for ab, where in zip(abs_, wheres):
+        if not np.isfinite(ab.entries).all():
+            raise ValueError(f"non-finite entry in a @ b{where}: the product overflowed")
     inv = pinv(as_ + bs + abs_, policy)
     reports = tuple(
-        _report(as_[i], bs[i], inv[i], inv[n + i], inv[2 * n + i], policy.eq_tol) for i in range(n)
+        _report(as_[i], bs[i], inv[i], inv[n + i], inv[2 * n + i], policy.eq_tol)._checked(wheres[i])
+        for i in range(n)
     )
-    for i, report in enumerate(reports):
-        bad = next((k for k, r in report.residuals.items() if not math.isfinite(r)), None)
-        if bad is not None:
-            where = "" if single else f" of pair {i}"
-            raise ValueError(f"non-finite residual in {bad}{where}: an intermediate product overflowed")
     return reports[0] if single else reports
 
 
@@ -224,17 +236,6 @@ def _report(
         factor_right=rel_residual(_chain(q, ah), _chain(aha, b, abp)),
         commute=rel_residual(_chain(p, q), _chain(q, p)),
         tol=tol,
-    )
-
-
-def _unitary_residual(t: DenseTensor) -> float:
-    if not t.shape.is_square:
-        return float("inf")
-    eye = identity(t.shape.row_dims)
-    th = conj_transpose(t)
-    return max(
-        rel_residual(einstein_product(t, th), eye),
-        rel_residual(einstein_product(th, t), eye),
     )
 
 
@@ -279,11 +280,12 @@ def sandwich_pinv(
 
 
 @dataclass(frozen=True)
-class ZeroEquivalenceReport:
+class ZeroEquivalenceReport(_ResidualReport):
     """Residuals of the three equivalent zero conditions for a pair (B, A).
 
     The conditions ``B @ pinv(A) == 0``, ``B @ A.H == 0`` and
-    ``B @ pinv(A) @ A == 0`` hold or fail together.
+    ``B @ pinv(A) @ A == 0`` hold or fail together; ``consistent`` checks
+    that their ``booleans`` agree.
     """
 
     via_pinv: float
@@ -292,28 +294,11 @@ class ZeroEquivalenceReport:
     tol: float
 
     @property
-    def booleans(self) -> dict[str, bool]:
-        return {
-            "via_pinv": self.via_pinv <= self.tol,
-            "via_star": self.via_star <= self.tol,
-            "via_projector": self.via_projector <= self.tol,
-        }
-
-    @property
     def consistent(self) -> bool:
         return len(set(self.booleans.values())) == 1
 
     def as_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "residuals": {
-                "via_pinv": self.via_pinv,
-                "via_star": self.via_star,
-                "via_projector": self.via_projector,
-            },
-            "booleans": self.booleans,
-            "consistent": self.consistent,
-        }
+        return {**super().as_dict(), "consistent": self.consistent}
 
 
 def zero_equivalence(
@@ -323,6 +308,9 @@ def zero_equivalence(
 
     ``b`` must have column dims equal to ``a``'s column dims so that
     ``b @ pinv(a)`` and ``b @ a.H`` conform.
+
+    Raises ``ShapeMismatchError`` if the column dims differ, and ``ValueError``
+    naming the first non-finite residual if an intermediate product overflowed.
     """
     policy = policy or DEFAULT_POLICY
     if b.shape.col_dims != a.shape.col_dims:
@@ -333,22 +321,16 @@ def zero_equivalence(
     ah = conj_transpose(a)
     proj = einstein_product(ap, a)
     bn = frobenius_norm(b)
-
-    def zero_res(left: DenseTensor, right: DenseTensor) -> float:
-        prod = einstein_product(left, right)
-        z = zeros(prod.shape.row_dims, prod.shape.col_dims)
-        return rel_residual(prod, z, scale=bn * frobenius_norm(right))
-
     return ZeroEquivalenceReport(
-        via_pinv=zero_res(b, ap),
-        via_star=zero_res(b, ah),
-        via_projector=zero_res(b, proj),
+        via_pinv=_zero_residual(einstein_product(b, ap), bn * frobenius_norm(ap)),
+        via_star=_zero_residual(einstein_product(b, ah), bn * frobenius_norm(ah)),
+        via_projector=_zero_residual(einstein_product(b, proj), bn * frobenius_norm(proj)),
         tol=policy.eq_tol,
-    )
+    )._checked()
 
 
 @dataclass(frozen=True)
-class ProjectorCommuteReport:
+class ProjectorCommuteReport(_ResidualReport):
     """Residuals of the projector commutation identities for a pair (A, B).
 
     ``absorb_proj_left`` is equivalent to ``commute`` (pinv(A) @ A against
@@ -367,23 +349,6 @@ class ProjectorCommuteReport:
     absorb_gram_right: float
     cross_null_right: float
     tol: float
-
-    @property
-    def residuals(self) -> dict[str, float]:
-        return {
-            "absorb_proj_left": self.absorb_proj_left,
-            "absorb_proj_right": self.absorb_proj_right,
-            "commute": self.commute,
-            "commute_mirror": self.commute_mirror,
-            "absorb_gram_left": self.absorb_gram_left,
-            "cross_null_left": self.cross_null_left,
-            "absorb_gram_right": self.absorb_gram_right,
-            "cross_null_right": self.cross_null_right,
-        }
-
-    @property
-    def booleans(self) -> dict[str, bool]:
-        return {name: r <= self.tol for name, r in self.residuals.items()}
 
     @property
     def commute_consistent(self) -> bool:
@@ -409,9 +374,7 @@ class ProjectorCommuteReport:
 
     def as_dict(self) -> dict:
         return {
-            "tol": self.tol,
-            "residuals": self.residuals,
-            "booleans": self.booleans,
+            **super().as_dict(),
             "commute_consistent": self.commute_consistent,
             "pairs_consistent": self.pairs_consistent,
             "consistent": self.consistent,
@@ -438,6 +401,10 @@ def projector_commute_report(
     measures ``P @ Q - Q @ P`` and ``commute_mirror`` measures
     ``S @ R - R @ S``; one can hold without the other, so the two
     absorption conditions are not interchangeable.
+
+    Raises ``ShapeMismatchError`` unless the splits are I x J and J x I, and
+    ``ValueError`` naming the first non-finite residual if an intermediate
+    product overflowed.
     """
     policy = policy or DEFAULT_POLICY
     if a.shape.col_dims != b.shape.row_dims or b.shape.col_dims != a.shape.row_dims:
@@ -454,26 +421,21 @@ def projector_commute_report(
     bbh = einstein_product(b, bh)
     aha = einstein_product(ah, a)
     eye_j = identity(p.shape.row_dims)
-    zero_j = zeros(p.shape.row_dims, p.shape.col_dims)
-
-    def zero_res(expr: DenseTensor, scale: float) -> float:
-        return rel_residual(expr, zero_j, scale=scale)
-
     return ProjectorCommuteReport(
         absorb_proj_left=rel_residual(_chain(p, q, ah), _chain(q, ah)),
         absorb_proj_right=rel_residual(_chain(pb, r, bh), _chain(r, bh)),
         commute=rel_residual(_chain(p, q), _chain(q, p)),
         commute_mirror=rel_residual(_chain(pb, r), _chain(r, pb)),
         absorb_gram_left=rel_residual(_chain(p, bbh, ah), _chain(bbh, ah)),
-        cross_null_left=zero_res(
+        cross_null_left=_zero_residual(
             _chain(eye_j - p, bbh, p), frobenius_norm(bbh) * frobenius_norm(p)
         ),
         absorb_gram_right=rel_residual(_chain(q, aha, b), _chain(aha, b)),
-        cross_null_right=zero_res(
+        cross_null_right=_zero_residual(
             _chain(eye_j - q, aha, q), frobenius_norm(aha) * frobenius_norm(q)
         ),
         tol=policy.eq_tol,
-    )
+    )._checked()
 
 
 # ---------------------------------------------------------------------------

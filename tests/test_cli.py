@@ -100,6 +100,7 @@ MALFORMED_ENTRIES = [
 ]
 
 HUGE = "1" + "0" * 400  # beyond double range, so float() of it overflows
+LONG = "1" * 5000  # past int()'s default limit of 4,300 digits
 
 
 class TestCodecMatchesReference:
@@ -215,6 +216,7 @@ class TestParseErrors:
             format_tensor(t)
         assert info.value.code == "non-finite"
         assert info.value.index == 3
+        assert str(info.value) == "non-finite at index 3: entry [inf, nan] is not finite"
 
     def test_non_finite_entry(self):
         doc = '{"row_dims": [1], "col_dims": [3], "entries": [[1,0],[0,0],[Infinity,0]]}'
@@ -232,6 +234,32 @@ class TestParseErrors:
         src.write_text(text)
         assert run_command(["trace", "--in", str(src)]) == 1
         assert f"non-finite at index {index}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_past_int_digit_limit_is_non_finite(self, sign, tmp_path, capsys):
+        # json.loads cannot convert it and once let a plain ValueError escape
+        # with neither code nor index
+        text = entries_doc(f"[1,0],[0,1],[0.5,{sign}{LONG}]")
+        with pytest.raises(TensorFormatError) as info:
+            parse_tensor_file(text)
+        assert str(info.value) == f"non-finite at index 2: entry [0.5, {sign}inf] is not finite"
+        src = tmp_path / "long.json"
+        src.write_text(text)
+        assert run_command(["trace", "--in", str(src)]) == 1
+        assert "non-finite at index 2" in capsys.readouterr().err
+
+    def test_dimension_past_int_digit_limit_is_bad_shape(self, tmp_path, capsys):
+        text = '{"row_dims": [2, %s], "col_dims": [2], "entries": []}' % LONG
+        self.check(text, "bad-shape", 1)
+        src = tmp_path / "long.json"
+        src.write_text(text)
+        assert run_command(["trace", "--in", str(src)]) == 1
+        assert "bad-shape at index 1" in capsys.readouterr().err
+
+    def test_malformed_json_after_a_long_integer(self):
+        text = '{"row_dims": [%s] "col_dims"' % LONG
+        self.check(text, "malformed-json", text.index('"col_dims"'))
 
 
 class TestCommands:

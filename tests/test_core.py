@@ -30,6 +30,7 @@ from tenrol import (
     trace,
     zeros,
 )
+from tenrol.core import _unitary_residual, _zero_residual
 
 
 class TestModeShape:
@@ -455,3 +456,42 @@ class TestClassify:
         p = as_tensor(np.array([[1.0, 1.0], [0.0, 0.0]]), (2,), (2,))
         f = classify(p)
         assert f.idempotent and not f.hermitian
+
+
+class TestZeroResidual:
+    @pytest.mark.parametrize("scale", [0.0, 0.25, 1.0, 3.5, 1e200])
+    def test_equals_rel_residual_against_zeros(self, rng, scale):
+        values = rng.standard_normal(12) * 10.0 ** rng.integers(-150, 150, 12) + 1j * rng.standard_normal(12)
+        values[:4] = [complex(-0.0, -0.0), complex(-0.0, 1.5), complex(2.5, -0.0), 0.0]
+        cases = [
+            as_tensor(values, (2, 3), (2,)),
+            as_tensor(np.full(6, complex(-0.0, -0.0)), (2,), (3,)),
+            zeros((2,), (2,)),
+        ]
+        for x in cases:
+            reference = rel_residual(x, zeros(x.shape.row_dims, x.shape.col_dims), scale=scale)
+            assert _zero_residual(x, scale) == reference
+
+
+class TestUnitaryResidual:
+    def test_classify_agrees_with_the_helper(self, rng):
+        tol = DEFAULT_POLICY.eq_tol
+        cases = {
+            "unitary": golden.random_unitary_tensor(rng, (2, 2)),
+            "identity": identity((3,)),
+            "non-unitary": golden.random_tensor(rng, ModeShape((2, 2), (2, 2))),
+            "scaled unitary": 2.0 * golden.random_unitary_tensor(rng, (2,)),
+            "non-square, equal flat counts": golden.random_tensor(rng, ModeShape((2, 2), (4,))),
+            "non-square": golden.random_tensor(rng, ModeShape((2,), (3,))),
+        }
+        verdicts = {name: classify(t).unitary for name, t in cases.items()}
+        assert verdicts == {name: _unitary_residual(t) <= tol for name, t in cases.items()}
+        assert verdicts == {name: name in ("unitary", "identity") for name in cases}
+
+    def test_non_square_is_infinitely_far(self, rng):
+        assert _unitary_residual(golden.random_tensor(rng, ModeShape((2, 2), (4,)))) == float("inf")
+
+    def test_given_grams_give_the_same_residual(self, rng):
+        t = golden.random_tensor(rng, ModeShape((2,), (2,)))
+        grams = (t @ t.H, t.H @ t)
+        assert _unitary_residual(t, grams) == _unitary_residual(t)

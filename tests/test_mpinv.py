@@ -374,6 +374,15 @@ class TestPinvSum:
         assert exc.value.pair == (0, 1)
         assert exc.value.residual > 0.1
 
+    def test_rejects_overflowing_non_orthogonal_parts(self):
+        # near 1e160 the cross products overflow and the residual is NaN,
+        # which once passed the check, so a wrong sum came back
+        rng = np.random.default_rng(3)
+        a, b = (as_tensor(1e160 * rng.standard_normal((2, 2, 2, 2)), (2, 2), (2, 2)) for _ in range(2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OrthogonalityError) as exc:
+            pinv_sum([a, b])
+        assert exc.value.pair == (0, 1)
+
     def test_rejects_shape_mismatch_and_empty(self):
         with pytest.raises(ShapeMismatchError):
             pinv_sum([identity((2,)), identity((3,))])
@@ -382,6 +391,12 @@ class TestPinvSum:
 
 
 class TestIdempotentFactorization:
+    def test_rejects_overflowing_square(self):
+        # c @ c overflows, and the NaN residual once passed as idempotent
+        c = as_tensor(1e160 * np.random.default_rng(3).standard_normal((2, 2, 2, 2)), (2, 2), (2, 2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotIdempotentError):
+            idempotent_factorization(c)
+
     def test_identity_splits_into_identities(self):
         e = identity((2, 2))
         a, b = idempotent_factorization(e)

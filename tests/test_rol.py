@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,10 @@ from tenrol import (
     FuzzSummary,
     ModeShape,
     NumericPolicy,
+    ProjectorCommuteReport,
     RolReport,
     ShapeMismatchError,
+    ZeroEquivalenceReport,
     add_scale,
     as_tensor,
     conj_transpose,
@@ -397,6 +400,89 @@ class TestRolReportBatch:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as batch:
             rol_report([as_[0], as_[1], big_a], [bs[0], bs[1], big_b])
         assert "non-finite residual in absorb_left of pair 2" in str(batch.value)
+
+
+def scaled_pair(scale: float) -> tuple:
+    """Two random complex 2x2:2x2 factors of magnitude about ``scale``."""
+    rng = np.random.default_rng(3)
+    return tuple(
+        as_tensor(scale * (rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2))),
+                  (2, 2), (2, 2))
+        for _ in range(2)
+    )
+
+
+class TestNonFiniteResiduals:
+    """Every report builder refuses a residual that an overflow made NaN or infinite."""
+
+    def refused(self, build) -> str:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            build()
+        return str(info.value)
+
+    def test_projector_report_refuses_nan(self):
+        # the Gram products overflow; the four residuals built on them were
+        # NaN, and the report still called itself consistent
+        a, b = scaled_pair(1e120)
+        assert self.refused(lambda: projector_commute_report(a, b)) == (
+            "non-finite residual in absorb_gram_left: an intermediate product overflowed"
+        )
+
+    def test_zero_equivalence_refuses_inf(self):
+        a, b = scaled_pair(1e120)
+        assert self.refused(lambda: zero_equivalence(b, a)) == (
+            "non-finite residual in via_star: an intermediate product overflowed"
+        )
+
+    def test_zero_equivalence_refuses_nan(self):
+        # via_star and via_projector were NaN, via_pinv 0.0: an inconsistent
+        # report made of a numerical failure
+        a, _ = scaled_pair(1e160)
+        assert self.refused(lambda: zero_equivalence(a, a)) == (
+            "non-finite residual in via_star: an intermediate product overflowed"
+        )
+
+    def test_synthetic_reports_stay_constructible(self):
+        # the check runs in the builders, so a report can still hold NaN
+        rep = ZeroEquivalenceReport(via_pinv=float("nan"), via_star=0.0, via_projector=0.0, tol=1e-10)
+        assert rep.booleans == {"via_pinv": False, "via_star": True, "via_projector": True}
+
+
+class TestReportBase:
+    FIELDS = {
+        RolReport: ["direct", "absorb_left", "absorb_right", "herm_left", "herm_right",
+                    "paired_product", "factor_left", "factor_right", "commute", "tol"],
+        ProjectorCommuteReport: ["absorb_proj_left", "absorb_proj_right", "commute", "commute_mirror",
+                                 "absorb_gram_left", "cross_null_left", "absorb_gram_right",
+                                 "cross_null_right", "tol"],
+        ZeroEquivalenceReport: ["via_pinv", "via_star", "via_projector", "tol"],
+    }
+    AS_DICT_KEYS = {
+        RolReport: ["tol", "residuals", "booleans", "groups", "holds", "consistent", "implication_ok"],
+        ProjectorCommuteReport: ["tol", "residuals", "booleans", "commute_consistent",
+                                 "pairs_consistent", "consistent"],
+        ZeroEquivalenceReport: ["tol", "residuals", "booleans", "consistent"],
+    }
+
+    def reports(self, rng) -> list:
+        a = golden.random_low_rank(rng, SQ22)
+        b = golden.random_tensor(rng, SQ22)
+        return [rol_report(a, b), projector_commute_report(a, b), zero_equivalence(b, a)]
+
+    def test_residuals_follow_the_fields(self, rng):
+        for rep in self.reports(rng):
+            names = self.FIELDS[type(rep)]
+            assert [f.name for f in dataclasses.fields(rep)] == names
+            assert list(rep.residuals) == names[:-1]
+            assert rep.residuals == {name: getattr(rep, name) for name in names[:-1]}
+            assert rep.booleans == {name: getattr(rep, name) <= rep.tol for name in names[:-1]}
+
+    def test_as_dict_key_order(self, rng):
+        for rep in self.reports(rng):
+            d = rep.as_dict()
+            assert list(d) == self.AS_DICT_KEYS[type(rep)]
+            assert d["tol"] == rep.tol
+            assert list(d["residuals"]) == list(d["booleans"]) == self.FIELDS[type(rep)][:-1]
 
 
 class TestFuzzBaseline:

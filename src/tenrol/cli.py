@@ -21,6 +21,7 @@ library's :func:`parse_tensor_file` also takes raw JSON text.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -283,7 +284,10 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls and
+    # looks up sys.stdout and sys.stderr only when it prints.
     parser = argparse.ArgumentParser(
         prog="tenrol",
         description="Einstein-product tensor algebra: pseudoinverses, SVD, "

@@ -71,9 +71,12 @@ class ModeShape:
         object.__setattr__(self, "col_dims", _as_dims(self.col_dims))
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)
     def _of(cls, row_dims: tuple[int, ...], col_dims: tuple[int, ...]) -> "ModeShape":
         # Internal fast path: both tuples come from shapes that were
-        # already validated, so they are not checked again.
+        # already validated, so they are not checked again.  Shapes are
+        # immutable, so the derived shapes of products and transposes are
+        # shared, and comparing two of them is mostly an identity check.
         self = object.__new__(cls)
         object.__setattr__(self, "row_dims", row_dims)
         object.__setattr__(self, "col_dims", col_dims)
@@ -184,10 +187,9 @@ class DenseTensor:
 
     @classmethod
     def _from_owned(cls, shape: ModeShape, mat: np.ndarray) -> "DenseTensor":
-        # Internal fast path: mat is a freshly computed complex128
-        # (row_count, col_count) array that no caller retains.
+        # Internal fast path: mat is a freshly computed C-contiguous
+        # complex128 (row_count, col_count) array that no caller retains.
         self = object.__new__(cls)
-        mat = np.ascontiguousarray(mat, dtype=np.complex128)
         mat.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_mat", mat)
@@ -313,7 +315,7 @@ def conj_transpose(a: DenseTensor) -> DenseTensor:
     An involution, and an anti-homomorphism for the Einstein product:
     ``(A @ B).H == B.H @ A.H``.
     """
-    return DenseTensor._from_owned(a.shape.transposed, a._mat.conj().T)
+    return DenseTensor._from_owned(a.shape.transposed, np.conjugate(a._mat.T, order="C"))
 
 
 def add_scale(alpha: complex, a: DenseTensor, beta: complex, b: DenseTensor) -> DenseTensor:
@@ -348,9 +350,16 @@ def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     return DenseTensor._from_owned(shape, np.kron(a._mat, b._mat))
 
 
+def _norm(m: np.ndarray) -> float:
+    """``np.linalg.norm(m)`` of a complex array, by the same fast path without its wrapper."""
+    x = m.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def frobenius_norm(a: DenseTensor) -> float:
     """Frobenius norm, the root of the sum of squared entry magnitudes."""
-    return float(np.linalg.norm(a._mat))
+    return _norm(a._mat)
 
 
 def inner_product(a: DenseTensor, b: DenseTensor) -> complex:
@@ -367,9 +376,9 @@ def rel_residual(a: DenseTensor, b: DenseTensor, *, scale: float | None = None) 
     single rule backs every boolean produced by the package, so reports
     from different modules are comparable.
     """
-    if a.shape != b.shape:
+    if a.shape is not b.shape and a.shape != b.shape:
         raise ShapeMismatchError(f"cannot compare shapes {a.shape} and {b.shape}")
-    diff = float(np.linalg.norm(a._mat - b._mat))
+    diff = _norm(a._mat - b._mat)
     if scale is None:
         scale = max(frobenius_norm(a), frobenius_norm(b))
     return diff / max(1.0, scale)
@@ -392,6 +401,18 @@ def _unitary_residual(t: DenseTensor, grams: tuple[DenseTensor, DenseTensor] | N
         grams = (einstein_product(t, th), einstein_product(th, t))
     eye = identity(t.shape.row_dims)
     return max(rel_residual(grams[0], eye), rel_residual(grams[1], eye))
+
+
+def _non_finite_residual(name: str, where: str = "") -> ValueError:
+    """The error for a NaN or infinite residual, which would read as a failed check."""
+    return ValueError(f"non-finite residual in {name}{where}: an intermediate product overflowed")
+
+
+def _refuse_non_finite(residuals: dict[str, float]) -> None:
+    """Raise :func:`_non_finite_residual` for the first non-finite value in ``residuals``."""
+    for name, r in residuals.items():
+        if not math.isfinite(r):
+            raise _non_finite_residual(name)
 
 
 def approx_equal(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None) -> bool:
@@ -420,31 +441,38 @@ class StructuralFlags:
 
 
 def classify(a: DenseTensor, policy: NumericPolicy | None = None) -> StructuralFlags:
-    """Classify structural properties of ``a`` under the shared residual rule."""
+    """Classify structural properties of ``a`` under the shared residual rule.
+
+    Raises ``ValueError`` naming the first non-finite residual if an
+    intermediate product overflowed.
+    """
     policy = policy or DEFAULT_POLICY
     tol = policy.eq_tol
     mat = a._mat
     mask = np.eye(a.shape.row_count, a.shape.col_count, dtype=bool)
     off = float(np.linalg.norm(mat[~mask])) if mat.size else 0.0
-    diagonal = off / max(1.0, float(np.linalg.norm(mat))) <= tol
+    diagonal = off / max(1.0, float(np.linalg.norm(mat)))
     if not a.shape.is_square:
+        _refuse_non_finite({"diagonal": diagonal})
         return StructuralFlags(
             hermitian=False,
             skew_hermitian=False,
             unitary=False,
             idempotent=False,
-            diagonal=diagonal,
+            diagonal=diagonal <= tol,
             normal=False,
             note="square-only flags unset: row and column dims differ",
         )
     ah = conj_transpose(a)
     gram = einstein_product(a, ah)
     cogram = einstein_product(ah, a)
-    return StructuralFlags(
-        hermitian=rel_residual(a, ah) <= tol,
-        skew_hermitian=rel_residual(a, -ah) <= tol,
-        unitary=_unitary_residual(a, (gram, cogram)) <= tol,
-        idempotent=rel_residual(einstein_product(a, a), a) <= tol,
-        diagonal=diagonal,
-        normal=rel_residual(gram, cogram) <= tol,
-    )
+    residuals = {
+        "hermitian": rel_residual(a, ah),
+        "skew_hermitian": rel_residual(a, -ah),
+        "unitary": _unitary_residual(a, (gram, cogram)),
+        "idempotent": rel_residual(einstein_product(a, a), a),
+        "diagonal": diagonal,
+        "normal": rel_residual(gram, cogram),
+    }
+    _refuse_non_finite(residuals)
+    return StructuralFlags(**{name: r <= tol for name, r in residuals.items()})

@@ -23,6 +23,7 @@ from .core import (
     NumericPolicy,
     ShapeMismatchError,
     _chain,
+    _refuse_non_finite,
     _zero_residual,
     conj_transpose,
     einstein_product,
@@ -234,6 +235,9 @@ def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> Ident
     two Gram pseudoinverses are fresh computations, otherwise the Gram
     identities would compare an expression against itself; all three come
     from one :func:`pinv` call.
+
+    Raises ``ValueError`` naming the first non-finite residual (``normal``
+    and ``ep`` after the identities) if an intermediate product overflowed.
     """
     policy = policy or DEFAULT_POLICY
     ah = conj_transpose(a)
@@ -259,9 +263,11 @@ def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> Ident
     if a.shape.is_square:
         normal_residual = rel_residual(cogram, gram)
         ep_residual = rel_residual(einstein_product(a, ap), ap_a)
+        _refuse_non_finite({**residuals, "normal": normal_residual, "ep": ep_residual})
         normal = normal_residual <= policy.eq_tol
         ep = ep_residual <= policy.eq_tol
     else:
+        _refuse_non_finite(residuals)
         normal_residual = None
         ep_residual = None
         normal = False

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence, TypeVar
+from typing import Generator, Sequence, TypeVar
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .core import (
     NumericPolicy,
     ShapeMismatchError,
     _chain,
+    _non_finite_residual,
     _unitary_residual,
     _zero_residual,
     conj_transpose,
@@ -73,6 +74,7 @@ __all__ = [
 
 
 _Report = TypeVar("_Report", bound="_ResidualReport")
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,9 @@ class _ResidualReport:
 
     def _checked(self: _Report, where: str = "") -> _Report:
         """``self``, or ``ValueError`` naming the first non-finite residual."""
-        bad = next((k for k, r in self.residuals.items() if not math.isfinite(r)), None)
-        if bad is not None:
-            raise ValueError(f"non-finite residual in {bad}{where}: an intermediate product overflowed")
+        for name in self._residual_names():
+            if not math.isfinite(getattr(self, name)):
+                raise _non_finite_residual(name, where)
         return self
 
 
@@ -473,11 +475,25 @@ class FuzzSummary:
     first_violation: dict | None
 
 
-def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+# The draw code below is written as generators so that the trials of a block
+# can draw in lockstep: a generator yields each complex Gaussian matrix it
+# wants orthonormalized, is sent back the unitary QR factor, and returns its
+# pair.  Every trial still draws from its own generator in program order, and
+# a stacked QR equals the single calls, so the pairs do not depend on the
+# block they were drawn in.
+_Draw = Generator[np.ndarray, np.ndarray, _T]
+
+
+def _unitary(rng: np.random.Generator, n: int) -> _Draw[np.ndarray]:
+    """A Haar-random n x n unitary, from the Gaussian matrix it yields."""
+    return (yield rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def _orthonormalize(z: np.ndarray) -> np.ndarray:
+    """Q of ``z = Q R`` for each matrix of a stack, with the phases of diag(R) moved into Q."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _dense_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
@@ -485,14 +501,14 @@ def _dense_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
     return DenseTensor(shape, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def _low_rank_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
+def _low_rank_tensor(rng: np.random.Generator, shape: ModeShape) -> _Draw[DenseTensor]:
     # bounded singular values keep the pseudoinverses well conditioned,
     # so boolean decisions sit far from the tolerance
     rc, cc = shape.row_count, shape.col_count
     k = min(rc, cc)
     r = int(rng.integers(1, k + 1))
-    u = _random_unitary(rng, rc)[:, :r]
-    v = _random_unitary(rng, cc)[:, :r]
+    u = (yield from _unitary(rng, rc))[:, :r]
+    v = (yield from _unitary(rng, cc))[:, :r]
     s = rng.uniform(0.3, 3.0, r)
     return dematricize((u * s) @ v.conj().T, shape)
 
@@ -506,8 +522,8 @@ def _diagonal_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
     return diagonal_from(shape.row_dims, shape.col_dims, vals)
 
 
-def _unitary_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
-    return dematricize(_random_unitary(rng, shape.row_count), shape)
+def _unitary_tensor(rng: np.random.Generator, shape: ModeShape) -> _Draw[DenseTensor]:
+    return dematricize((yield from _unitary(rng, shape.row_count)), shape)
 
 
 def _sigma_with_gaps(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -516,25 +532,25 @@ def _sigma_with_gaps(rng: np.random.Generator, k: int) -> np.ndarray:
     return s
 
 
-def _draw_pair(
+def _pair_draw(
     rng: np.random.Generator, shape: ModeShape, family: str
-) -> tuple[DenseTensor, DenseTensor]:
+) -> _Draw[tuple[DenseTensor, DenseTensor]]:
     shape_b = shape.transposed
     if family == "dense":
         return _dense_tensor(rng, shape), _dense_tensor(rng, shape_b)
     if family == "rank_deficient":
-        return _low_rank_tensor(rng, shape), _low_rank_tensor(rng, shape_b)
+        return (yield from _low_rank_tensor(rng, shape)), (yield from _low_rank_tensor(rng, shape_b))
     if family == "unitary_factor":
-        return _low_rank_tensor(rng, shape), _unitary_tensor(rng, shape_b)
+        return (yield from _low_rank_tensor(rng, shape)), (yield from _unitary_tensor(rng, shape_b))
     if family == "diagonal":
         return _diagonal_tensor(rng, shape), _diagonal_tensor(rng, shape_b)
     if family == "orthogonal_sum":
         # both factors are sums of aligned rank-one pieces with mutually
         # orthogonal ranges, sharing the middle unitary; the law holds
         rc, cc = shape.row_count, shape.col_count
-        u = _random_unitary(rng, rc)
-        v = _random_unitary(rng, cc)
-        w = _random_unitary(rng, rc)
+        u = yield from _unitary(rng, rc)
+        v = yield from _unitary(rng, cc)
+        w = yield from _unitary(rng, rc)
         k = min(rc, cc)
         sa = np.zeros((rc, cc))
         sb = np.zeros((cc, rc))
@@ -555,6 +571,40 @@ def _draw_pair(
     raise ValueError(f"unknown family {family!r}")
 
 
+def _draw_block(
+    rngs: Sequence[np.random.Generator], shape: ModeShape, families: Sequence[str]
+) -> list[tuple[DenseTensor, DenseTensor]]:
+    """One pair per generator and family, drawn in lockstep.
+
+    At each step every unfinished draw advances to its next Gaussian
+    matrix, and the matrices of one size go through one stacked QR.
+    """
+    draws = [_pair_draw(rng, shape, family) for rng, family in zip(rngs, families)]
+    pairs: list = [None] * len(draws)
+    replies: dict[int, np.ndarray | None] = dict.fromkeys(range(len(draws)))
+    while replies:
+        wanted: dict[int, list[int]] = {}  # matrix order -> draws waiting on one
+        asks: dict[int, np.ndarray] = {}
+        for i, reply in replies.items():
+            try:
+                asks[i] = draws[i].send(reply)
+            except StopIteration as done:
+                pairs[i] = done.value
+            else:
+                wanted.setdefault(len(asks[i]), []).append(i)
+        replies = {}
+        for idx in wanted.values():
+            replies.update(zip(idx, _orthonormalize(np.stack([asks[i] for i in idx]))))
+    return pairs
+
+
+def _draw_pair(
+    rng: np.random.Generator, shape: ModeShape, family: str
+) -> tuple[DenseTensor, DenseTensor]:
+    """One pair of ``family``, a lockstep block of one."""
+    return _draw_block([rng], shape, [family])[0]
+
+
 def fuzz_search(
     shape: ModeShape,
     trials: int,
@@ -571,7 +621,9 @@ def fuzz_search(
     depend on evaluation order.  Trials are evaluated in fixed-size
     blocks, one :func:`rol_report` call per block, so that the
     pseudoinverses of a whole block come from one stacked SVD and memory
-    does not grow with ``trials``.
+    does not grow with ``trials``.  The pairs of a block are drawn in
+    lockstep, so each step of their draws orthonormalizes all pending
+    random matrices of one size by one stacked QR.
 
     Returns
     -------
@@ -602,10 +654,11 @@ def fuzz_search(
         block = range(start, min(start + _FUZZ_BLOCK, trials))
         # successive spawns continue one child sequence: trial t always
         # draws from child t, whatever the block size
-        pairs = [
-            _draw_pair(np.random.default_rng(child), shape, families[t % len(families)])
-            for t, child in zip(block, root.spawn(len(block)))
-        ]
+        pairs = _draw_block(
+            [np.random.default_rng(child) for child in root.spawn(len(block))],
+            shape,
+            [families[t % len(families)] for t in block],
+        )
         reports = rol_report([a for a, _ in pairs], [b for _, b in pairs], policy)
         for t, report in zip(block, reports):
             family = families[t % len(families)]

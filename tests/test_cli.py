@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -15,6 +17,7 @@ import golden
 from tenrol import DenseTensor, ModeShape, as_tensor, diagonal_from, identity, zeros
 from tenrol.cli import (
     TensorFormatError,
+    _build_parser,
     _fmt17,
     format_tensor,
     main,
@@ -493,6 +496,59 @@ class TestExitCodes:
     def test_main_is_run_command(self, data_dir, capsys):
         assert main(["trace", "--in", str(data_dir / "identity_2x2.json")]) == 0
         capsys.readouterr()
+
+
+class TestParserReuse:
+    """``run_command`` builds its argparse tree once per process."""
+
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_consecutive_calls_are_independent(self, data_dir, capsys):
+        pair = ["--a", str(data_dir / "rol_counterexample_a.json"),
+                "--b", str(data_dir / "rol_counterexample_b.json")]
+        assert run_command(["rol", *pair, "--tol", "0.9"]) == 0
+        assert "(tol 0.9)" in capsys.readouterr().out
+        # no --tol this time: the default, not the last call's value
+        assert run_command(["rol", *pair]) == 3
+        assert "(tol 1e-10)" in capsys.readouterr().out
+        assert run_command(["trace", "--in", str(data_dir / "identity_2x2.json")]) == 0
+        assert capsys.readouterr().out == "4 0\n"
+
+    def test_usage_error_prints_to_the_current_stderr(self):
+        for _ in range(2):  # the cached parser looks stderr up at each call
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run_command(["pinv"]) == 2
+            assert err.getvalue().startswith("usage: tenrol pinv")
+            assert "--in" in err.getvalue()
+
+    @pytest.mark.parametrize(
+        "name, a, b",
+        [
+            ("rol_identity_pair", "identity_2x2.json", "nonnormal_invertible.json"),
+            ("rol_counterexample", "rol_counterexample_a.json", "rol_counterexample_b.json"),
+        ],
+    )
+    def test_rol_output_is_byte_identical(self, name, a, b, data_dir, tmp_path, capsys):
+        # the .stdout and .report.json files were written by the code before
+        # the parser was cached
+        for call in range(2):
+            report = tmp_path / f"{call}.json"
+            run_command(["rol", "--a", str(data_dir / a), "--b", str(data_dir / b), "--report", str(report)])
+            assert capsys.readouterr().out == (data_dir / f"{name}.stdout").read_text(encoding="utf-8")
+            assert report.read_bytes() == (data_dir / f"{name}.report.json").read_bytes()
+
+    def test_identities_overflow_is_input_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        src = tmp_path / "big.json"
+        write_tensor_file(src, as_tensor(1e120 * q, (2, 2), (2, 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_command(["identities", "--in", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert "non-finite residual in normal" in captured.err
+        assert captured.out == ""
 
 
 class TestModuleEntry:

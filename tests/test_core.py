@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +34,8 @@ from tenrol import (
     trace,
     zeros,
 )
-from tenrol.core import _unitary_residual, _zero_residual
+from tenrol import core
+from tenrol.core import _norm, _unitary_residual, _zero_residual
 
 
 class TestModeShape:
@@ -495,3 +500,139 @@ class TestUnitaryResidual:
         t = golden.random_tensor(rng, ModeShape((2,), (2,)))
         grams = (t @ t.H, t.H @ t)
         assert _unitary_residual(t, grams) == _unitary_residual(t)
+
+
+def overflowing_unitary() -> DenseTensor:
+    """``1e120 * Q`` for a random complex 4x4 unitary Q: normal, but its Gram norms overflow."""
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return as_tensor(1e120 * q, (2, 2), (2, 2))
+
+
+class TestNonFiniteClassify:
+    def test_overflow_is_refused_not_read_as_not_normal(self):
+        # the parent reported normal == False here, with a NaN normal residual
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            classify(overflowing_unitary())
+        assert str(info.value) == "non-finite residual in unitary: an intermediate product overflowed"
+
+    def test_non_square_diagonal_residual_is_checked(self):
+        t = as_tensor(np.full((2, 3), 1e200), (2,), (3,))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="in diagonal:"):
+            classify(t)
+
+    def test_a_modest_scale_still_classifies(self):
+        f = classify(overflowing_unitary() * 1e-110)
+        assert f.normal and not f.unitary and not f.hermitian
+
+
+NORM_CASES = {
+    "zeros": np.zeros(6, complex),
+    "negative zeros": np.full(6, complex(-0.0, -0.0)),
+    "subnormal": np.array([5e-324, complex(0.0, 2.5e-320), complex(-1e-310, 1e-315)]),
+    "huge": np.array([1e300, complex(-1e300, 1e-300), 3e153]),
+    "tiny": np.array([1e-300, complex(0.0, -1e-300)]),
+    "overflow to inf": np.array([1e300, complex(1e300, 1e300)]),
+    "sum overflows": np.array([1.3e154, complex(0.0, 1.3e154)]),
+    "nan": np.array([1.0, complex(np.nan, 0.0)]),
+    "inf": np.array([complex(0.0, np.inf), 1.0]),
+    "random": np.random.default_rng(0).standard_normal(24) + 1j * np.random.default_rng(1).standard_normal(24),
+}
+
+
+class TestNorm:
+    @pytest.mark.parametrize("name", list(NORM_CASES))
+    def test_equals_numpy_norm(self, name):
+        x = NORM_CASES[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in (x, x.reshape(1, -1), x.reshape(-1, 1).T, np.repeat(x, 2)[::2]):
+                want = float(np.linalg.norm(m))
+                got = _norm(m)
+                assert type(got) is float
+                assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
+
+    def test_non_contiguous_order_is_numpys(self, rng):
+        m = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-8, 8, (5, 7)) + 1j * rng.standard_normal((5, 7))
+        for view in (m.T, np.asfortranarray(m), m[::2, 1::3], m[:, ::-1]):
+            assert _norm(view) == float(np.linalg.norm(view))
+
+    def test_tensor_norms_use_it(self, rng):
+        a = golden.random_tensor(rng, ModeShape((2, 3), (2,)))
+        b = golden.random_tensor(rng, ModeShape((2, 3), (2,)))
+        assert frobenius_norm(a) == float(np.linalg.norm(a.array))
+        assert rel_residual(a, b) == float(np.linalg.norm(a.array - b.array)) / max(
+            1.0, float(np.linalg.norm(a.array)), float(np.linalg.norm(b.array))
+        )
+
+
+class TestOwnedArrays:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_conj_transpose_is_the_copied_adjoint(self, seed):
+        r = np.random.default_rng(seed)
+        a = golden.random_tensor(r, ModeShape((2, 3), (2,)))
+        m = a._mat
+        got = conj_transpose(a)._mat
+        want = m.conj().T.copy()
+        assert got.flags.c_contiguous and got.dtype == np.complex128
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_conj_transpose_keeps_signed_zeros(self):
+        a = as_tensor([complex(0.0, 0.0), complex(-0.0, -0.0), complex(1.0, -0.0)], (1,), (3,))
+        assert conj_transpose(a)._mat.tobytes() == a._mat.conj().T.copy().tobytes()
+
+    def producers(self, rng) -> dict:
+        a = golden.random_tensor(rng, ModeShape((2, 3), (4,)))
+        b = golden.random_tensor(rng, ModeShape((4,), (2,)))
+        c = golden.random_tensor(rng, ModeShape((2, 3), (4,)))
+        return {
+            "zeros": lambda: zeros((2, 3), (4,)),
+            "identity": lambda: identity((2, 3)),
+            "diagonal_from": lambda: diagonal_from((2, 3), (4,), [1.0, 2j, 3.0, 0.0]),
+            "einstein_product": lambda: einstein_product(a, b),
+            "einstein_product of adjoints": lambda: einstein_product(b.H, a.H),
+            "conj_transpose": lambda: conj_transpose(a),
+            "add_scale": lambda: add_scale(2.0, a, -1j, c),
+            "kronecker": lambda: kronecker(a, b),
+            "kronecker of adjoints": lambda: kronecker(a.H, b.H),
+            "__mul__": lambda: a * 2.5,
+            "__rmul__": lambda: 1j * a,
+            "__neg__": lambda: -a,
+            "__add__": lambda: a + c,
+            "__sub__": lambda: a - c,
+        }
+
+    def test_every_producer_passes_a_c_contiguous_complex_matrix(self, rng):
+        for name, make in self.producers(rng).items():
+            mat = make()._mat
+            assert mat.flags.c_contiguous, name
+            assert mat.dtype == np.complex128, name
+            assert not mat.flags.writeable, name
+
+    def test_the_producer_list_is_complete(self, rng):
+        # every function of core that calls _from_owned is listed above
+        calling = set()
+        for node in ast.walk(ast.parse(inspect.getsource(core))):
+            if isinstance(node, ast.FunctionDef) and node.name != "_from_owned":
+                if any(isinstance(n, ast.Attribute) and n.attr == "_from_owned" for n in ast.walk(node)):
+                    calling.add(node.name)
+        listed = {name.split(" ")[0] for name in self.producers(rng)}
+        assert calling <= listed, calling - listed
+
+
+class TestSharedShapes:
+    def test_products_and_adjoints_share_one_shape(self, rng):
+        a = golden.random_tensor(rng, ModeShape((2, 3), (4,)))
+        b = golden.random_tensor(rng, ModeShape((4,), (2,)))
+        c = golden.random_tensor(rng, ModeShape((4,), (2,)))
+        assert (a @ b).shape is (a @ c).shape
+        assert a.H.H.shape is a.H.H.H.H.shape
+        assert a.shape.transposed is a.H.shape
+
+    def test_equal_but_distinct_shapes_still_compare(self, rng):
+        a = golden.random_tensor(rng, ModeShape((2,), (2,)))
+        b = golden.random_tensor(rng, ModeShape((2,), (2,)))
+        assert a.shape is not b.shape
+        assert rel_residual(a, b) == rel_residual(b, a)
+        with pytest.raises(ShapeMismatchError):
+            rel_residual(a, golden.random_tensor(rng, ModeShape((4,), (1,))))

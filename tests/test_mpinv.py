@@ -255,6 +255,17 @@ class TestIdentitySuite:
         rep = identity_suite(a)
         assert rep.normal and rep.ep
 
+    def test_overflow_is_refused_not_read_as_not_normal(self):
+        # 1e120 * Q for a unitary Q is normal, but its Gram norms overflow and
+        # the normal residual is NaN; the parent reported normal == False
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        a = as_tensor(1e120 * q, (2, 2), (2, 2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            identity_suite(a)
+        assert str(info.value) == "non-finite residual in normal: an intermediate product overflowed"
+        assert identity_suite(1e-110 * a).normal
+
 
 class TestZeroConditions:
     def test_projected_factor_annihilates_all_three_forms(self, rng):

@@ -35,7 +35,9 @@ from tenrol import (
     zero_equivalence,
     zeros,
 )
-from tenrol.rol import _FUZZ_BLOCK, _draw_pair
+from tenrol import rol
+from tenrol.rol import _FUZZ_BLOCK, _draw_block, _draw_pair
+from tenrol.unfold import dematricize
 
 SQ22 = golden.SQ22
 
@@ -508,3 +510,138 @@ class TestFuzzBaseline:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
+# The one-at-a-time draws that the lockstep block draws replaced, kept as
+# their reference: one QR call per unitary, in trial order.
+
+
+def reference_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def reference_low_rank(rng: np.random.Generator, shape: ModeShape):
+    rc, cc = shape.row_count, shape.col_count
+    r = int(rng.integers(1, min(rc, cc) + 1))
+    u = reference_unitary(rng, rc)[:, :r]
+    v = reference_unitary(rng, cc)[:, :r]
+    s = rng.uniform(0.3, 3.0, r)
+    return dematricize((u * s) @ v.conj().T, shape)
+
+
+def reference_diagonal(rng: np.random.Generator, shape: ModeShape):
+    k = min(shape.row_count, shape.col_count)
+    mags = rng.uniform(0.3, 3.0, k)
+    phases = np.exp(2j * np.pi * rng.random(k))
+    vals = mags * phases
+    vals[rng.random(k) < 0.25] = 0.0
+    return diagonal_from(shape.row_dims, shape.col_dims, vals)
+
+
+def reference_sigma(rng: np.random.Generator, k: int) -> np.ndarray:
+    s = rng.uniform(0.3, 3.0, k)
+    s[rng.random(k) < 0.25] = 0.0
+    return s
+
+
+def reference_draw_pair(rng: np.random.Generator, shape: ModeShape, family: str) -> tuple:
+    shape_b = shape.transposed
+    rc, cc = shape.row_count, shape.col_count
+    if family == "dense":
+        return tuple(
+            as_tensor(rng.standard_normal(rc * cc) + 1j * rng.standard_normal(rc * cc), s.row_dims, s.col_dims)
+            for s in (shape, shape_b)
+        )
+    if family == "rank_deficient":
+        return reference_low_rank(rng, shape), reference_low_rank(rng, shape_b)
+    if family == "unitary_factor":
+        return reference_low_rank(rng, shape), dematricize(reference_unitary(rng, cc), shape_b)
+    if family == "diagonal":
+        return reference_diagonal(rng, shape), reference_diagonal(rng, shape_b)
+    assert family == "orthogonal_sum"
+    u = reference_unitary(rng, rc)
+    v = reference_unitary(rng, cc)
+    w = reference_unitary(rng, rc)
+    k = min(rc, cc)
+    sa = np.zeros((rc, cc))
+    sb = np.zeros((cc, rc))
+    sa_vals = reference_sigma(rng, k)
+    sb_vals = reference_sigma(rng, k)
+    for vals in (sa_vals, sb_vals):
+        if vals[0] == 0.0:
+            vals[0] = rng.uniform(0.3, 3.0)
+    sa[np.arange(k), np.arange(k)] = sa_vals
+    sb[np.arange(k), np.arange(k)] = sb_vals
+    return dematricize(u @ sa @ v.conj().T, shape), dematricize(v @ sb @ w.conj().T, shape_b)
+
+
+DRAW_SHAPES = {
+    **FUZZ_SHAPES,
+    "3:2x2": ModeShape((3,), (2, 2)),
+    "4:2": ModeShape((4,), (2,)),  # (n+2):n, so one block holds unitaries of two sizes
+    "5:3": ModeShape((5,), (3,)),
+}
+
+
+class TestLockstepDraws:
+    def families(self, shape: ModeShape) -> list[str]:
+        return [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
+
+    @pytest.mark.parametrize("shape", list(DRAW_SHAPES.values()), ids=list(DRAW_SHAPES))
+    def test_block_equals_one_at_a_time_draws(self, shape):
+        children = np.random.SeedSequence(11).spawn(3 * _FUZZ_BLOCK // 2)
+        families = [self.families(shape)[t % len(self.families(shape))] for t in range(len(children))]
+        block = _draw_block([np.random.default_rng(c) for c in children], shape, families)
+        assert len(block) == len(children)
+        for child, family, (a, b) in zip(children, families, block):
+            ref_a, ref_b = reference_draw_pair(np.random.default_rng(child), shape, family)
+            assert a.shape == ref_a.shape and b.shape == ref_b.shape
+            assert np.array_equal(a.entries, ref_a.entries), family
+            assert np.array_equal(b.entries, ref_b.entries), family
+
+    @pytest.mark.parametrize("family", FUZZ_FAMILIES)
+    def test_draw_pair_is_a_block_of_one(self, family):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(4):  # successive draws keep consuming one generator
+            pair = _draw_pair(rng, SQ22, family)
+            ref = reference_draw_pair(ref_rng, SQ22, family)
+            assert all(np.array_equal(x.entries, y.entries) for x, y in zip(pair, ref))
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'bogus'"):
+            _draw_pair(np.random.default_rng(0), SQ22, "bogus")
+
+    def test_one_qr_call_per_unitary_size_and_step(self, monkeypatch):
+        # 4:2 asks for unitaries of order 4 and 2; rank_deficient, the longest
+        # draw, asks for four in a row, so a block takes at most four steps
+        calls = []
+        original = rol._orthonormalize
+
+        def counted(z):
+            calls.append(z.shape)
+            return original(z)
+
+        monkeypatch.setattr(rol, "_orthonormalize", counted)
+        shape = DRAW_SHAPES["4:2"]
+        fuzz_search(shape, 40, 2)
+        assert len(calls) <= 2 * 4
+        assert {s[1:] for s in calls} == {(4, 4), (2, 2)}
+        assert sum(s[0] for s in calls) == 10 * 4 + 10 * 3  # rank_deficient and orthogonal_sum
+
+    def test_fuzz_summary_equals_one_at_a_time_evaluation(self):
+        shape = DRAW_SHAPES["4:2"]
+        families = self.families(shape)
+        trials = _FUZZ_BLOCK + 6
+        pairs = [
+            reference_draw_pair(np.random.default_rng(child), shape, families[t % len(families)])
+            for t, child in enumerate(np.random.SeedSequence(9).spawn(trials))
+        ]
+        reports = [rol_report(a, b) for a, b in pairs]
+        summary = fuzz_search(shape, trials, 9)
+        assert summary.direct_true == sum(r.holds for r in reports)
+        assert summary.direct_false == sum(not r.holds for r in reports)
+        assert summary.violations == sum(not (r.consistent and r.implication_ok) for r in reports)

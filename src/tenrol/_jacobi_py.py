@@ -5,6 +5,16 @@ matrix, or on a stack of prescaled matrices of one shape.  A sweep visits
 the column pairs in the round-robin order of Brent and Luk (1985), so that
 each numpy call rotates many disjoint pairs at once, of every matrix in
 the stack.
+
+A round costs a fixed numpy call overhead, not arithmetic: about 35-40 us
+at n <= 16 and 50 us at n = 32 (one BLAS thread, a shared 2-CPU Xeon),
+against 45-55 and 65-70 us for the plainer round it replaced.  The round
+makes few and cheap calls (0-d constants, one no-rotation test, in-place
+masks, both rotated halves written into one fresh array), but it performs
+the same floating-point operations in the same order as that plainer
+round, so its results are bit-identical to it;
+``tests/test_jacobi_reference.py`` keeps the plainer round as the
+reference.
 """
 
 from __future__ import annotations
@@ -88,42 +98,62 @@ def jacobi_sweeps(
     live = np.arange(len(cols)) if stacked else ...
     perm = round_robin(n)
     h = perm.size // 2
+    # 0-d operands and a dtype object, made once: numpy converts a Python
+    # float or a dtype name again on every call that gets one
+    f64 = np.dtype(np.float64)
+    zero, one = np.array(0.0), np.array(1.0)
+    eps, null = np.array(eps, dtype=f64), np.array(NULL_NORM2)
+    # the rows of the low and the high slots: pair k is row k of both
+    lo, hi = (..., slice(None, h), slice(None)), (..., slice(h, None), slice(None))
     work = np.zeros((*cols.shape[:-2], 2 * h, m + n), dtype=np.complex128)
     work[..., :n, :m] = cols
     work[..., :n, m:] = vrows
     for sweep in range(max_sweeps):
         # per matrix and pair on a stack; a single matrix needs only a flag
-        rotated = np.zeros((live.size, h), dtype=bool) if stacked else False
+        calm = np.ones((live.size, h), dtype=bool) if stacked else True
         for _ in range(2 * h - 1):
             cw = work[..., :m]
             norm2 = np.vecdot(cw, cw).real
             app, aqq = norm2[..., :h], norm2[..., h:]
-            apq = np.vecdot(cw[..., :h, :], cw[..., h:, :])
+            apq = np.vecdot(cw[lo], cw[hi])
             g = np.abs(apq)
-            # written so that NaN makes a pair active: it must never pass as orthogonal
-            active = ~((g <= eps * np.sqrt(app * aqq)) | (np.minimum(app, aqq) <= NULL_NORM2))
-            if active.any():
+            # a pair stays when orthogonal or null; written so that NaN
+            # makes it rotate: it must never pass as orthogonal
+            still = (g <= eps * np.sqrt(app * aqq)) | (np.minimum(app, aqq) <= null)
+            if np.count_nonzero(still) != still.size:
                 if stacked:
-                    rotated |= active
+                    calm &= still
                 else:
-                    rotated = True
-                g = np.where(active, g, 1.0)
-                zeta = (aqq - app) / (2.0 * g)
-                t = np.where(active, np.copysign(1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta), 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = (c * t)[..., None]
-                c = c[..., None]
-                dc = np.where(active, apq.conj() / g, 1.0)
-                x = work[..., :h, :].view(np.float64)
-                y = (dc[..., None] * work[..., h:, :]).view(np.float64)
-                work = np.concatenate((c * x - s * y, s * x + c * y), axis=-2).view(np.complex128)
+                    calm = False
+                g[still] = one
+                zeta = (aqq - app) / (g + g)
+                t = np.copysign(one / (np.abs(zeta) + np.hypot(one, zeta)), zeta)
+                t[still] = zero
+                t = t[..., None]
+                c = one / np.sqrt(one + t * t)
+                s = c * t
+                dc = np.conjugate(apq, out=apq)
+                dc /= g
+                dc[still] = one
+                # the halves become c*x - s*(dc*y) and s*x + c*(dc*y)
+                x = work.view(f64)[lo]
+                y = (dc[..., None] * work[hi]).view(f64)
+                work = np.empty_like(work)
+                rot = work.view(f64)
+                top, bot = rot[lo], rot[hi]
+                np.multiply(s, y, out=bot)
+                np.multiply(c, x, out=top)
+                top -= bot
+                np.multiply(s, x, out=bot)
+                y *= c
+                bot += y
             work = work.take(perm, axis=-2)
         if not stacked:
-            if rotated:
+            if not calm:
                 continue
             result = sweep + 1
             break
-        busy = rotated.any(axis=-1)
+        busy = ~calm.all(axis=-1)
         if not busy.all():
             # retire the matrices whose sweep was rotation-free
             result = sweep + 1

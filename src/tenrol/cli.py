@@ -208,6 +208,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _open_unit_fraction(text: str) -> float:
+    """A ``NumericPolicy`` tolerance: a float in (0, 1), so never NaN."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return value
+
+
 def _cmd_product(args: argparse.Namespace) -> int:
     a = parse_tensor_file(args.a)
     b = parse_tensor_file(args.b)
@@ -306,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output file")
     p.add_argument(
         "--rank-tol",
-        type=float,
+        type=_open_unit_fraction,
         default=None,
         help=f"relative singular-value cutoff (default {DEFAULT_POLICY.rank_tol:g})",
     )
@@ -334,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=Path, required=True, help="right factor file")
     p.add_argument(
         "--tol",
-        type=float,
+        type=_open_unit_fraction,
         default=None,
         help=f"boolean threshold (default {DEFAULT_POLICY.eq_tol:g})",
     )

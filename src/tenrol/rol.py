@@ -148,9 +148,20 @@ class RolReport(_ResidualReport):
 
     @property
     def consistent(self) -> bool:
-        """True when all five characterization groups agree."""
-        values = set(self.groups.values())
-        return len(values) == 1
+        """True when all five characterization groups agree.
+
+        Read on every ``fuzz_search`` trial, so it thresholds the fields
+        directly instead of building ``groups``; it equals
+        ``len(set(self.groups.values())) == 1``.
+        """
+        tol = self.tol
+        direct = self.direct <= tol
+        return bool(
+            (self.absorb_left <= tol and self.absorb_right <= tol) == direct
+            and (self.herm_left <= tol and self.herm_right <= tol) == direct
+            and (self.paired_product <= tol) == direct
+            and (self.factor_left <= tol and self.factor_right <= tol) == direct
+        )
 
     @property
     def implication_ok(self) -> bool:

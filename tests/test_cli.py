@@ -406,6 +406,33 @@ class TestExitCodes:
         assert run_command(["fuzz", "--shape", "junk", "--trials", "5"]) == 2
         assert run_command(["fuzz", "--shape", "2:2", "--trials", "0"]) == 2
 
+    @pytest.mark.parametrize("value", ["0", "nan", "2", "-0.5", "inf", "1"])
+    def test_tolerance_outside_open_unit_interval_is_usage_error(self, data_dir, tmp_path, value):
+        out = tmp_path / "out.json"
+        commands = [
+            ["rol", "--a", str(data_dir / "rol_counterexample_a.json"),
+             "--b", str(data_dir / "rol_counterexample_b.json"), "--tol", value],
+            ["pinv", "--in", str(data_dir / "identity_2x2.json"), "--out", str(out),
+             "--rank-tol", value],
+        ]
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run_command(argv) == 2
+            assert err.getvalue().startswith(f"usage: tenrol {argv[0]}")
+            assert "must lie in (0, 1)" in err.getvalue()
+        assert not out.exists()
+
+    def test_tolerance_inside_open_unit_interval_is_accepted(self, data_dir, tmp_path, capsys):
+        pair = ["--a", str(data_dir / "rol_counterexample_a.json"),
+                "--b", str(data_dir / "rol_counterexample_b.json")]
+        assert run_command(["rol", *pair, "--tol", "1e-300"]) == 3
+        assert "(tol 1e-300)" in capsys.readouterr().out
+        out = tmp_path / "out.json"
+        src = str(data_dir / "identity_2x2.json")
+        assert run_command(["pinv", "--in", src, "--out", str(out), "--rank-tol", "0.999"]) == 0
+        assert np.array_equal(parse_tensor_file(out).array, parse_tensor_file(src).array)
+
     def test_unreadable_input_is_io_error(self, tmp_path, capsys):
         # A directory path exists but cannot be read as a file.
         code = run_command(["trace", "--in", str(tmp_path)])

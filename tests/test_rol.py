@@ -140,6 +140,19 @@ class TestRolReport:
                            "factor_right": 1.0}, tol=1e-10)
         assert rep.implication_ok and rep.consistent and not rep.holds
 
+    @pytest.mark.parametrize("passing, failing", [
+        (0.0, 1.0),
+        (1e-10, np.nextafter(1e-10, 1.0)),  # both sides of the tolerance itself
+        (0.0, float("nan")),
+    ])
+    def test_consistent_is_group_agreement_on_every_pattern(self, passing, failing):
+        names = [f.name for f in dataclasses.fields(RolReport)][:-1]
+        assert len(names) == 9
+        for pattern in range(2 ** len(names)):
+            values = {name: failing if pattern >> i & 1 else passing for i, name in enumerate(names)}
+            rep = RolReport(**values, tol=1e-10)
+            assert rep.consistent is (len(set(rep.groups.values())) == 1), values
+
 
 class TestUnitaryShortcuts:
     def test_identity_right_factor_gives_plain_pinv(self, rng):

@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -189,31 +189,33 @@ def write_tensor_file(path: str | os.PathLike, t: DenseTensor) -> None:
     Path(path).write_text(format_tensor(t) + "\n", encoding="utf-8")
 
 
-def _parse_shape(text: str) -> ModeShape:
-    # "2x2:3" -> row dims (2, 2), col dims (3,); ValueError lets argparse
-    # report it as a usage error
-    parts = text.split(":")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise ValueError(f"shape must look like ROWSxROWS:COLSxCOLS, got {text!r}")
-    return ModeShape(
-        tuple(int(d) for d in parts[0].split("x")),
-        tuple(int(d) for d in parts[1].split("x")),
-    )
+def _arg_type(convert: Callable[[str], Any], ok: Callable[[Any], bool], requirement: str) -> Callable:
+    """An argparse ``type=``: ``convert(text)`` if that passes ``ok``, else a usage error.
+
+    The error states ``requirement``; argparse would report a plain
+    ValueError as "invalid <function name> value".
+    """
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is not None and ok(value):
+            return value
+        raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
+def _shape(text: str) -> ModeShape:
+    # "2x2:3" -> row dims (2, 2), col dims (3,)
+    rows, cols = text.split(":")
+    return ModeShape(tuple(map(int, rows.split("x"))), tuple(map(int, cols.split("x"))))
 
 
-def _open_unit_fraction(text: str) -> float:
-    """A ``NumericPolicy`` tolerance: a float in (0, 1), so never NaN."""
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
-    return value
+_parse_shape = _arg_type(_shape, lambda shape: True, "shape must look like ROWSxROWS:COLSxCOLS")
+_positive_int = _arg_type(int, lambda n: n >= 1, "must be an integer >= 1")
+# a NumericPolicy tolerance: a float in (0, 1), so never NaN
+_open_unit_fraction = _arg_type(float, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)")
 
 
 def _cmd_product(args: argparse.Namespace) -> int:

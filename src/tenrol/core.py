@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -369,23 +369,19 @@ def inner_product(a: DenseTensor, b: DenseTensor) -> complex:
     return complex(np.vdot(a._mat, b._mat))
 
 
-def rel_residual(a: DenseTensor, b: DenseTensor, *, scale: float | None = None) -> float:
-    """Relative distance ``||a - b|| / max(1, scale)``.
+def rel_residual(a: DenseTensor, b: DenseTensor) -> float:
+    """Relative distance ``||a - b|| / max(1, ||a||, ||b||)``.
 
-    When ``scale`` is omitted it defaults to ``max(||a||, ||b||)``.  This
-    single rule backs every boolean produced by the package, so reports
+    This single rule backs every boolean produced by the package, so reports
     from different modules are comparable.
     """
     if a.shape is not b.shape and a.shape != b.shape:
         raise ShapeMismatchError(f"cannot compare shapes {a.shape} and {b.shape}")
-    diff = _norm(a._mat - b._mat)
-    if scale is None:
-        scale = max(frobenius_norm(a), frobenius_norm(b))
-    return diff / max(1.0, scale)
+    return _norm(a._mat - b._mat) / max(1.0, frobenius_norm(a), frobenius_norm(b))
 
 
 def _zero_residual(x: DenseTensor, scale: float) -> float:
-    """``rel_residual(x, 0, scale=scale)`` without building the zero tensor."""
+    """``||x|| / max(1, scale)``: the residual of ``x == 0`` under the caller's scale."""
     return frobenius_norm(x) / max(1.0, scale)
 
 
@@ -403,16 +399,54 @@ def _unitary_residual(t: DenseTensor, grams: tuple[DenseTensor, DenseTensor] | N
     return max(rel_residual(grams[0], eye), rel_residual(grams[1], eye))
 
 
-def _non_finite_residual(name: str, where: str = "") -> ValueError:
-    """The error for a NaN or infinite residual, which would read as a failed check."""
-    return ValueError(f"non-finite residual in {name}{where}: an intermediate product overflowed")
-
-
-def _refuse_non_finite(residuals: dict[str, float]) -> None:
-    """Raise :func:`_non_finite_residual` for the first non-finite value in ``residuals``."""
+def _refuse_non_finite(residuals: dict[str, float | None], where: str = "") -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite residual, which would read as a failed check."""
     for name, r in residuals.items():
-        if not math.isfinite(r):
-            raise _non_finite_residual(name)
+        if r is not None and not math.isfinite(r):  # None: a residual this input leaves undefined
+            raise ValueError(f"non-finite residual in {name}{where}: an intermediate product overflowed")
+
+
+_Report = TypeVar("_Report", bound="_ResidualReport")
+
+
+@dataclass(frozen=True)
+class _ResidualReport:
+    """Base of every residual report of the package.
+
+    Every field of a report before ``tol`` is a residual under the shared
+    relative rule of :func:`rel_residual`; ``residuals`` lists them in field
+    order and ``booleans`` thresholds them at ``tol``.  Residual magnitudes
+    legitimately differ across conditions, so equivalence is judged on
+    booleans, never on residual values.  A NaN or infinite residual would
+    read as a failed check, so every builder refuses one through
+    ``_checked``, and ``max_residual`` never sees a NaN.
+    """
+
+    @classmethod
+    @functools.cache
+    def _residual_names(cls) -> tuple[str, ...]:
+        names = [f.name for f in fields(cls)]
+        return tuple(names[: names.index("tol")])
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in self._residual_names()}
+
+    @property
+    def booleans(self) -> dict[str, bool]:
+        return {name: r <= self.tol for name, r in self.residuals.items()}
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.residuals.values())
+
+    def as_dict(self) -> dict:
+        return {"tol": self.tol, "residuals": self.residuals, "booleans": self.booleans}
+
+    def _checked(self: _Report, where: str = "") -> _Report:
+        """``self``, or ``ValueError`` naming the first non-finite residual."""
+        _refuse_non_finite(self.residuals, where)
+        return self
 
 
 def approx_equal(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None) -> bool:

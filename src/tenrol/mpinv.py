@@ -11,7 +11,7 @@ one stacked SVD.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .core import (
     ShapeMismatchError,
     _chain,
     _refuse_non_finite,
+    _ResidualReport,
     _zero_residual,
     conj_transpose,
     einstein_product,
@@ -89,24 +90,18 @@ class SvdFactors:
 
 
 @dataclass(frozen=True)
-class PenroseResiduals:
-    """Relative residuals of the four Penrose equations for a pair (A, X)."""
+class PenroseResiduals(_ResidualReport):
+    """Relative residuals of the four Penrose equations for a pair (A, X), at ``DEFAULT_POLICY.eq_tol``."""
 
     axa: float  # ||A@X@A - A||, scaled
     xax: float  # ||X@A@X - X||, scaled
     ax_herm: float  # hermitianness of A@X
     xa_herm: float  # hermitianness of X@A
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.axa, self.xax, self.ax_herm, self.xa_herm)
+    tol: float
 
     def satisfied(self, tol: float) -> bool:
         """True when all four residuals are within ``tol``."""
         return self.max_residual <= tol
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def tsvd(a: DenseTensor) -> SvdFactors:
@@ -139,7 +134,8 @@ def pinv(
     """Moore-Penrose inverse of ``a``, or of each tensor in a sequence.
 
     Singular values below ``rank_tol * sigma_max`` are treated as zero;
-    the threshold itself is kept (ties count toward the rank).
+    the threshold itself is kept (ties count toward the rank).  A kept
+    value whose reciprocal overflows raises ``ValueError``.
 
     Parameters
     ----------
@@ -183,12 +179,22 @@ def _pinv_matrix(mat: np.ndarray, rank_tol: float) -> np.ndarray:
     sinv = np.zeros(s.shape, dtype=np.complex128)
     if k:
         keep = (s >= rank_tol * s[..., :1]) & (s[..., :1] > 0.0)
-        sinv[keep] = 1.0 / s[keep]
+        kept = s[keep]
+        with np.errstate(over="ignore"):
+            sinv[keep] = 1.0 / kept
+        if not np.isfinite(sinv).all():
+            raise ValueError(
+                f"pinv overflows: smallest kept singular value {kept.min():.3e} has no finite reciprocal"
+            )
     return (v[..., :k] * sinv[..., None, :]) @ u[..., :k].conj().swapaxes(-1, -2)
 
 
 def penrose_residuals(a: DenseTensor, x: DenseTensor) -> PenroseResiduals:
-    """Relative residuals of the four Penrose equations for the pair (a, x)."""
+    """Relative residuals of the four Penrose equations for the pair (a, x).
+
+    Raises ``ValueError`` naming the first non-finite residual if an
+    intermediate product overflowed.
+    """
     ax = einstein_product(a, x)
     xa = einstein_product(x, a)
     return PenroseResiduals(
@@ -196,29 +202,49 @@ def penrose_residuals(a: DenseTensor, x: DenseTensor) -> PenroseResiduals:
         xax=rel_residual(einstein_product(xa, x), x),
         ax_herm=rel_residual(ax, conj_transpose(ax)),
         xa_herm=rel_residual(xa, conj_transpose(xa)),
-    )
+        tol=DEFAULT_POLICY.eq_tol,
+    )._checked()
 
 
 @dataclass(frozen=True)
-class IdentitySuiteReport:
+class IdentitySuiteReport(_ResidualReport):
     """Residuals of the pseudoinverse identities for a single tensor.
 
-    ``residuals`` maps identity names to relative residuals; the
-    identities hold for every tensor, so all values should sit at
-    rounding level.  ``normal`` and ``ep`` describe the tensor itself and
-    are only defined for a square mode split (their residuals are None
-    otherwise and the flags are False).
+    The identities hold for every tensor, so all ``residuals`` should sit at
+    rounding level.  ``normal`` and ``ep`` describe the tensor itself; their
+    residuals follow ``tol``, so they are not among ``residuals``, and are
+    None for a non-square mode split, where both flags are False.
     """
 
-    residuals: dict[str, float]
-    normal: bool
-    ep: bool
+    star_via_pinv_left: float
+    star_via_pinv_right: float
+    recover_right: float
+    recover_left: float
+    pinv_via_gram: float
+    pinv_via_cogram: float
+    gram_pinv_split: float
+    cogram_pinv_split: float
+    gram_sandwich_left: float
+    gram_sandwich_right: float
+    row_projector_right: float
+    row_projector_left: float
+    tol: float
     normal_residual: float | None
     ep_residual: float | None
 
     @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
+    def normal(self) -> bool:
+        """True when ``A @ A.H == A.H @ A`` at ``tol``."""
+        return self.normal_residual is not None and self.normal_residual <= self.tol
+
+    @property
+    def ep(self) -> bool:
+        """True when ``A @ pinv(A) == pinv(A) @ A`` at ``tol``."""
+        return self.ep_residual is not None and self.ep_residual <= self.tol
+
+    def _checked(self, where: str = "") -> "IdentitySuiteReport":
+        _refuse_non_finite({**self.residuals, "normal": self.normal_residual, "ep": self.ep_residual}, where)
+        return self
 
 
 def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> IdentitySuiteReport:
@@ -246,39 +272,23 @@ def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> Ident
     ap, gram_p, cogram_p = pinv((a, gram, cogram), policy)
     ahp = conj_transpose(ap)
     ap_a = einstein_product(ap, a)
-    residuals = {
-        "star_via_pinv_left": rel_residual(_chain(ap, a, ah), ah),
-        "star_via_pinv_right": rel_residual(_chain(ah, a, ap), ah),
-        "recover_right": rel_residual(_chain(a, ah, ahp), a),
-        "recover_left": rel_residual(_chain(ahp, ah, a), a),
-        "pinv_via_gram": rel_residual(_chain(gram_p, ah), ap),
-        "pinv_via_cogram": rel_residual(_chain(ah, cogram_p), ap),
-        "gram_pinv_split": rel_residual(gram_p, _chain(ap, ahp)),
-        "cogram_pinv_split": rel_residual(cogram_p, _chain(ahp, ap)),
-        "gram_sandwich_left": rel_residual(gram_p, _chain(ap, cogram_p, a)),
-        "gram_sandwich_right": rel_residual(gram_p, _chain(ah, cogram_p, ahp)),
-        "row_projector_right": rel_residual(ap_a, _chain(gram, gram_p)),
-        "row_projector_left": rel_residual(ap_a, _chain(gram_p, gram)),
-    }
-    if a.shape.is_square:
-        normal_residual = rel_residual(cogram, gram)
-        ep_residual = rel_residual(einstein_product(a, ap), ap_a)
-        _refuse_non_finite({**residuals, "normal": normal_residual, "ep": ep_residual})
-        normal = normal_residual <= policy.eq_tol
-        ep = ep_residual <= policy.eq_tol
-    else:
-        _refuse_non_finite(residuals)
-        normal_residual = None
-        ep_residual = None
-        normal = False
-        ep = False
     return IdentitySuiteReport(
-        residuals=residuals,
-        normal=normal,
-        ep=ep,
-        normal_residual=normal_residual,
-        ep_residual=ep_residual,
-    )
+        star_via_pinv_left=rel_residual(_chain(ap, a, ah), ah),
+        star_via_pinv_right=rel_residual(_chain(ah, a, ap), ah),
+        recover_right=rel_residual(_chain(a, ah, ahp), a),
+        recover_left=rel_residual(_chain(ahp, ah, a), a),
+        pinv_via_gram=rel_residual(_chain(gram_p, ah), ap),
+        pinv_via_cogram=rel_residual(_chain(ah, cogram_p), ap),
+        gram_pinv_split=rel_residual(gram_p, _chain(ap, ahp)),
+        cogram_pinv_split=rel_residual(cogram_p, _chain(ahp, ap)),
+        gram_sandwich_left=rel_residual(gram_p, _chain(ap, cogram_p, a)),
+        gram_sandwich_right=rel_residual(gram_p, _chain(ah, cogram_p, ahp)),
+        row_projector_right=rel_residual(ap_a, _chain(gram, gram_p)),
+        row_projector_left=rel_residual(ap_a, _chain(gram_p, gram)),
+        tol=policy.eq_tol,
+        normal_residual=rel_residual(cogram, gram) if a.shape.is_square else None,
+        ep_residual=rel_residual(einstein_product(a, ap), ap_a) if a.shape.is_square else None,
+    )._checked()
 
 
 def pinv_sum(tensors: Sequence[DenseTensor], policy: NumericPolicy | None = None) -> DenseTensor:

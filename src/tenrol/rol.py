@@ -31,9 +31,7 @@ which is how :func:`fuzz_search` evaluates a block of trials at once.
 
 from __future__ import annotations
 
-import functools
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Generator, Sequence, TypeVar
 
 import numpy as np
@@ -45,7 +43,7 @@ from .core import (
     NumericPolicy,
     ShapeMismatchError,
     _chain,
-    _non_finite_residual,
+    _ResidualReport,
     _unitary_residual,
     _zero_residual,
     conj_transpose,
@@ -73,45 +71,7 @@ __all__ = [
 ]
 
 
-_Report = TypeVar("_Report", bound="_ResidualReport")
 _T = TypeVar("_T")
-
-
-@dataclass(frozen=True)
-class _ResidualReport:
-    """Base of the residual reports below.
-
-    Every field of a report but its last, ``tol``, is a residual under the
-    shared relative rule of :func:`tenrol.core.rel_residual`; ``residuals``
-    lists them in field order and ``booleans`` thresholds them at ``tol``.
-    Residual magnitudes legitimately differ across conditions, so
-    equivalence is judged on booleans, never on residual values.  A NaN or
-    infinite residual would read as a failed check, so every builder
-    refuses one with ``ValueError``.
-    """
-
-    @classmethod
-    @functools.cache
-    def _residual_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls) if f.name != "tol")
-
-    @property
-    def residuals(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self._residual_names()}
-
-    @property
-    def booleans(self) -> dict[str, bool]:
-        return {name: r <= self.tol for name, r in self.residuals.items()}
-
-    def as_dict(self) -> dict:
-        return {"tol": self.tol, "residuals": self.residuals, "booleans": self.booleans}
-
-    def _checked(self: _Report, where: str = "") -> _Report:
-        """``self``, or ``ValueError`` naming the first non-finite residual."""
-        for name in self._residual_names():
-            if not math.isfinite(getattr(self, name)):
-                raise _non_finite_residual(name, where)
-        return self
 
 
 @dataclass(frozen=True)
@@ -607,13 +567,6 @@ def _draw_block(
         for idx in wanted.values():
             replies.update(zip(idx, _orthonormalize(np.stack([asks[i] for i in idx]))))
     return pairs
-
-
-def _draw_pair(
-    rng: np.random.Generator, shape: ModeShape, family: str
-) -> tuple[DenseTensor, DenseTensor]:
-    """One pair of ``family``, a lockstep block of one."""
-    return _draw_block([rng], shape, [family])[0]
 
 
 def fuzz_search(

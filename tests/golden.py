@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from tenrol import DenseTensor, ModeShape, as_tensor
+from tenrol.rol import _draw_block
 
 SQ22 = ModeShape((2, 2), (2, 2))
 
@@ -153,3 +154,8 @@ def random_unitary_tensor(rng: np.random.Generator, dims: tuple[int, ...]) -> De
     n = int(np.prod(dims))
     mat = random_unitary_matrix(rng, n)
     return as_tensor(mat.reshape(dims + dims), dims, dims)
+
+
+def fuzz_pair(rng: np.random.Generator, shape: ModeShape, family: str) -> tuple[DenseTensor, DenseTensor]:
+    """One pair of the fuzz ``family`` as ``fuzz_search`` draws it: a lockstep block of one."""
+    return _draw_block([rng], shape, [family])[0]

@@ -406,7 +406,26 @@ class TestExitCodes:
         assert run_command(["fuzz", "--shape", "junk", "--trials", "5"]) == 2
         assert run_command(["fuzz", "--shape", "2:2", "--trials", "0"]) == 2
 
-    @pytest.mark.parametrize("value", ["0", "nan", "2", "-0.5", "inf", "1"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trials", "x"], "argument --trials: must be an integer >= 1, got 'x'"),
+            (["--trials", "0"], "argument --trials: must be an integer >= 1, got '0'"),
+            (["--shape", "2xq:2"], "argument --shape: shape must look like ROWSxROWS:COLSxCOLS, got '2xq:2'"),
+            (["--shape", "2x0:2"], "argument --shape: shape must look like ROWSxROWS:COLSxCOLS, got '2x0:2'"),
+            (["--shape", "2x2"], "argument --shape: shape must look like ROWSxROWS:COLSxCOLS, got '2x2'"),
+        ],
+    )
+    def test_fuzz_usage_error_prints_the_requirement(self, argv, message):
+        # argparse once printed "invalid _positive_int value" and the like
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_command(["fuzz", "--shape", "2x2:2x2", "--trials", "5", *argv]) == 2
+        assert err.getvalue().startswith("usage: tenrol fuzz")
+        assert err.getvalue().endswith(f"tenrol fuzz: error: {message}\n")
+        assert "_" not in err.getvalue().splitlines()[-1]
+
+    @pytest.mark.parametrize("value", ["0", "nan", "2", "-0.5", "inf", "1", "abc"])
     def test_tolerance_outside_open_unit_interval_is_usage_error(self, data_dir, tmp_path, value):
         out = tmp_path / "out.json"
         commands = [
@@ -420,7 +439,7 @@ class TestExitCodes:
             with contextlib.redirect_stderr(err):
                 assert run_command(argv) == 2
             assert err.getvalue().startswith(f"usage: tenrol {argv[0]}")
-            assert "must lie in (0, 1)" in err.getvalue()
+            assert err.getvalue().endswith(f"must lie in (0, 1), got {value!r}\n")
         assert not out.exists()
 
     def test_tolerance_inside_open_unit_interval_is_accepted(self, data_dir, tmp_path, capsys):

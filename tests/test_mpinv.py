@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import golden
 from tenrol import (
+    DEFAULT_POLICY,
     DenseTensor,
     ModeShape,
     NotIdempotentError,
@@ -165,6 +166,17 @@ class TestPinv:
         y = pinv(a, policy=NumericPolicy(rank_tol=0.6))
         assert_allclose(y.array, np.diag([1.0, 0.0]), atol=1e-13)
 
+    def test_overflowing_reciprocal_is_named(self, rng):
+        # the smallest singular value of 1e-310 * M is subnormal and its
+        # reciprocal overflows; the error used to come from DenseTensor,
+        # three calls down, as "non-finite entry at flat index 0"
+        m = golden.random_tensor(rng, golden.SQ22)
+        for tiny in (lambda: pinv(1e-310 * m), lambda: pinv([m, 1e-310 * m])):
+            with pytest.raises(ValueError, match=r"^pinv overflows: smallest kept singular value \S+ has no finite"):
+                tiny()
+        # reciprocals near 1e300 are still finite
+        assert_allclose(pinv([m, 1e-300 * m])[1].entries * 1e-300, pinv(m).entries, rtol=1e-10)
+
     def test_rank_tol_filters_noise_modes(self, rng):
         u = golden.random_unitary_matrix(rng, 4)
         v = golden.random_unitary_matrix(rng, 4)
@@ -192,7 +204,21 @@ class TestPenroseResiduals:
     def test_dict_keys(self):
         e = identity((2,))
         d = penrose_residuals(e, e).as_dict()
-        assert set(d) == {"axa", "xax", "ax_herm", "xa_herm"}
+        assert d == {
+            "tol": DEFAULT_POLICY.eq_tol,
+            "residuals": {"axa": 0.0, "xax": 0.0, "ax_herm": 0.0, "xa_herm": 0.0},
+            "booleans": {"axa": True, "xax": True, "ax_herm": True, "xa_herm": True},
+        }
+
+    def test_overflowing_residual_is_refused_not_satisfied(self, rng):
+        # X @ A @ X is finite, but the norms of X near 1e300 overflow when
+        # squared and xax was inf / inf = NaN, which max() skipped: the
+        # candidate 2 * pinv(A) was reported as satisfying all four equations
+        a = 1e-300 * golden.random_tensor(rng, golden.SQ22)
+        x = 2.0 * pinv(a)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            penrose_residuals(a, x)
+        assert str(info.value) == "non-finite residual in xax: an intermediate product overflowed"
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -265,6 +291,12 @@ class TestIdentitySuite:
             identity_suite(a)
         assert str(info.value) == "non-finite residual in normal: an intermediate product overflowed"
         assert identity_suite(1e-110 * a).normal
+
+    def test_overflowing_gram_pinv_is_named(self, rng):
+        # the Gram singular values of 1e-160 * M are near 1e-320
+        a = 1e-160 * golden.random_tensor(rng, golden.SQ22)
+        with pytest.raises(ValueError, match="^pinv overflows: smallest kept singular value"):
+            identity_suite(a)
 
 
 class TestZeroConditions:

@@ -13,8 +13,10 @@ import golden
 from tenrol import (
     FUZZ_FAMILIES,
     FuzzSummary,
+    IdentitySuiteReport,
     ModeShape,
     NumericPolicy,
+    PenroseResiduals,
     ProjectorCommuteReport,
     RolReport,
     ShapeMismatchError,
@@ -26,6 +28,8 @@ from tenrol import (
     einstein_product,
     fuzz_search,
     identity,
+    identity_suite,
+    penrose_residuals,
     pinv,
     projector_commute_report,
     rel_residual,
@@ -36,7 +40,8 @@ from tenrol import (
     zeros,
 )
 from tenrol import rol
-from tenrol.rol import _FUZZ_BLOCK, _draw_block, _draw_pair
+from tenrol.core import _ResidualReport
+from tenrol.rol import _FUZZ_BLOCK, _draw_block
 from tenrol.unfold import dematricize
 
 SQ22 = golden.SQ22
@@ -363,7 +368,7 @@ class TestRolReportBatch:
     def pool(self, shape: ModeShape, count: int) -> tuple[list, list]:
         families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
         rng = np.random.default_rng(31)
-        pairs = [_draw_pair(rng, shape, families[k % len(families)]) for k in range(count)]
+        pairs = [golden.fuzz_pair(rng, shape, families[k % len(families)]) for k in range(count)]
         return [a for a, _ in pairs], [b for _, b in pairs]
 
     @pytest.mark.parametrize("shape", list(FUZZ_SHAPES.values()), ids=list(FUZZ_SHAPES))
@@ -471,33 +476,56 @@ class TestReportBase:
                                  "absorb_gram_left", "cross_null_left", "absorb_gram_right",
                                  "cross_null_right", "tol"],
         ZeroEquivalenceReport: ["via_pinv", "via_star", "via_projector", "tol"],
+        PenroseResiduals: ["axa", "xax", "ax_herm", "xa_herm", "tol"],
+        IdentitySuiteReport: ["star_via_pinv_left", "star_via_pinv_right", "recover_right", "recover_left",
+                              "pinv_via_gram", "pinv_via_cogram", "gram_pinv_split", "cogram_pinv_split",
+                              "gram_sandwich_left", "gram_sandwich_right", "row_projector_right",
+                              "row_projector_left", "tol", "normal_residual", "ep_residual"],
     }
     AS_DICT_KEYS = {
         RolReport: ["tol", "residuals", "booleans", "groups", "holds", "consistent", "implication_ok"],
         ProjectorCommuteReport: ["tol", "residuals", "booleans", "commute_consistent",
                                  "pairs_consistent", "consistent"],
         ZeroEquivalenceReport: ["tol", "residuals", "booleans", "consistent"],
+        PenroseResiduals: ["tol", "residuals", "booleans"],
+        IdentitySuiteReport: ["tol", "residuals", "booleans"],
     }
 
     def reports(self, rng) -> list:
         a = golden.random_low_rank(rng, SQ22)
         b = golden.random_tensor(rng, SQ22)
-        return [rol_report(a, b), projector_commute_report(a, b), zero_equivalence(b, a)]
+        return [
+            rol_report(a, b),
+            projector_commute_report(a, b),
+            zero_equivalence(b, a),
+            penrose_residuals(a, pinv(a)),
+            identity_suite(a),
+            identity_suite(golden.random_tensor(rng, ModeShape((2,), (3,)))),
+        ]
+
+    @staticmethod
+    def residual_names(names: list[str]) -> list[str]:
+        return names[: names.index("tol")]
+
+    def test_every_report_is_on_the_base(self):
+        assert all(issubclass(cls, _ResidualReport) for cls in self.FIELDS)
 
     def test_residuals_follow_the_fields(self, rng):
         for rep in self.reports(rng):
             names = self.FIELDS[type(rep)]
+            residual_names = self.residual_names(names)
             assert [f.name for f in dataclasses.fields(rep)] == names
-            assert list(rep.residuals) == names[:-1]
-            assert rep.residuals == {name: getattr(rep, name) for name in names[:-1]}
-            assert rep.booleans == {name: getattr(rep, name) <= rep.tol for name in names[:-1]}
+            assert list(rep.residuals) == residual_names
+            assert rep.residuals == {name: getattr(rep, name) for name in residual_names}
+            assert rep.booleans == {name: getattr(rep, name) <= rep.tol for name in residual_names}
+            assert rep.max_residual == max(getattr(rep, name) for name in residual_names)
 
     def test_as_dict_key_order(self, rng):
         for rep in self.reports(rng):
             d = rep.as_dict()
             assert list(d) == self.AS_DICT_KEYS[type(rep)]
             assert d["tol"] == rep.tol
-            assert list(d["residuals"]) == list(d["booleans"]) == self.FIELDS[type(rep)][:-1]
+            assert list(d["residuals"]) == list(d["booleans"]) == self.residual_names(self.FIELDS[type(rep)])
 
 
 class TestFuzzBaseline:
@@ -620,13 +648,13 @@ class TestLockstepDraws:
     def test_draw_pair_is_a_block_of_one(self, family):
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(4):  # successive draws keep consuming one generator
-            pair = _draw_pair(rng, SQ22, family)
+            pair = golden.fuzz_pair(rng, SQ22, family)
             ref = reference_draw_pair(ref_rng, SQ22, family)
             assert all(np.array_equal(x.entries, y.entries) for x, y in zip(pair, ref))
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family 'bogus'"):
-            _draw_pair(np.random.default_rng(0), SQ22, "bogus")
+            golden.fuzz_pair(np.random.default_rng(0), SQ22, "bogus")
 
     def test_one_qr_call_per_unitary_size_and_step(self, monkeypatch):
         # 4:2 asks for unitaries of order 4 and 2; rank_deficient, the longest

@@ -25,7 +25,7 @@ from tenrol import (
 )
 from tenrol import _jacobi_py
 from tenrol import unfold as unfold_mod
-from tenrol.rol import FUZZ_FAMILIES, _draw_pair
+from tenrol.rol import FUZZ_FAMILIES
 
 # Rank-deficient integer matrices whose null column shrank by about 1e-16
 # per sweep until it underflowed and turned the rotation into NaN: the
@@ -385,7 +385,7 @@ def family_pool(n: int) -> list[np.ndarray]:
         for family in FUZZ_FAMILIES:
             if family == "unitary_factor" and not shape.is_square:
                 continue
-            a, b = _draw_pair(rng, shape, family)
+            a, b = golden.fuzz_pair(rng, shape, family)
             pool += [matricize(a), matricize(b), matricize(a @ b)]
     return pool
 

@@ -3,8 +3,9 @@
 A private helper that nothing calls any more is dead code that still reads
 as if it mattered.  Like ``test_unused_imports``, this is a small stdlib
 ``ast`` check: a private definition counts as used when its name appears as
-a name or an attribute outside its own definition, anywhere in the package
-or its tests (``rol._draw_pair`` is kept for the tests alone).
+a name or an attribute outside its own definition, anywhere in the package.
+A use in the tests alone does not count: a helper only the tests need
+belongs in the tests.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ def private_definitions(sources: dict[str, str]) -> list[str]:
     ]
 
 
-def unused_private(sources: dict[str, str], users: dict[str, str] | None = None) -> list[str]:
-    """The private definitions of ``sources`` that neither they nor ``users`` reference."""
+def unused_private(sources: dict[str, str]) -> list[str]:
+    """The private definitions of ``sources`` that ``sources`` do not reference."""
     used: set[str] = set()
-    for source in [*sources.values(), *(users or {}).values()]:
+    for source in sources.values():
         for node in ast.parse(source).body:
             refs = _referenced(node)
             if isinstance(node, _DEFINITIONS):
@@ -67,7 +68,7 @@ def read_all(paths) -> dict[str, str]:
 def test_every_private_definition_is_used():
     sources = read_all(SRC.glob("*.py"))
     assert private_definitions(sources), "no private definitions found: the check would be vacuous"
-    assert unused_private(sources, read_all(TESTS.glob("*.py"))) == []
+    assert unused_private(sources) == []
 
 
 def test_the_check_sees_an_unused_private_definition():
@@ -79,13 +80,9 @@ def test_the_check_sees_an_unused_private_definition():
             "def _recursive(n): return _recursive(n - 1) if n else 0\n"
             "class _Dead: pass\n"
             "def _by_attribute(): pass\n"
-            "def _for_tests(): pass\n"
             "def __dunder__(): pass\n"
             "def public(): return _used()\n"
         ),
         "b": "from . import a\nx = a._by_attribute\n",
     }
-    assert unused_private(sources, {"test_a": "from a import _for_tests\n_for_tests()\n"}) == [
-        "a._Dead", "a._dead_constant", "a._recursive",
-    ]
-    assert "a._for_tests" in unused_private(sources)
+    assert unused_private(sources) == ["a._Dead", "a._dead_constant", "a._recursive"]

@@ -164,6 +164,15 @@ class DenseTensor:
     construction and marked read-only, so tensors are safe to share across
     threads.  ``A @ B`` is the Einstein product and ``A.H`` the conjugate
     transpose.
+
+    Privately, :func:`_stack` builds a tensor whose matrix is a
+    ``(T, row_count, col_count)`` stack of T tensors of one shape.
+    ``einstein_product``, ``_chain`` and ``conj_transpose`` act on it
+    matrix by matrix, and ``frobenius_norm`` and ``rel_residual`` return a
+    ``(T,)`` float64 array, each entry equal bit for bit to the result for
+    that matrix alone.  A stack is a batching device of
+    :func:`tenrol.rol.rol_report` and never leaves it; the other methods
+    and functions assume a single matrix.
     """
 
     __slots__ = ("shape", "_mat")
@@ -237,6 +246,11 @@ class DenseTensor:
 
     def __repr__(self) -> str:
         return f"DenseTensor(row_dims={self.shape.row_dims}, col_dims={self.shape.col_dims})"
+
+
+def _stack(tensors: Sequence[DenseTensor]) -> DenseTensor:
+    """The tensors of one shape as a single stacked tensor (see the ``DenseTensor`` notes)."""
+    return DenseTensor._from_owned(tensors[0].shape, np.stack([t._mat for t in tensors]))
 
 
 def as_tensor(array, row_dims: Sequence[int], col_dims: Sequence[int]) -> DenseTensor:
@@ -315,7 +329,7 @@ def conj_transpose(a: DenseTensor) -> DenseTensor:
     An involution, and an anti-homomorphism for the Einstein product:
     ``(A @ B).H == B.H @ A.H``.
     """
-    return DenseTensor._from_owned(a.shape.transposed, np.conjugate(a._mat.T, order="C"))
+    return DenseTensor._from_owned(a.shape.transposed, np.conjugate(a._mat.swapaxes(-1, -2), order="C"))
 
 
 def add_scale(alpha: complex, a: DenseTensor, beta: complex, b: DenseTensor) -> DenseTensor:
@@ -350,8 +364,16 @@ def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     return DenseTensor._from_owned(shape, np.kron(a._mat, b._mat))
 
 
-def _norm(m: np.ndarray) -> float:
-    """``np.linalg.norm(m)`` of a complex array, by the same fast path without its wrapper."""
+def _norm(m: np.ndarray) -> float | np.ndarray:
+    """``np.linalg.norm(m)`` of a complex array, by the same fast path without its wrapper.
+
+    A ``(T, r, c)`` stack gives the ``(T,)`` norms of its matrices: ``vecdot``
+    on float rows sums as ``dot`` does, so each equals the norm of its matrix alone.
+    """
+    if m.ndim == 3:
+        x = m.reshape(len(m), -1)
+        re, im = x.real, x.imag
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
     x = m.ravel(order="K")
     re, im = x.real, x.imag
     return math.sqrt(re.dot(re) + im.dot(im))
@@ -377,6 +399,8 @@ def rel_residual(a: DenseTensor, b: DenseTensor) -> float:
     """
     if a.shape is not b.shape and a.shape != b.shape:
         raise ShapeMismatchError(f"cannot compare shapes {a.shape} and {b.shape}")
+    if a._mat.ndim == 3:
+        return _norm(a._mat - b._mat) / np.maximum(np.maximum(1.0, frobenius_norm(a)), frobenius_norm(b))
     return _norm(a._mat - b._mat) / max(1.0, frobenius_norm(a), frobenius_norm(b))
 
 

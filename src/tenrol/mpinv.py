@@ -135,7 +135,9 @@ def pinv(
 
     Singular values below ``rank_tol * sigma_max`` are treated as zero;
     the threshold itself is kept (ties count toward the rank).  A kept
-    value whose reciprocal overflows raises ``ValueError``.
+    value whose reciprocal overflows raises ``ValueError``; for a sequence
+    the message names the first such tensor ("in tensor i").  A result
+    entry that overflows raises ``ValueError`` naming its flat index.
 
     Parameters
     ----------
@@ -163,29 +165,53 @@ def pinv(
     out: list[DenseTensor | None] = [None] * len(ts)
     for idx in groups.values():
         mats = [matricize(ts[i]) for i in idx]
-        if len(mats) == 1:  # a lone matrix takes the plain single call
-            xs = [_pinv_matrix(mats[0], policy.rank_tol)]
-        else:
-            xs = _pinv_matrix(np.stack(mats), policy.rank_tol)
+        try:
+            if len(mats) == 1:  # a lone matrix takes the plain single call
+                xs = _pinv_matrix(mats[0], policy.rank_tol)[None]
+            else:
+                xs = _pinv_matrix(np.stack(mats), policy.rank_tol)
+        except _ReciprocalOverflow as e:
+            i = idx[e.index]
+            raise _ReciprocalOverflow(e.value, i, f"tensor {i}") from None
+        finite = np.isfinite(xs)
+        if not finite.all():  # a product of finite factors overflowed; name the entry in its tensor
+            raise ValueError(f"non-finite entry at flat index {np.flatnonzero(~finite)[0] % xs[0].size}")
+        # each row of the fresh stack is a C-contiguous matrix no caller holds
         for i, x in zip(idx, xs):
-            out[i] = dematricize(x, ts[i].shape.transposed)
+            out[i] = DenseTensor._from_owned(ts[i].shape.transposed, x)
     return tuple(out)
 
 
+class _ReciprocalOverflow(ValueError):
+    """A kept singular value of matrix ``index`` of a stack has no finite reciprocal."""
+
+    def __init__(self, value: float, index: int, operand: str = ""):
+        self.value = value
+        self.index = index
+        where = f" in {operand}" if operand else ""
+        super().__init__(
+            f"pinv overflows: smallest kept singular value {value:.3e} has no finite reciprocal{where}"
+        )
+
+
 def _pinv_matrix(mat: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Pseudoinverse of a matrix or of each matrix in a stack."""
+    """Pseudoinverse of a matrix or of each matrix in a stack.
+
+    Raises ``_ReciprocalOverflow`` with the stack index (0 for a matrix) of
+    the first matrix whose smallest kept singular value has no finite
+    reciprocal.
+    """
     u, s, v = matrix_svd(mat)
     k = s.shape[-1]
     sinv = np.zeros(s.shape, dtype=np.complex128)
     if k:
-        keep = (s >= rank_tol * s[..., :1]) & (s[..., :1] > 0.0)
-        kept = s[keep]
+        # s > 0: when rank_tol * sigma_max underflows to 0, exact zeros are not kept
+        keep = (s >= rank_tol * s[..., :1]) & (s > 0.0)
         with np.errstate(over="ignore"):
-            sinv[keep] = 1.0 / kept
+            sinv[keep] = 1.0 / s[keep]
         if not np.isfinite(sinv).all():
-            raise ValueError(
-                f"pinv overflows: smallest kept singular value {kept.min():.3e} has no finite reciprocal"
-            )
+            index = int(np.flatnonzero(~np.isfinite(sinv))[0]) // k
+            raise _ReciprocalOverflow(float(s.reshape(-1, k)[index][keep.reshape(-1, k)[index]].min()), index)
     return (v[..., :k] * sinv[..., None, :]) @ u[..., :k].conj().swapaxes(-1, -2)
 
 
@@ -269,7 +295,10 @@ def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> Ident
     ah = conj_transpose(a)
     gram = einstein_product(ah, a)  # A* A, split J x J
     cogram = einstein_product(a, ah)  # A A*, split I x I
-    ap, gram_p, cogram_p = pinv((a, gram, cogram), policy)
+    try:
+        ap, gram_p, cogram_p = pinv((a, gram, cogram), policy)
+    except _ReciprocalOverflow as e:
+        raise _ReciprocalOverflow(e.value, e.index, ("a", "A.H @ A", "A @ A.H")[e.index]) from None
     ahp = conj_transpose(ap)
     ap_a = einstein_product(ap, a)
     return IdentitySuiteReport(

@@ -26,7 +26,12 @@ equivalent; ``commute`` is only implied by them, not conversely.
 
 :func:`rol_report` also takes two sequences of factors and returns one
 report per pair; all of their pseudoinverses come from one ``pinv`` call,
-which is how :func:`fuzz_search` evaluates a block of trials at once.
+which is how :func:`fuzz_search` evaluates a block of trials at once.  The
+pairs of a sequence that share their factor shapes are evaluated together:
+the residual code runs once on stacked tensors (see the ``DenseTensor``
+notes in :mod:`tenrol.core`), through the same core primitives and in the
+same product order as for a single pair, so each report equals the one for
+its pair alone bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .core import (
     ShapeMismatchError,
     _chain,
     _ResidualReport,
+    _stack,
     _unitary_residual,
     _zero_residual,
     conj_transpose,
@@ -147,10 +153,13 @@ def rol_report(
 
     Exactly three pseudoinverses are computed per pair: ``pinv(a)``,
     ``pinv(b)`` and ``pinv(a @ b)``; everything else is products.  ``a``
-    and ``b`` may also be equal-length sequences, evaluated pair by pair
-    into a tuple of reports.  Either way every pseudoinverse comes from one
-    :func:`tenrol.mpinv.pinv` call, and each report equals the one for its
-    pair alone.
+    and ``b`` may also be equal-length sequences, evaluated into a tuple of
+    reports, one per pair.  Either way every pseudoinverse comes from one
+    :func:`tenrol.mpinv.pinv` call.  The pairs of a sequence are grouped by
+    their factor shapes, and the residuals of a group come from one
+    evaluation on stacked tensors, so the products of a whole group cost
+    one call each; each report equals the one for its pair alone, bit for
+    bit.
 
     Raises
     ------
@@ -178,17 +187,28 @@ def rol_report(
         if not np.isfinite(ab.entries).all():
             raise ValueError(f"non-finite entry in a @ b{where}: the product overflowed")
     inv = pinv(as_ + bs + abs_, policy)
-    reports = tuple(
-        _report(as_[i], bs[i], inv[i], inv[n + i], inv[2 * n + i], policy.eq_tol)._checked(wheres[i])
-        for i in range(n)
-    )
-    return reports[0] if single else reports
+    if single:
+        return RolReport(*_residuals(a, b, *inv), tol=policy.eq_tol)._checked()
+    groups: dict[tuple[ModeShape, ModeShape], list[int]] = {}
+    for i, (x, y) in enumerate(zip(as_, bs)):
+        groups.setdefault((x.shape, y.shape), []).append(i)
+    operands = (as_, bs, inv[:n], inv[n : 2 * n], inv[2 * n :])
+    rows: list = [None] * n
+    for idx in groups.values():
+        residuals = _residuals(*(_stack([ts[i] for i in idx]) for ts in operands))
+        for i, row in zip(idx, np.array(residuals).T.tolist()):
+            rows[i] = row
+    return tuple(RolReport(*row, tol=policy.eq_tol)._checked(where) for row, where in zip(rows, wheres))
 
 
-def _report(
-    a: DenseTensor, b: DenseTensor, ap: DenseTensor, bp: DenseTensor, abp: DenseTensor, tol: float
-) -> RolReport:
-    """The report on (a, b) from ``pinv(a)``, ``pinv(b)`` and ``pinv(a @ b)``."""
+def _residuals(
+    a: DenseTensor, b: DenseTensor, ap: DenseTensor, bp: DenseTensor, abp: DenseTensor
+) -> tuple:
+    """The nine ``RolReport`` residuals, in field order, from ``pinv(a)``, ``pinv(b)`` and ``pinv(a @ b)``.
+
+    Floats for one pair; ``(T,)`` arrays when the five operands are stacks
+    of T pairs.
+    """
     ah = conj_transpose(a)
     bh = conj_transpose(b)
     p = einstein_product(ap, a)  # pinv(A) @ A
@@ -198,17 +218,16 @@ def _report(
     t_left = einstein_product(p, bbh)
     t_right = einstein_product(aha, q)
 
-    return RolReport(
-        direct=rel_residual(abp, einstein_product(bp, ap)),
-        absorb_left=rel_residual(_chain(t_left, ah), _chain(bbh, ah)),
-        absorb_right=rel_residual(_chain(q, aha, b), _chain(aha, b)),
-        herm_left=rel_residual(t_left, conj_transpose(t_left)),
-        herm_right=rel_residual(t_right, conj_transpose(t_right)),
-        paired_product=rel_residual(_chain(t_left, t_right), _chain(bbh, aha)),
-        factor_left=rel_residual(_chain(p, b), _chain(b, abp, a, b)),
-        factor_right=rel_residual(_chain(q, ah), _chain(aha, b, abp)),
-        commute=rel_residual(_chain(p, q), _chain(q, p)),
-        tol=tol,
+    return (
+        rel_residual(abp, einstein_product(bp, ap)),  # direct
+        rel_residual(_chain(t_left, ah), _chain(bbh, ah)),  # absorb_left
+        rel_residual(_chain(q, aha, b), _chain(aha, b)),  # absorb_right
+        rel_residual(t_left, conj_transpose(t_left)),  # herm_left
+        rel_residual(t_right, conj_transpose(t_right)),  # herm_right
+        rel_residual(_chain(t_left, t_right), _chain(bbh, aha)),  # paired_product
+        rel_residual(_chain(p, b), _chain(b, abp, a, b)),  # factor_left
+        rel_residual(_chain(q, ah), _chain(aha, b, abp)),  # factor_right
+        rel_residual(_chain(p, q), _chain(q, p)),  # commute
     )
 
 

@@ -35,7 +35,7 @@ from tenrol import (
     zeros,
 )
 from tenrol import core
-from tenrol.core import _norm, _unitary_residual, _zero_residual
+from tenrol.core import _chain, _norm, _stack, _unitary_residual, _zero_residual
 
 
 class TestModeShape:
@@ -597,6 +597,7 @@ class TestOwnedArrays:
             "__neg__": lambda: -a,
             "__add__": lambda: a + c,
             "__sub__": lambda: a - c,
+            "_stack": lambda: _stack([a, c, a]),
         }
 
     def test_every_producer_passes_a_c_contiguous_complex_matrix(self, rng):
@@ -615,6 +616,66 @@ class TestOwnedArrays:
                     calling.add(node.name)
         listed = {name.split(" ")[0] for name in self.producers(rng)}
         assert calling <= listed, calling - listed
+
+
+STACK_SPLITS = {
+    "2x2:2x2": (ModeShape((2, 2), (2, 2)), ModeShape((2, 2), (2, 2))),
+    "2:3": (ModeShape((2,), (3,)), ModeShape((3,), (2,))),
+    "4:2x2": (ModeShape((4,), (2, 2)), ModeShape((2, 2), (4,))),
+    "2x3:1": (ModeShape((2, 3), ()), ModeShape((), (5,))),
+}
+
+
+class TestStack:
+    """The core primitives on a private stack equal the per-item results bit for bit."""
+
+    def items(self, seed: int, split: str, count: int) -> tuple[list, list]:
+        r = np.random.default_rng(seed)
+        sa, sb = STACK_SPLITS[split]
+        # magnitudes spread over many decades, so the norms' unit floor binds on some items only
+        scales = 10.0 ** r.integers(-6, 7, (2, count))
+        return (
+            [golden.random_tensor(r, sa) * x for x in scales[0]],
+            [golden.random_tensor(r, sb) * x for x in scales[1]],
+        )
+
+    @pytest.mark.parametrize("split", list(STACK_SPLITS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_primitives_equal_per_item_results(self, split, seed):
+        as_, bs = self.items(seed, split, 1 + 17 * seed)
+        sa, sb = _stack(as_), _stack(bs)
+        products = [einstein_product(a, b) for a, b in zip(as_, bs)]
+        stacked = einstein_product(sa, sb)
+        assert stacked.shape == products[0].shape
+        assert stacked._mat.tobytes() == np.stack([p._mat for p in products]).tobytes()
+        adjoint = conj_transpose(sa)
+        assert adjoint.shape == as_[0].H.shape
+        assert adjoint._mat.tobytes() == np.stack([a.H._mat for a in as_]).tobytes()
+        chained = _chain(sa.H, sa, sb)
+        assert chained._mat.tobytes() == np.stack([_chain(a.H, a, b)._mat for a, b in zip(as_, bs)]).tobytes()
+        norms = frobenius_norm(sa)
+        assert norms.dtype == np.float64 and norms.shape == (len(as_),)
+        assert norms.tolist() == [frobenius_norm(a) for a in as_]
+        others = [golden.random_tensor(np.random.default_rng(seed), a.shape) for a in as_]
+        residuals = rel_residual(sa, _stack(others))
+        assert residuals.dtype == np.float64 and residuals.shape == (len(as_),)
+        assert residuals.tolist() == [rel_residual(a, o) for a, o in zip(as_, others)]
+
+    def test_stack_shape_is_the_items_shape(self, rng):
+        a = golden.random_tensor(rng, ModeShape((2,), (3,)))
+        s = _stack([a, 2 * a])
+        assert s.shape == a.shape and s._mat.shape == (2, 2, 3)
+        with pytest.raises(ShapeMismatchError):
+            rel_residual(s, _stack([a.H, a.H]))
+
+    def test_non_finite_items_stay_in_their_rows(self):
+        a = as_tensor(np.full((2, 2), 1e200), (2,), (2,))
+        b = as_tensor(np.eye(2), (2,), (2,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = rel_residual(_stack([b, a @ a, b]), _stack([b, a, 2 * b]))
+            want = [rel_residual(b, b), rel_residual(a @ a, a), rel_residual(b, 2 * b)]
+        assert got[0] == want[0] and got[2] == want[2]
+        assert math.isnan(got[1]) and math.isnan(want[1])
 
 
 class TestSharedShapes:

@@ -35,6 +35,7 @@ from tenrol import (
     tsvd,
     zeros,
 )
+from tenrol import mpinv
 
 SHAPES = [
     ModeShape((2,), (3,)),
@@ -174,6 +175,10 @@ class TestPinv:
         for tiny in (lambda: pinv(1e-310 * m), lambda: pinv([m, 1e-310 * m])):
             with pytest.raises(ValueError, match=r"^pinv overflows: smallest kept singular value \S+ has no finite"):
                 tiny()
+        # an underflowed cutoff keeps no exact zero: once 0 >= 0 kept it, and 1/0
+        # raised a divide-by-zero warning and reported the value 0.000e+00
+        with pytest.raises(ValueError, match=r"^pinv overflows: smallest kept singular value 1\.000e-320 has"):
+            pinv(diagonal_from((2,), (2,), [1e-320, 0.0]))
         # reciprocals near 1e300 are still finite
         assert_allclose(pinv([m, 1e-300 * m])[1].entries * 1e-300, pinv(m).entries, rtol=1e-10)
 
@@ -295,8 +300,14 @@ class TestIdentitySuite:
     def test_overflowing_gram_pinv_is_named(self, rng):
         # the Gram singular values of 1e-160 * M are near 1e-320
         a = 1e-160 * golden.random_tensor(rng, golden.SQ22)
-        with pytest.raises(ValueError, match="^pinv overflows: smallest kept singular value"):
+        with pytest.raises(ValueError, match="^pinv overflows: smallest kept singular value") as info:
             identity_suite(a)
+        assert str(info.value).endswith("has no finite reciprocal in A.H @ A")
+
+    def test_overflowing_pinv_of_the_tensor_itself_is_named(self, rng):
+        # the Gram matrices of 1e-310 * M underflow to zero; A's own reciprocals overflow
+        with pytest.raises(ValueError, match=r"^pinv overflows: .* has no finite reciprocal in a$"):
+            identity_suite(1e-310 * golden.random_tensor(rng, golden.SQ22))
 
 
 class TestZeroConditions:
@@ -377,6 +388,42 @@ class TestPinvSequence:
 
     def test_empty_sequence(self):
         assert pinv([]) == ()
+
+    def test_results_are_read_only_c_contiguous_matrices(self, rng):
+        ts = [golden.random_tensor(rng, s) for s in (golden.SQ22, ModeShape((2,), (3,)), golden.SQ22)]
+        for t, x in zip(ts, pinv(ts)):
+            assert x._mat.shape == (t.shape.col_count, t.shape.row_count)
+            assert x._mat.flags.c_contiguous and not x._mat.flags.writeable
+
+    def test_overflowing_reciprocal_names_the_tensor(self, rng):
+        m = golden.random_tensor(rng, golden.SQ22)
+        r = golden.random_tensor(rng, ModeShape((2,), (3,)))
+        cases = {
+            0: [1e-310 * m, m],
+            1: [m, 1e-310 * m, 1e-310 * m],
+            2: [m, r, 1e-310 * r],  # a stack of two 2x3 matrices
+            3: [m, r, m, 1e-310 * r.H],  # a lone 3x2 matrix
+        }
+        for i, ts in cases.items():
+            with pytest.raises(ValueError, match=r"^pinv overflows: smallest kept singular value \S+ has no finite"
+                                                 rf" reciprocal in tensor {i}$"):
+                pinv(ts)
+
+    def test_an_overflowing_entry_is_named(self, rng, monkeypatch):
+        # finite reciprocals whose products overflow are all but unreachable;
+        # stand in for them with a stack that has one infinite entry
+        real = mpinv._pinv_matrix
+
+        def overflowing(mat, rank_tol):
+            x = real(mat, rank_tol)
+            if x.ndim == 3:
+                x[1, 1, 2] = np.inf
+            return x
+
+        monkeypatch.setattr(mpinv, "_pinv_matrix", overflowing)
+        ts = [golden.random_tensor(rng, golden.SQ22) for _ in range(3)]
+        with pytest.raises(ValueError, match="^non-finite entry at flat index 6$"):
+            pinv(ts)
 
     def test_sum_equals_sum_of_single_calls(self, rng):
         a = golden.random_tensor(rng, golden.SQ22)

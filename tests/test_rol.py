@@ -39,7 +39,7 @@ from tenrol import (
     zero_equivalence,
     zeros,
 )
-from tenrol import rol
+from tenrol import core, rol
 from tenrol.core import _ResidualReport
 from tenrol.rol import _FUZZ_BLOCK, _draw_block
 from tenrol.unfold import dematricize
@@ -420,6 +420,50 @@ class TestRolReportBatch:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as batch:
             rol_report([as_[0], as_[1], big_a], [bs[0], bs[1], big_b])
         assert "non-finite residual in absorb_left of pair 2" in str(batch.value)
+
+    def test_interleaved_shapes_equal_per_pair_reports(self):
+        # 2x2:2x2 and 4:2x2 factors share their 4x4 matricizations, so pinv
+        # stacks them together, while the reports group them apart
+        pools = [self.pool(FUZZ_SHAPES[name], 9) for name in ("2x2:2x2", "4:2x2", "2:3")]
+        as_ = [pool[0][k] for k in range(9) for pool in pools]
+        bs = [pool[1][k] for k in range(9) for pool in pools]
+        reports = rol_report(as_, bs)
+        assert reports == tuple(rol_report(a, b) for a, b in zip(as_, bs))
+
+    def test_overflow_in_a_stacked_group_names_its_pair(self):
+        big_a, big_b = scaled_pair(1e120)
+        big_2x3 = as_tensor(1e120 * np.arange(1.0, 7.0).reshape(2, 3), (2,), (3,))
+        sq, rect = self.pool(SQ22, 3), self.pool(FUZZ_SHAPES["2:3"], 2)
+        # groups in order of first appearance: 2:3 (pairs 0, 3), 2x2:2x2 (pairs 1, 2, 4)
+        as_ = [rect[0][0], sq[0][0], big_a, big_2x3, sq[0][2]]
+        bs = [rect[1][0], sq[1][0], big_b, big_2x3.H, sq[1][2]]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            rol_report(as_, bs)
+        assert str(info.value) == "non-finite residual in absorb_left of pair 2: an intermediate product overflowed"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            rol_report(as_[3:], bs[3:])
+        assert "non-finite residual in" in str(info.value) and "of pair 0:" in str(info.value)
+        huge = as_tensor(1e200 * np.ones((2, 2, 2, 2)), (2, 2), (2, 2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            rol_report(as_[:3] + [huge], bs[:3] + [huge])
+        assert str(info.value) == "non-finite entry in a @ b of pair 3: the product overflowed"
+
+    def test_a_block_costs_one_product_per_pair_plus_one_evaluation(self, monkeypatch):
+        # the per-pair report made 24 products per pair; the stacked one makes
+        # a @ b per pair and the 23 products of one evaluation per shape group
+        count = [0]
+        original = rol.einstein_product
+
+        def counted(x, y):
+            count[0] += 1
+            return original(x, y)
+
+        monkeypatch.setattr(rol, "einstein_product", counted)
+        monkeypatch.setattr(core, "einstein_product", counted)  # the products of _chain
+        as_, bs = self.pool(SQ22, 64)
+        reports = rol_report(as_, bs)
+        assert len(reports) == 64
+        assert count[0] <= 64 + 23, count[0]
 
 
 def scaled_pair(scale: float) -> tuple:

@@ -137,7 +137,8 @@ def pinv(
     the threshold itself is kept (ties count toward the rank).  A kept
     value whose reciprocal overflows raises ``ValueError``; for a sequence
     the message names the first such tensor ("in tensor i").  A result
-    entry that overflows raises ``ValueError`` naming its flat index.
+    entry that overflows raises ``ValueError`` naming its flat index, and
+    for a sequence its tensor.
 
     Parameters
     ----------
@@ -174,8 +175,9 @@ def pinv(
             i = idx[e.index]
             raise _ReciprocalOverflow(e.value, i, f"tensor {i}") from None
         finite = np.isfinite(xs)
-        if not finite.all():  # a product of finite factors overflowed; name the entry in its tensor
-            raise ValueError(f"non-finite entry at flat index {np.flatnonzero(~finite)[0] % xs[0].size}")
+        if not finite.all():  # a product of finite factors overflowed; name the entry and its tensor
+            row, entry = divmod(int(np.flatnonzero(~finite)[0]), xs[0].size)
+            raise ValueError(f"non-finite entry at flat index {entry} in tensor {idx[row]}")
         # each row of the fresh stack is a C-contiguous matrix no caller holds
         for i, x in zip(idx, xs):
             out[i] = DenseTensor._from_owned(ts[i].shape.transposed, x)

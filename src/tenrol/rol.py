@@ -28,16 +28,16 @@ equivalent; ``commute`` is only implied by them, not conversely.
 report per pair; all of their pseudoinverses come from one ``pinv`` call,
 which is how :func:`fuzz_search` evaluates a block of trials at once.  The
 pairs of a sequence that share their factor shapes are evaluated together:
-the residual code runs once on stacked tensors (see the ``DenseTensor``
-notes in :mod:`tenrol.core`), through the same core primitives and in the
-same product order as for a single pair, so each report equals the one for
-its pair alone bit for bit.
+``a @ b``, its finiteness check and the residual code run once on stacked
+tensors (see the ``DenseTensor`` notes in :mod:`tenrol.core`), through the
+same core primitives and in the same product order as for a single pair,
+so each report equals the one for its pair alone bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,9 +75,6 @@ __all__ = [
     "fuzz_search",
     "FUZZ_FAMILIES",
 ]
-
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -156,20 +153,20 @@ def rol_report(
     and ``b`` may also be equal-length sequences, evaluated into a tuple of
     reports, one per pair.  Either way every pseudoinverse comes from one
     :func:`tenrol.mpinv.pinv` call.  The pairs of a sequence are grouped by
-    their factor shapes, and the residuals of a group come from one
-    evaluation on stacked tensors, so the products of a whole group cost
-    one call each; each report equals the one for its pair alone, bit for
-    bit.
+    their factor shapes; ``a @ b`` and the residuals of a group come from
+    one evaluation on stacked tensors, so each product of a whole group
+    costs one call, and each report equals the one for its pair alone, bit
+    for bit.
 
     Raises
     ------
     ShapeMismatchError
-        If ``a.col_dims != b.row_dims`` for some pair.
+        If ``a.col_dims != b.row_dims`` for some pair (of a sequence: the lowest, "of pair i").
     ValueError
         If ``a @ b`` overflows to a non-finite entry, or a residual is
         non-finite because an intermediate product overflowed (either
-        message names the pair of a sequence), or the sequences differ in
-        length.
+        message names the lowest such pair of a sequence), or the sequences
+        differ in length.
     TypeError
         If one of ``a`` and ``b`` is a tensor and the other a sequence.
     """
@@ -177,28 +174,47 @@ def rol_report(
     single = isinstance(a, DenseTensor)
     if single != isinstance(b, DenseTensor):
         raise TypeError("rol_report takes two tensors or two sequences of tensors")
-    as_, bs = ((a,), (b,)) if single else (tuple(a), tuple(b))
+    if single:
+        ab = einstein_product(a, b)
+        if not np.isfinite(ab._mat).all():
+            raise ValueError("non-finite entry in a @ b: the product overflowed")
+        return RolReport(*_residuals(a, b, *pinv((a, b, ab), policy)), tol=policy.eq_tol)._checked()
+    as_, bs = tuple(a), tuple(b)
     if len(as_) != len(bs):
         raise ValueError(f"rol_report got {len(as_)} left factors and {len(bs)} right factors")
     n = len(as_)
-    wheres = [""] if single else [f" of pair {i}" for i in range(n)]
-    abs_ = tuple(einstein_product(x, y) for x, y in zip(as_, bs))
-    for ab, where in zip(abs_, wheres):
-        if not np.isfinite(ab.entries).all():
-            raise ValueError(f"non-finite entry in a @ b{where}: the product overflowed")
-    inv = pinv(as_ + bs + abs_, policy)
-    if single:
-        return RolReport(*_residuals(a, b, *inv), tol=policy.eq_tol)._checked()
     groups: dict[tuple[ModeShape, ModeShape], list[int]] = {}
     for i, (x, y) in enumerate(zip(as_, bs)):
+        if x.shape.col_dims != y.shape.row_dims:
+            raise ShapeMismatchError(
+                f"cannot contract {x.shape} with {y.shape}: column dims {x.shape.col_dims}"
+                f" != row dims {y.shape.row_dims} of pair {i}"
+            )
         groups.setdefault((x.shape, y.shape), []).append(i)
-    operands = (as_, bs, inv[:n], inv[n : 2 * n], inv[2 * n :])
+    # a @ b and its finiteness check once per group; the lowest failing pair is named
+    stacks = [(_stack([as_[i] for i in idx]), _stack([bs[i] for i in idx])) for idx in groups.values()]
+    abs_: list = [None] * n
+    bad = n
+    for idx, (sa, sb) in zip(groups.values(), stacks):
+        sab = einstein_product(sa, sb)
+        ok = np.isfinite(sab._mat).all(axis=(1, 2))
+        bad = bad if ok.all() else min(bad, idx[int(np.argmin(ok))])
+        for i, m in zip(idx, sab._mat):
+            abs_[i] = DenseTensor._from_owned(sab.shape, m)
+    if bad < n:
+        raise ValueError(f"non-finite entry in a @ b of pair {bad}: the product overflowed")
+    inv = pinv(as_ + bs + tuple(abs_), policy)
     rows: list = [None] * n
-    for idx in groups.values():
-        residuals = _residuals(*(_stack([ts[i] for i in idx]) for ts in operands))
-        for i, row in zip(idx, np.array(residuals).T.tolist()):
+    for idx, (sa, sb) in zip(groups.values(), stacks):
+        pinvs = (_stack([inv[k * n + i] for i in idx]) for k in range(3))
+        group_rows = np.array(_residuals(sa, sb, *pinvs)).T
+        ok = np.isfinite(group_rows).all(axis=1)
+        bad = bad if ok.all() else min(bad, idx[int(np.argmin(ok))])
+        for i, row in zip(idx, group_rows.tolist()):
             rows[i] = row
-    return tuple(RolReport(*row, tol=policy.eq_tol)._checked(where) for row, where in zip(rows, wheres))
+    if bad < n:  # raises, naming the first non-finite residual of that pair
+        RolReport(*rows[bad], tol=policy.eq_tol)._checked(f" of pair {bad}")
+    return tuple(RolReport(*row, tol=policy.eq_tol) for row in rows)
 
 
 def _residuals(
@@ -465,18 +481,13 @@ class FuzzSummary:
     first_violation: dict | None
 
 
-# The draw code below is written as generators so that the trials of a block
-# can draw in lockstep: a generator yields each complex Gaussian matrix it
-# wants orthonormalized, is sent back the unitary QR factor, and returns its
-# pair.  Every trial still draws from its own generator in program order, and
-# a stacked QR equals the single calls, so the pairs do not depend on the
-# block they were drawn in.
-_Draw = Generator[np.ndarray, np.ndarray, _T]
-
-
-def _unitary(rng: np.random.Generator, n: int) -> _Draw[np.ndarray]:
-    """A Haar-random n x n unitary, from the Gaussian matrix it yields."""
-    return (yield rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+# A pair is drawn in two phases, so that a block shares its QR calls.  The
+# first draws all of the trial's random numbers, in program order (no draw
+# depends on a unitary factor), and returns the Gaussian matrices whose QR
+# factors the pair needs with the function that builds the pair from them.
+def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The n x n complex Gaussian matrix behind a Haar-random unitary."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def _orthonormalize(z: np.ndarray) -> np.ndarray:
@@ -491,16 +502,14 @@ def _dense_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
     return DenseTensor(shape, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def _low_rank_tensor(rng: np.random.Generator, shape: ModeShape) -> _Draw[DenseTensor]:
+def _low_rank_tensor(rng: np.random.Generator, shape: ModeShape) -> tuple[list[np.ndarray], Callable]:
     # bounded singular values keep the pseudoinverses well conditioned,
     # so boolean decisions sit far from the tolerance
     rc, cc = shape.row_count, shape.col_count
-    k = min(rc, cc)
-    r = int(rng.integers(1, k + 1))
-    u = (yield from _unitary(rng, rc))[:, :r]
-    v = (yield from _unitary(rng, cc))[:, :r]
+    r = int(rng.integers(1, min(rc, cc) + 1))
+    zs = [_gaussian(rng, rc), _gaussian(rng, cc)]
     s = rng.uniform(0.3, 3.0, r)
-    return dematricize((u * s) @ v.conj().T, shape)
+    return zs, lambda u, v: dematricize((u[:, :r] * s) @ v[:, :r].conj().T, shape)
 
 
 def _diagonal_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
@@ -512,35 +521,37 @@ def _diagonal_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
     return diagonal_from(shape.row_dims, shape.col_dims, vals)
 
 
-def _unitary_tensor(rng: np.random.Generator, shape: ModeShape) -> _Draw[DenseTensor]:
-    return dematricize((yield from _unitary(rng, shape.row_count)), shape)
-
-
 def _sigma_with_gaps(rng: np.random.Generator, k: int) -> np.ndarray:
     s = rng.uniform(0.3, 3.0, k)
     s[rng.random(k) < 0.25] = 0.0
     return s
 
 
-def _pair_draw(
-    rng: np.random.Generator, shape: ModeShape, family: str
-) -> _Draw[tuple[DenseTensor, DenseTensor]]:
+def _pair_of(draw_a: tuple[list[np.ndarray], Callable], draw_b: tuple[list[np.ndarray], Callable]) -> tuple:
+    """The first phase of a pair's draw from those of its two factors."""
+    (za, build_a), (zb, build_b) = draw_a, draw_b
+    return za + zb, lambda *us: (build_a(*us[: len(za)]), build_b(*us[len(za) :]))
+
+
+def _pair_draw(rng: np.random.Generator, shape: ModeShape, family: str) -> tuple[list[np.ndarray], Callable]:
+    """The first phase of a pair's draw: its Gaussian matrices and the function that builds it."""
     shape_b = shape.transposed
     if family == "dense":
-        return _dense_tensor(rng, shape), _dense_tensor(rng, shape_b)
+        pair = _dense_tensor(rng, shape), _dense_tensor(rng, shape_b)
+        return [], lambda: pair
     if family == "rank_deficient":
-        return (yield from _low_rank_tensor(rng, shape)), (yield from _low_rank_tensor(rng, shape_b))
+        return _pair_of(_low_rank_tensor(rng, shape), _low_rank_tensor(rng, shape_b))
     if family == "unitary_factor":
-        return (yield from _low_rank_tensor(rng, shape)), (yield from _unitary_tensor(rng, shape_b))
+        draw_a = _low_rank_tensor(rng, shape)
+        return _pair_of(draw_a, ([_gaussian(rng, shape_b.row_count)], lambda u: dematricize(u, shape_b)))
     if family == "diagonal":
-        return _diagonal_tensor(rng, shape), _diagonal_tensor(rng, shape_b)
+        pair = _diagonal_tensor(rng, shape), _diagonal_tensor(rng, shape_b)
+        return [], lambda: pair
     if family == "orthogonal_sum":
         # both factors are sums of aligned rank-one pieces with mutually
         # orthogonal ranges, sharing the middle unitary; the law holds
         rc, cc = shape.row_count, shape.col_count
-        u = yield from _unitary(rng, rc)
-        v = yield from _unitary(rng, cc)
-        w = yield from _unitary(rng, rc)
+        zs = [_gaussian(rng, rc), _gaussian(rng, cc), _gaussian(rng, rc)]
         k = min(rc, cc)
         sa = np.zeros((rc, cc))
         sb = np.zeros((cc, rc))
@@ -554,7 +565,7 @@ def _pair_draw(
                 vals[0] = rng.uniform(0.3, 3.0)
         sa[np.arange(k), np.arange(k)] = sa_vals
         sb[np.arange(k), np.arange(k)] = sb_vals
-        return (
+        return zs, lambda u, v, w: (
             dematricize(u @ sa @ v.conj().T, shape),
             dematricize(v @ sb @ w.conj().T, shape_b),
         )
@@ -564,28 +575,15 @@ def _pair_draw(
 def _draw_block(
     rngs: Sequence[np.random.Generator], shape: ModeShape, families: Sequence[str]
 ) -> list[tuple[DenseTensor, DenseTensor]]:
-    """One pair per generator and family, drawn in lockstep.
-
-    At each step every unfinished draw advances to its next Gaussian
-    matrix, and the matrices of one size go through one stacked QR.
-    """
+    """One pair per generator and family, with one stacked QR per unitary size."""
     draws = [_pair_draw(rng, shape, family) for rng, family in zip(rngs, families)]
-    pairs: list = [None] * len(draws)
-    replies: dict[int, np.ndarray | None] = dict.fromkeys(range(len(draws)))
-    while replies:
-        wanted: dict[int, list[int]] = {}  # matrix order -> draws waiting on one
-        asks: dict[int, np.ndarray] = {}
-        for i, reply in replies.items():
-            try:
-                asks[i] = draws[i].send(reply)
-            except StopIteration as done:
-                pairs[i] = done.value
-            else:
-                wanted.setdefault(len(asks[i]), []).append(i)
-        replies = {}
-        for idx in wanted.values():
-            replies.update(zip(idx, _orthonormalize(np.stack([asks[i] for i in idx]))))
-    return pairs
+    by_size: dict[int, list[np.ndarray]] = {}
+    for pending, _ in draws:
+        for z in pending:
+            by_size.setdefault(len(z), []).append(z)
+    # the builds take the unitaries of each size in the order they were drawn
+    unitaries = {n: iter(_orthonormalize(np.stack(zs))) for n, zs in by_size.items()}
+    return [build(*(next(unitaries[len(z)]) for z in pending)) for pending, build in draws]
 
 
 def fuzz_search(
@@ -604,9 +602,9 @@ def fuzz_search(
     depend on evaluation order.  Trials are evaluated in fixed-size
     blocks, one :func:`rol_report` call per block, so that the
     pseudoinverses of a whole block come from one stacked SVD and memory
-    does not grow with ``trials``.  The pairs of a block are drawn in
-    lockstep, so each step of their draws orthonormalizes all pending
-    random matrices of one size by one stacked QR.
+    does not grow with ``trials``.  The pairs of a block are drawn in two
+    phases: every trial first draws its random numbers, then one stacked QR
+    per unitary size serves the whole block, then each trial builds its pair.
 
     Returns
     -------

@@ -157,5 +157,5 @@ def random_unitary_tensor(rng: np.random.Generator, dims: tuple[int, ...]) -> De
 
 
 def fuzz_pair(rng: np.random.Generator, shape: ModeShape, family: str) -> tuple[DenseTensor, DenseTensor]:
-    """One pair of the fuzz ``family`` as ``fuzz_search`` draws it: a lockstep block of one."""
+    """One pair of the fuzz ``family`` as ``fuzz_search`` draws it: a block of one."""
     return _draw_block([rng], shape, [family])[0]

@@ -422,8 +422,24 @@ class TestPinvSequence:
 
         monkeypatch.setattr(mpinv, "_pinv_matrix", overflowing)
         ts = [golden.random_tensor(rng, golden.SQ22) for _ in range(3)]
-        with pytest.raises(ValueError, match="^non-finite entry at flat index 6$"):
+        with pytest.raises(ValueError, match="^non-finite entry at flat index 6 in tensor 1$"):
             pinv(ts)
+
+    def test_an_overflowing_entry_names_its_tensor_in_the_sequence(self, rng, monkeypatch):
+        real = mpinv._pinv_matrix
+
+        def overflowing(mat, rank_tol):
+            x = real(mat, rank_tol)
+            if x.shape == (3, 4, 4):
+                x[1, 0, 3] = np.nan
+            return x
+
+        monkeypatch.setattr(mpinv, "_pinv_matrix", overflowing)
+        # the 4x4 matricizations stack as tensors 1, 3 and 4; row 1 of that stack is tensor 3
+        sq = [golden.random_tensor(rng, golden.SQ22) for _ in range(3)]
+        rect = [golden.random_tensor(rng, ModeShape((2,), (3,))) for _ in range(2)]
+        with pytest.raises(ValueError, match="^non-finite entry at flat index 3 in tensor 3$"):
+            pinv([rect[0], sq[0], rect[1], sq[1], sq[2]])
 
     def test_sum_equals_sum_of_single_calls(self, rng):
         a = golden.random_tensor(rng, golden.SQ22)

@@ -448,9 +448,9 @@ class TestRolReportBatch:
             rol_report(as_[:3] + [huge], bs[:3] + [huge])
         assert str(info.value) == "non-finite entry in a @ b of pair 3: the product overflowed"
 
-    def test_a_block_costs_one_product_per_pair_plus_one_evaluation(self, monkeypatch):
+    def test_a_block_costs_one_evaluation_per_shape_group(self, monkeypatch):
         # the per-pair report made 24 products per pair; the stacked one makes
-        # a @ b per pair and the 23 products of one evaluation per shape group
+        # one a @ b and the 23 products of one evaluation per shape group
         count = [0]
         original = rol.einstein_product
 
@@ -463,7 +463,30 @@ class TestRolReportBatch:
         as_, bs = self.pool(SQ22, 64)
         reports = rol_report(as_, bs)
         assert len(reports) == 64
-        assert count[0] <= 64 + 23, count[0]
+        assert count[0] <= 1 + 23, count[0]
+
+    def test_overflowing_products_in_two_groups_name_the_lower_pair(self):
+        big_sq = as_tensor(1e200 * np.ones((2, 2, 2, 2)), (2, 2), (2, 2))
+        big_2x3 = as_tensor(1e200 * np.arange(1.0, 7.0).reshape(2, 3), (2,), (3,))
+        sq, rect = self.pool(SQ22, 3), self.pool(FUZZ_SHAPES["2:3"], 3)
+        # groups in order of first appearance: 2:3 (pairs 0, 2, 4), 2x2:2x2 (pairs 1, 3, 5)
+        for bad_rect, bad_sq in ((4, 1), (2, 5)):
+            as_ = [x for k in range(3) for x in (rect[0][k], sq[0][k])]
+            bs = [x for k in range(3) for x in (rect[1][k], sq[1][k])]
+            as_[bad_rect], bs[bad_rect] = big_2x3, big_2x3.H
+            as_[bad_sq], bs[bad_sq] = big_sq, big_sq
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+                rol_report(as_, bs)
+            low = min(bad_rect, bad_sq)
+            assert str(info.value) == f"non-finite entry in a @ b of pair {low}: the product overflowed"
+
+    def test_shape_mismatch_names_its_pair(self):
+        (a0, a1), (b0, b1) = self.pool(SQ22, 2)
+        rect_a, rect_b = self.pool(FUZZ_SHAPES["2:3"], 1)
+        with pytest.raises(ShapeMismatchError, match="of pair 2$"):
+            rol_report([a0, rect_a[0], a1], [b0, rect_b[0], rect_b[0]])
+        with pytest.raises(ShapeMismatchError, match="^cannot contract 2:3 with 2:3: .* of pair 0$"):
+            rol_report([rect_a[0], a0], [rect_a[0], b1])
 
 
 def scaled_pair(scale: float) -> tuple:
@@ -598,7 +621,7 @@ class TestFuzzBaseline:
 
 
 # ---------------------------------------------------------------------------
-# The one-at-a-time draws that the lockstep block draws replaced, kept as
+# The one-at-a-time draws that the block draws replaced, kept as
 # their reference: one QR call per unitary, in trial order.
 
 
@@ -701,8 +724,8 @@ class TestLockstepDraws:
             golden.fuzz_pair(np.random.default_rng(0), SQ22, "bogus")
 
     def test_one_qr_call_per_unitary_size_and_step(self, monkeypatch):
-        # 4:2 asks for unitaries of order 4 and 2; rank_deficient, the longest
-        # draw, asks for four in a row, so a block takes at most four steps
+        # 4:2 asks for unitaries of order 4 and 2; a block orthonormalizes all
+        # unitaries of one order in one call
         calls = []
         original = rol._orthonormalize
 
@@ -713,7 +736,7 @@ class TestLockstepDraws:
         monkeypatch.setattr(rol, "_orthonormalize", counted)
         shape = DRAW_SHAPES["4:2"]
         fuzz_search(shape, 40, 2)
-        assert len(calls) <= 2 * 4
+        assert len(calls) == 2
         assert {s[1:] for s in calls} == {(4, 4), (2, 2)}
         assert sum(s[0] for s in calls) == 10 * 4 + 10 * 3  # rank_deficient and orthogonal_sum
 

@@ -10,6 +10,13 @@ digits so a write-then-read round trip is value-exact.  A document that
 fails to parse is reported at its first offending entry; an integer beyond
 double range is ``non-finite``.
 
+Documents are parsed with orjson.  One that orjson refuses, or that fails
+a check, is parsed again with the standard ``json`` module, and that route
+alone builds the error, so codes, indices and messages are ``json``'s.
+orjson has no nesting limit: a document nested deeper than ``json`` can
+read is accepted when the deep part sits under a key that is not read,
+and is otherwise ``malformed-json``.
+
 Exit codes: 0 success, 1 I/O or input error (including a missing input
 file and a non-finite intermediate, such as a product or a ``rol``
 residual that overflows), 2 usage error, 3 a checked law does not hold
@@ -22,13 +29,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -69,12 +77,17 @@ def _fmt17(x: float) -> str:
     return "-0.0" if s == "-0" else s
 
 
+def _is_dim(d: Any) -> bool:
+    # bool, a subclass of int, is excluded
+    return isinstance(d, int) and not isinstance(d, bool) and d >= 1
+
+
 def _dims_from(doc: dict, key: str) -> tuple[int, ...]:
     value = doc.get(key)
     if not isinstance(value, list):
         raise TensorFormatError("bad-shape", None, f"{key} must be a list of positive integers")
     for i, d in enumerate(value):
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        if not _is_dim(d):
             raise TensorFormatError("bad-shape", i, f"{key}[{i}] must be a positive integer")
     return tuple(value)
 
@@ -97,44 +110,33 @@ def _entry_error(entries: list) -> TensorFormatError:
             return TensorFormatError("non-finite", i, f"entry [{re!r}, {im!r}] is not finite")
 
 
-def _int_or_float(text: str) -> int | float:
-    try:
-        return int(text)
-    except ValueError:
-        # past int()'s digit limit, so far beyond double range: +-inf
-        return float(text)
+def _tensor_of(doc: Any) -> DenseTensor | None:
+    """The tensor that ``doc`` describes, or None if ``doc`` fails any check.
 
-
-def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
-    """Parse a tensor document from a file path or raw JSON text.
-
-    Raises
-    ------
-    TensorFormatError
-        With a distinct ``code`` and offending ``index`` for malformed
-        JSON, bad shape fields, malformed entry pairs, an entry-count
-        mismatch, or non-finite numbers (an integer beyond double range
-        included); the index is that of the first offending entry.  An
-        integer too long for ``int()`` is ``non-finite`` as an entry and
-        ``bad-shape`` as a dimension.
-    OSError
-        If ``source`` is a path that cannot be read.
+    One C-level pass per entry check; :func:`_refuse` names the failure.
     """
-    if isinstance(source, os.PathLike) or os.path.exists(source):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = str(source)
+    if not isinstance(doc, dict):
+        return None
+    row_dims, col_dims, entries = doc.get("row_dims"), doc.get("col_dims"), doc.get("entries")
+    if not all(isinstance(dims, list) and all(map(_is_dim, dims)) for dims in (row_dims, col_dims)):
+        return None
+    shape = ModeShape(tuple(row_dims), tuple(col_dims))
+    if not isinstance(entries, list) or len(entries) != shape.row_count * shape.col_count:
+        return None
     try:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError:
-            raise
-        except ValueError:
-            # only int()'s digit limit raises a plain ValueError; the hook stays
-            # off the first pass, where it would double the cost of integers
-            doc = json.loads(text, parse_int=_int_or_float)
-    except json.JSONDecodeError as exc:
-        raise TensorFormatError("malformed-json", exc.pos, exc.msg) from exc
+        if set(map(len, entries)) != {2} or not set(map(type, _scalars(entries))) <= _NUMBER_TYPES:
+            return None
+        pairs = np.fromiter(_scalars(entries), np.float64, 2 * len(entries))
+    except (TypeError, OverflowError):
+        return None
+    if not np.isfinite(pairs).all():
+        return None
+    # pairs is fresh and finite, so it is wrapped without DenseTensor's checked copy
+    return DenseTensor._from_owned(shape, pairs.view(np.complex128).reshape(shape.row_count, shape.col_count))
+
+
+def _refuse(doc: Any) -> NoReturn:
+    """Raise the error naming the first check that ``doc``, refused by :func:`_tensor_of`, fails."""
     if not isinstance(doc, dict):
         raise TensorFormatError("malformed-json", None, "top level must be an object")
     shape = ModeShape(_dims_from(doc, "row_dims"), _dims_from(doc, "col_dims"))
@@ -148,16 +150,78 @@ def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
             len(entries),
             f"shape {shape} needs {expected} entries, got {len(entries)}",
         )
-    # One C-level pass per check; a document that fails any of them is
-    # scanned only to name its first offending entry.
+    raise _entry_error(entries)
+
+
+def _int_or_float(text: str) -> int | float:
     try:
-        well_formed = set(map(len, entries)) == {2} and set(map(type, _scalars(entries))) <= _NUMBER_TYPES
-        pairs = np.fromiter(_scalars(entries), np.float64, 2 * expected) if well_formed else None
-    except (TypeError, OverflowError):
-        pairs = None
-    if pairs is None or not np.isfinite(pairs).all():
-        raise _entry_error(entries)
-    return DenseTensor(shape, pairs.view(np.complex128))
+        return int(text)
+    except ValueError:
+        # past int()'s digit limit, so far beyond double range: +-inf
+        return float(text)
+
+
+def _json_document(text: str) -> Any:
+    """``json.loads(text)``; a text it cannot read is ``malformed-json``."""
+    try:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # only int()'s digit limit raises a plain ValueError; the hook stays
+            # off the first pass, where it would double the cost of integers
+            return json.loads(text, parse_int=_int_or_float)
+    except json.JSONDecodeError as exc:
+        raise TensorFormatError("malformed-json", exc.pos, exc.msg) from exc
+    except RecursionError:
+        # the json decoder recurses once per nesting level
+        raise TensorFormatError("malformed-json", None, "document nests too deeply to read") from None
+
+
+def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
+    """Parse a tensor document from a file path or raw JSON text.
+
+    The document is parsed with orjson.  If orjson refuses it or it fails
+    any check, it is parsed again with the standard ``json`` module, which
+    decides the outcome and builds the error.
+
+    Raises
+    ------
+    TensorFormatError
+        With a distinct ``code`` and offending ``index`` for malformed
+        JSON, bad shape fields, malformed entry pairs, an entry-count
+        mismatch, or non-finite numbers (an integer beyond double range
+        included); the index is that of the first offending entry.  An
+        integer too long for ``int()`` is ``non-finite`` as an entry and
+        ``bad-shape`` as a dimension.  A document nested too deeply for
+        ``json`` is ``malformed-json`` with no index, unless orjson
+        accepts it: orjson has no depth limit, so deep nesting under a
+        key that is not read does not stop a document from parsing.
+    OSError
+        If ``source`` is a path that cannot be read.
+    """
+    # imported here: orjson's own import (uuid, zoneinfo) would add a few
+    # milliseconds to every `import tenrol.cli`
+    import orjson
+
+    if isinstance(source, os.PathLike) or os.path.exists(source):
+        data = Path(source).read_bytes()
+    else:
+        data = str(source)
+    try:
+        tensor = _tensor_of(orjson.loads(data))
+    except orjson.JSONDecodeError:
+        tensor = None
+    if tensor is None:
+        # json gets the file's text as a text-mode read gives it: newlines
+        # translated, and undecodable bytes a UnicodeDecodeError
+        text = data if isinstance(data, str) else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        doc = _json_document(text)
+        tensor = _tensor_of(doc)
+        if tensor is None:
+            _refuse(doc)
+    return tensor
 
 
 def format_tensor(t: DenseTensor) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -60,15 +60,18 @@ class ModeShape:
     """Row and column mode sizes of a dense tensor.
 
     Either tuple may be empty, in which case that side behaves like a
-    scalar index (one flat position).
+    scalar index (one flat position).  ``row_count`` and ``col_count``,
+    the numbers of flat row and column positions, are computed once on
+    construction; they take no part in equality, hashing or the repr.
     """
 
     row_dims: tuple[int, ...]
     col_dims: tuple[int, ...]
+    row_count: int = field(init=False, repr=False, compare=False)
+    col_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "row_dims", _as_dims(self.row_dims))
-        object.__setattr__(self, "col_dims", _as_dims(self.col_dims))
+        self._set_dims(_as_dims(self.row_dims), _as_dims(self.col_dims))
 
     @classmethod
     @functools.lru_cache(maxsize=1024)
@@ -78,19 +81,14 @@ class ModeShape:
         # immutable, so the derived shapes of products and transposes are
         # shared, and comparing two of them is mostly an identity check.
         self = object.__new__(cls)
-        object.__setattr__(self, "row_dims", row_dims)
-        object.__setattr__(self, "col_dims", col_dims)
+        self._set_dims(row_dims, col_dims)
         return self
 
-    @property
-    def row_count(self) -> int:
-        """Number of flat row positions."""
-        return math.prod(self.row_dims)
-
-    @property
-    def col_count(self) -> int:
-        """Number of flat column positions."""
-        return math.prod(self.col_dims)
+    def _set_dims(self, row_dims: tuple[int, ...], col_dims: tuple[int, ...]) -> None:
+        object.__setattr__(self, "row_dims", row_dims)
+        object.__setattr__(self, "col_dims", col_dims)
+        object.__setattr__(self, "row_count", math.prod(row_dims))
+        object.__setattr__(self, "col_count", math.prod(col_dims))
 
     @property
     def dims(self) -> tuple[int, ...]:

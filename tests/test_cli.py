@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from tenrol.cli import (
     TensorFormatError,
     _build_parser,
     _fmt17,
+    _tensor_of,
     format_tensor,
     main,
     parse_tensor_file,
@@ -100,6 +102,8 @@ MALFORMED_ENTRIES = [
     "[1,0],[0,-Infinity],[1]",
     "[1,0],[1],[0,NaN]",
     "[1,0],[0,0],[1e400,0]",
+    "[1,0],[NaN,0],[0,0]",
+    "[1,0],[0,0],[0,-Infinity]",
 ]
 
 HUGE = "1" + "0" * 400  # beyond double range, so float() of it overflows
@@ -244,6 +248,7 @@ class TestParseErrors:
         # json.loads cannot convert it and once let a plain ValueError escape
         # with neither code nor index
         text = entries_doc(f"[1,0],[0,1],[0.5,{sign}{LONG}]")
+        assert orjson_route(text) is None
         with pytest.raises(TensorFormatError) as info:
             parse_tensor_file(text)
         assert str(info.value) == f"non-finite at index 2: entry [0.5, {sign}inf] is not finite"
@@ -263,6 +268,177 @@ class TestParseErrors:
     def test_malformed_json_after_a_long_integer(self):
         text = '{"row_dims": [%s] "col_dims"' % LONG
         self.check(text, "malformed-json", text.index('"col_dims"'))
+
+
+def orjson_route(text: str | bytes) -> DenseTensor | None:
+    """The tensor of parse_tensor_file's orjson route; None where it falls back to json."""
+    import orjson
+
+    try:
+        return _tensor_of(orjson.loads(text))
+    except orjson.JSONDecodeError:
+        return None
+
+
+def json_values(text: str) -> np.ndarray:
+    """The entries of a valid document as plain ``json`` and ``float()`` read them."""
+    pairs = json.loads(text)["entries"]
+    return np.array([complex(float(re), float(im)) for re, im in pairs])
+
+
+def midpoint_strings(x: float) -> list[str]:
+    """The exact decimal midpoint between ``x`` and the next double up, and it +-1 in the 40th digit."""
+    with decimal.localcontext(decimal.Context(prec=2000)):
+        mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+        unit = decimal.Decimal(1).scaleb(mid.adjusted() - 39)
+        return [str(mid), str(mid + unit), str(mid - unit)]
+
+
+def doc_of(values: list[str]) -> str:
+    """A 1xN tensor document whose entries are the given JSON numbers, paired with their negations."""
+    pairs = ",".join(f"[{v},-{v}]" for v in values)
+    return f'{{"row_dims": [1], "col_dims": [{len(values)}], "entries": [{pairs}]}}'
+
+
+DEEP = 100_000
+
+
+class TestOrjsonRoute:
+    """The orjson route accepts exactly what it should, with json's values; json decides the rest."""
+
+    def check_values(self, text: str) -> None:
+        fast = orjson_route(text)
+        assert fast is not None, "the orjson route refused a valid document"
+        want = json_values(text)
+        assert fast.entries.tobytes() == want.tobytes()
+        assert parse_tensor_file(text).entries.tobytes() == want.tobytes()
+        assert reference_parse(text).entries.tobytes() == want.tobytes()
+
+    def check_error(self, text: str, code: str, index: int | None, message: str) -> None:
+        with pytest.raises(TensorFormatError) as info:
+            parse_tensor_file(text)
+        assert (info.value.code, info.value.index, str(info.value)) == (code, index, message)
+
+    def test_midpoints_between_doubles_round_like_json(self, rng):
+        # exact ties round to even; one unit in the 40th digit decides them
+        parts = rng.uniform(1, 2, 300) * 2.0 ** rng.integers(-1074, 1024, 300)
+        special = [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.0, 0.1, 2.0**53, 1e308]
+        values = [s for x in [*special, *parts.tolist()] for s in midpoint_strings(x)]
+        self.check_values(doc_of(values))
+
+    def test_random_17_digit_and_repr_numbers_round_like_json(self, rng):
+        # uniform over the bit patterns of positive finite doubles, subnormals included
+        x = rng.integers(1, 0x7FF0000000000000, 2000, dtype=np.uint64).view(np.float64).tolist()
+        self.check_values(doc_of([f"{v:.17g}" for v in x] + [repr(v) for v in x]))
+
+    def test_integers_past_64_bits_round_like_json(self, rng):
+        # orjson reads an integer past 64 bits as a double, json as an int
+        values = []
+        for e in range(64, 71):
+            mantissa = int(rng.integers(2**52, 2**53))
+            ulp = 2 ** (e - 52)
+            tie = mantissa * ulp + ulp // 2
+            values += [str(2**e), str(2**e - 1), str(2**e + 1), str(tie), str(tie - 1), str(tie + 1)]
+        largest = 2**1024 - 2**970  # ties to 2**1024, beyond double range
+        values += [str(largest - 1), str(2**1023 + 1)]
+        self.check_values(doc_of(values))
+
+    @pytest.mark.parametrize("value", [str(2**1024), str(2**1024 - 2**970)])
+    def test_integer_beyond_double_range_is_json_s_error(self, value):
+        assert orjson_route(entries_doc(f"[1,0],[0,{value}],[0,0]")) is None
+        self.check_error(
+            entries_doc(f"[1,0],[0,{value}],[0,0]"),
+            "non-finite", 1, "non-finite at index 1: entry has an integer beyond double range",
+        )
+
+    def test_a_64_bit_overflowing_dimension_is_a_length_mismatch(self):
+        text = '{"row_dims": [%d], "col_dims": [1], "entries": [[1,0]]}' % 2**64
+        assert orjson_route(text) is None
+        self.check_error(
+            text, "length-mismatch", 1,
+            f"length-mismatch at index 1: shape {2**64}:1 needs {2**64} entries, got 1",
+        )
+
+    @pytest.mark.parametrize("note", [r'"\ud800"', '"\ud800"'])
+    def test_a_lone_surrogate_in_an_extra_key_is_accepted(self, note):
+        # orjson refuses it (escaped or raw), json reads it, and no check looks at the key
+        text = '{"row_dims": [1], "col_dims": [1], "entries": [[1.5,-2]], "note": %s}' % note
+        assert orjson_route(text) is None
+        assert parse_tensor_file(text).entries.tolist() == [1.5 - 2j]
+
+    def test_a_utf8_bom_is_json_s_error(self, tmp_path):
+        text = "﻿" + entries_doc("[1,0],[0,1],[0,0]")
+        with pytest.raises(json.JSONDecodeError) as ref:
+            json.loads(text)
+        message = f"malformed-json at index 0: {ref.value.msg}"
+        self.check_error(text, "malformed-json", 0, message)
+        path = tmp_path / "bom.json"
+        path.write_bytes(text.encode("utf-8"))
+        self.check_error(path, "malformed-json", 0, message)
+
+    def test_duplicate_keys_keep_the_last_value(self):
+        text = (
+            '{"row_dims": [2], "col_dims": [1], "entries": [[9,9],[9,9]], '
+            '"row_dims": [1], "entries": [[0.25,-0.5]], "col_dims": [1]}'
+        )
+        self.check_values(text)
+        assert parse_tensor_file(text).shape == ModeShape((1,), (1,))
+
+    def test_a_long_integer_in_an_extra_key_is_accepted(self):
+        # json reads it through the int-or-float hook; orjson refuses it as infinite
+        text = '{"row_dims": [1], "col_dims": [1], "entries": [[1,2]], "note": %s}' % LONG
+        assert orjson_route(text) is None
+        assert parse_tensor_file(text).entries.tolist() == [1 + 2j]
+
+    def test_deep_nesting_is_malformed_json(self, tmp_path, capsys):
+        # json's decoder once let a RecursionError escape as a traceback
+        text = '{"row_dims":[1],"col_dims":[1],"entries":' + "[" * DEEP + "]" * DEEP + "}"
+        self.check_error(text, "malformed-json", None, "malformed-json: document nests too deeply to read")
+        src = tmp_path / "deep.json"
+        src.write_text(text)
+        assert run_command(["trace", "--in", str(src)]) == 1
+        assert capsys.readouterr().err == "error: malformed-json: document nests too deeply to read\n"
+
+    def test_deep_nesting_under_an_unread_key_is_accepted(self):
+        # orjson has no depth limit, and no check reads the key
+        text = '{"row_dims":[1],"col_dims":[1],"entries":[[3,4]],"note":' + "[" * DEEP + "]" * DEEP + "}"
+        assert parse_tensor_file(text).entries.tolist() == [3 + 4j]
+
+    def test_a_file_is_read_as_text_mode_would_read_it(self, tmp_path):
+        # the json route sees translated newlines, so error positions match a text-mode read
+        path = tmp_path / "crlf.json"
+        path.write_bytes(b'{"row_dims": [1],\r\n"col_dims": [1],\r\r\n"entries": [[1,0]\r\n')
+        with pytest.raises(json.JSONDecodeError) as ref:
+            json.loads(path.read_text(encoding="utf-8"))
+        self.check_error(path, "malformed-json", ref.value.pos, f"malformed-json at index {ref.value.pos}: {ref.value.msg}")
+        path.write_bytes(b'{"row_dims": [1],\r\n"col_dims": [1],\r\n"entries": [[1.25,0]]}\r\n')
+        assert parse_tensor_file(path).entries.tolist() == [1.25]
+
+    def test_undecodable_bytes_raise_like_a_text_mode_read(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"row_dims": [1], "col_dims": [1], "entries": [[1,0]], "note": "\xe9"}')
+        with pytest.raises(UnicodeDecodeError) as ref:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(UnicodeDecodeError) as got:
+            parse_tensor_file(path)
+        assert str(got.value) == str(ref.value)
+        assert run_command(["trace", "--in", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {ref.value}\n"
+
+    def test_the_tensor_owns_a_read_only_c_contiguous_matrix(self, rng):
+        t = parse_tensor_file(format_tensor(awkward_tensor(rng, ModeShape((2, 3), (4,)))))
+        assert t._mat.shape == (6, 4) and t._mat.dtype == np.complex128
+        assert t._mat.flags.c_contiguous and not t._mat.flags.writeable
+
+    def test_importing_the_package_does_not_load_orjson(self):
+        code = (
+            "import sys, tenrol, tenrol.cli; loaded = 'orjson' in sys.modules; "
+            "tenrol.cli.parse_tensor_file('{\"row_dims\": [1], \"col_dims\": [1], \"entries\": [[1,0]]}'); "
+            "print(loaded, 'orjson' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
 
 class TestCommands:

@@ -81,6 +81,25 @@ class TestModeShape:
         assert s.row_count == 1
         assert s.col_count == 2
 
+    def test_counts_are_stored_once_on_every_route(self, monkeypatch):
+        # both constructors compute the counts; a read does not recompute them
+        built = [ModeShape((2, 3), (4, 5)), ModeShape._of((2, 3), (4, 5)), ModeShape((2, 3), (4, 5)).transposed]
+        monkeypatch.setattr(core.math, "prod", lambda dims: pytest.fail("count recomputed"))
+        assert [(s.row_count, s.col_count) for s in built] == [(6, 20), (6, 20), (20, 6)]
+
+    def test_counts_stay_out_of_equality_hash_and_repr(self):
+        s = ModeShape((2, 3), (4,))
+        assert repr(s) == "ModeShape(row_dims=(2, 3), col_dims=(4,))"
+        assert s == ModeShape._of((2, 3), (4,))
+        assert hash(s) == hash(((2, 3), (4,)))
+        assert ModeShape.__match_args__ == ("row_dims", "col_dims")
+        with pytest.raises(AttributeError):
+            s.row_count = 7
+
+    def test_post_init_is_the_class_s_own(self):
+        # the benchmark's tracer counts constructions by wrapping it in the class dict
+        assert "__post_init__" in vars(ModeShape)
+
 
 class TestNumericPolicy:
     def test_defaults(self):

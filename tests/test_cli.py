@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import decimal
+import gc
 import io
 import json
 import math
@@ -16,8 +17,10 @@ from numpy.testing import assert_allclose
 
 import golden
 from tenrol import DenseTensor, ModeShape, as_tensor, diagonal_from, identity, zeros
+import tenrol.cli
 from tenrol.cli import (
     TensorFormatError,
+    _binade,
     _build_parser,
     _fmt17,
     _tensor_of,
@@ -140,6 +143,95 @@ class TestCodecMatchesReference:
             parse_tensor_file(text)
         assert (got.value.code, got.value.index, str(got.value)) == (
             ref.value.code, ref.value.index, str(ref.value),
+        )
+
+
+def tensor_of_parts(parts) -> DenseTensor:
+    """A one-column tensor whose real and imaginary parts, in turn, are ``parts`` (0.0 pads an odd count)."""
+    parts = np.asarray(parts, dtype=np.float64)
+    if parts.size % 2:
+        parts = np.append(parts, 0.0)
+    return DenseTensor(ModeShape((parts.size // 2,), (1,)), parts.view(np.complex128))
+
+
+def with_neighbours(values) -> np.ndarray:
+    """``values``, their negatives, and the doubles one ulp either side of each."""
+    values = np.asarray(values, dtype=np.float64)
+    values = np.concatenate([values, -values])
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+class TestWriterMatchesReference:
+    """The array-built text of format_tensor is byte-equal to the per-value '%.17g' of reference_format."""
+
+    def check(self, parts) -> None:
+        t = tensor_of_parts(parts)
+        got, want = format_tensor(t), reference_format(t)
+        if got != want:
+            differing = [(g, w) for g, w in zip(got.split(","), want.split(",")) if g != w]
+            pytest.fail(f"first differing fields (written, reference): {differing[:5]}")
+
+    def test_random_bit_patterns(self, rng):
+        parts = rng.integers(0, 2**64, 1_000_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        # random subnormals besides the ~1 in 2,048 patterns that are subnormal
+        subnormals = rng.integers(1, 2**52, 20_000, dtype=np.uint64) | (rng.integers(0, 2, 20_000, dtype=np.uint64) << 63)
+        parts = np.concatenate([parts[np.isfinite(parts)], subnormals.view(np.float64)])
+        assert parts.size > 1_000_000
+        self.check(parts)
+
+    def test_every_power_of_two(self):
+        self.check(with_neighbours([2.0**k for k in range(-1074, 1024)]))
+
+    def test_every_power_of_ten_and_its_neighbours(self):
+        self.check(with_neighbours([float(f"1e{k}") for k in range(-323, 309)]))
+
+    def test_style_boundaries(self):
+        # %g switches from fixed to exponent notation below 1e-4 and from 1e17
+        self.check(with_neighbours([1e-5, 1e-4, 1e16, 1e17]))
+
+    def test_both_sides_of_every_binade_s_exponent_threshold(self):
+        # from the threshold on, the 17 digits at the binade's lower exponent round up to 10**17
+        thresholds = [_binade(e)[0] for e in range(-1073, 1025)]
+        self.check(with_neighbours([x for x in thresholds if math.isfinite(x)]))
+
+    def test_integers_up_to_2_53(self, rng):
+        integers = rng.integers(0, 2**53, 100_000, endpoint=True).astype(np.float64)
+        exact = [0, 1, 9, 10, 99, 100, 10**15, 10**16 - 1, 10**16, 2**53 - 1, 2**53]
+        self.check(np.concatenate([integers, -integers, exact, np.arange(10_000)]))
+
+    def test_signed_zeros_and_extremes(self):
+        parts = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        self.check(parts)
+        assert '"entries":[[0,-0.0],[4.9406564584124654e-324,-4.9406564584124654e-324],' in format_tensor(
+            tensor_of_parts(parts)
+        )
+
+    @pytest.fixture
+    def per_value_calls(self, monkeypatch) -> list:
+        """The values format_tensor hands to _fmt17, in order."""
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return _fmt17(x)
+
+        monkeypatch.setattr(tenrol.cli, "_fmt17", spy)
+        return calls
+
+    def test_a_tie_takes_the_per_value_route(self, per_value_calls):
+        # 2**-25 = 2.98023223876953125e-08 has 18 digits, so its 17th is an exact tie
+        text = format_tensor(tensor_of_parts([2.0**-25, 1.5]))
+        assert per_value_calls == [2.0**-25]
+        assert '"entries":[[2.9802322387695312e-08,1.5]]' in text
+
+    def test_exact_ties_round_half_to_even(self, rng, per_value_calls):
+        # k + 1/4 and k + 3/4 with 16 integer digits: the 17th digit is a tie
+        whole = rng.integers(10**15, 2**50, 1_000).astype(np.float64)
+        ties = np.concatenate([whole + 0.25, whole + 0.75, -(whole + 0.25)])
+        self.check(ties)
+        assert sorted(per_value_calls) == sorted(ties.tolist())
+        assert '"entries":[[1000000000000000.2,1000000000000000.8]]' in format_tensor(
+            tensor_of_parts([1e15 + 0.25, 1e15 + 0.75])
         )
 
 
@@ -432,13 +524,74 @@ class TestOrjsonRoute:
 
     def test_importing_the_package_does_not_load_orjson(self):
         code = (
-            "import sys, tenrol, tenrol.cli; loaded = 'orjson' in sys.modules; "
+            "import json, sys, tenrol; before = set(sys.modules); import tenrol.cli; imported = set(sys.modules); "
+            "tenrol.cli.format_tensor(tenrol.identity((2,))); formatted = set(sys.modules); "
             "tenrol.cli.parse_tensor_file('{\"row_dims\": [1], \"col_dims\": [1], \"entries\": [[1,0]]}'); "
-            "print(loaded, 'orjson' in sys.modules)"
+            "print(json.dumps({'added': sorted(imported - before - set(sys.builtin_module_names)), "
+            "'by_format': sorted(formatted - imported), 'orjson': ['orjson' in m for m in (imported, formatted, sys.modules)]}))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+        got = json.loads(proc.stdout)
+        assert got["orjson"] == [False, False, True]
+        # import tenrol.cli adds argparse's and json's modules and no other: a
+        # module compiled into the interpreter (gc) reads no file, so it does
+        # not count.  The writer's first use imports nothing.
+        assert set(got["added"]) <= {
+            "_json", "argparse", "gettext", "json", "json.decoder", "json.encoder", "json.scanner", "tenrol.cli",
+        }
+        assert got["by_format"] == []
+
+
+class TestGcPause:
+    """parse_tensor_file keeps the cyclic GC off while a document is alive, and leaves the caller's state."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_a_parse_leaves_the_state(self, gc_state, data_dir):
+        parse_tensor_file(data_dir / "identity_2x2.json")
+        assert gc.isenabled() is gc_state
+
+    def test_a_format_error_leaves_the_state(self, gc_state):
+        with pytest.raises(TensorFormatError):
+            parse_tensor_file(entries_doc("[1,0],[true,0],[0,0]"))
+        assert gc.isenabled() is gc_state
+
+    def test_an_undecodable_file_leaves_the_state(self, gc_state, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_bytes(b'{"row_dims": [1], "col_dims": [1], "entries": [[1, 0]], "x": "\xff"}')
+        with pytest.raises(UnicodeDecodeError):
+            parse_tensor_file(path)
+        assert gc.isenabled() is gc_state
+
+    def test_an_os_error_leaves_the_state(self, gc_state, tmp_path):
+        with pytest.raises(OSError):
+            parse_tensor_file(tmp_path / "missing.json")
+        assert gc.isenabled() is gc_state
+
+    def test_the_gc_is_off_while_either_reader_runs(self, gc_state, monkeypatch):
+        import orjson
+
+        seen = []
+
+        def watched(loads):
+            def call(*args, **kwargs):
+                seen.append(gc.isenabled())
+                return loads(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(orjson, "loads", watched(orjson.loads))
+        monkeypatch.setattr(json, "loads", watched(json.loads))
+        parse_tensor_file(entries_doc("[1,0],[0,0],[0,1]"))
+        # orjson refuses a lone surrogate, so json reads this one
+        parse_tensor_file('{"x": "\\ud800", "row_dims": [1], "col_dims": [1], "entries": [[1, 0]]}')
+        assert seen == [False, False, False]
+        assert gc.isenabled() is gc_state
 
 
 class TestCommands:

@@ -59,7 +59,7 @@ from .core import (
     identity,
     rel_residual,
 )
-from .mpinv import pinv
+from .mpinv import _ReciprocalOverflow, pinv
 from .unfold import dematricize
 
 __all__ = [
@@ -166,7 +166,9 @@ def rol_report(
         If ``a @ b`` overflows to a non-finite entry, or a residual is
         non-finite because an intermediate product overflowed (either
         message names the lowest such pair of a sequence), or the sequences
-        differ in length.
+        differ in length.  A pseudoinverse whose kept singular value has
+        no finite reciprocal raises naming its operand, such as "in
+        pinv(b)", and in a sequence its pair ("in pinv(b) of pair 2").
     TypeError
         If one of ``a`` and ``b`` is a tensor and the other a sequence.
     """
@@ -178,7 +180,7 @@ def rol_report(
         ab = einstein_product(a, b)
         if not np.isfinite(ab._mat).all():
             raise ValueError("non-finite entry in a @ b: the product overflowed")
-        return RolReport(*_residuals(a, b, *pinv((a, b, ab), policy)), tol=policy.eq_tol)._checked()
+        return RolReport(*_residuals(a, b, *_named_pinv((a, b, ab), policy)), tol=policy.eq_tol)._checked()
     as_, bs = tuple(a), tuple(b)
     if len(as_) != len(bs):
         raise ValueError(f"rol_report got {len(as_)} left factors and {len(bs)} right factors")
@@ -203,7 +205,7 @@ def rol_report(
             abs_[i] = DenseTensor._from_owned(sab.shape, m)
     if bad < n:
         raise ValueError(f"non-finite entry in a @ b of pair {bad}: the product overflowed")
-    inv = pinv(as_ + bs + tuple(abs_), policy)
+    inv = _named_pinv(as_ + bs + tuple(abs_), policy, n)
     rows: list = [None] * n
     for idx, (sa, sb) in zip(groups.values(), stacks):
         pinvs = (_stack([inv[k * n + i] for i in idx]) for k in range(3))
@@ -215,6 +217,16 @@ def rol_report(
     if bad < n:  # raises, naming the first non-finite residual of that pair
         RolReport(*rows[bad], tol=policy.eq_tol)._checked(f" of pair {bad}")
     return tuple(RolReport(*row, tol=policy.eq_tol) for row in rows)
+
+
+def _named_pinv(ts: tuple, policy: NumericPolicy, n: int | None = None) -> tuple[DenseTensor, ...]:
+    """``pinv(ts)`` for ``ts = as_ + bs + abs_``; an overflow names its operand, and its pair of a sequence of ``n``."""
+    try:
+        return pinv(ts, policy)
+    except _ReciprocalOverflow as e:
+        k, i = divmod(e.index, n or 1)
+        where = ("pinv(a)", "pinv(b)", "pinv(a @ b)")[k] + ("" if n is None else f" of pair {i}")
+        raise _ReciprocalOverflow(e.value, e.index, where) from None
 
 
 def _residuals(

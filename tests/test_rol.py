@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -420,6 +421,27 @@ class TestRolReportBatch:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as batch:
             rol_report([as_[0], as_[1], big_a], [bs[0], bs[1], big_b])
         assert "non-finite residual in absorb_left of pair 2" in str(batch.value)
+
+    @pytest.mark.parametrize(
+        "operand, scale_a, scale_b",
+        [("pinv(a)", 1e-310, 1.0), ("pinv(b)", 1.0, 1e-310), ("pinv(a @ b)", 1e-160, 1e-160)],
+        ids=["a", "b", "ab"],
+    )
+    def test_overflowing_pinv_names_its_operand(self, operand, scale_a, scale_b):
+        # the singular values of 1e-310 * M, and of 1e-160 * M times 1e-160 * M,
+        # are subnormal, so their reciprocals overflow; the message once named
+        # the operand's index in pinv's internal tuple ("in tensor 5")
+        a, b = scaled_pair(1.0)
+        x, y = scale_a * a, scale_b * b
+        with pytest.raises(ValueError, match=r"^pinv overflows: smallest kept singular value") as single:
+            rol_report(x, y)
+        assert str(single.value).endswith(f"has no finite reciprocal in {operand}")
+        as_, bs = self.pool(SQ22, 3)
+        with pytest.raises(ValueError, match=r"^pinv overflows: smallest kept singular value") as batch:
+            rol_report([as_[0], as_[1], x], [bs[0], bs[1], y])
+        assert str(batch.value).endswith(f"has no finite reciprocal in {operand} of pair 2")
+        with pytest.raises(ValueError, match=f"in {re.escape(operand)} of pair 0$"):
+            rol_report([x], [y])
 
     def test_interleaved_shapes_equal_per_pair_reports(self):
         # 2x2:2x2 and 4:2x2 factors share their 4x4 matricizations, so pinv

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -55,20 +56,121 @@ def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ModeShape:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass declares its fields as annotations in its class body, in
+    order, and a default as the annotated value; they follow the fields of
+    its bases.  ``__init_subclass__`` reads them once into ``_fields`` and
+    gives the class, unless its body defines them itself:
+
+    * ``__init__``, which binds positional, keyword and default arguments
+      like a function of the fields, raises ``TypeError`` for a missing,
+      repeated or unexpected one, and then calls ``__post_init__`` if the
+      class has one;
+    * ``__eq__``, true only between records of one class with equal fields
+      (a record is never equal to a tuple);
+    * ``__hash__``, the hash of the tuple of the fields;
+    * ``__match_args__``, the field names.
+
+    ``__repr__`` gives ``Name(field=value, ...)``, and assignment and
+    deletion raise ``AttributeError``.  The fields live in the instance
+    ``__dict__``, where pickle and copy restore them.  These are the
+    semantics of ``@dataclass(frozen=True)``, built from the field tuple with
+    ``operator.attrgetter`` and ``map`` instead of generated source, so a
+    class costs no compile.  A record is not a dataclass: ``as_dict()``
+    and ``residuals`` of a report take the place of ``dataclasses.asdict``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        fields = cls._fields + tuple(name for name in own if name not in cls._fields)
+        defaults = {**cls._defaults, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        cls._fields, cls._defaults = fields, defaults
+        methods = {"__match_args__": fields, **_record_methods(cls, fields, defaults)}
+        for name, value in methods.items():
+            if name not in cls.__dict__:
+                setattr(cls, name, value)
+
+    def __repr__(self) -> str:
+        values = map(getattr, repeat(self), self._fields)
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, values))})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record_methods(cls: type, fields: tuple[str, ...], defaults: dict[str, object]) -> dict:
+    """``__init__``, ``__eq__`` and ``__hash__`` of a record class with these fields (see ``_Record``)."""
+    n = len(fields)
+    known = frozenset(fields)
+    key = attrgetter(*fields) if n > 1 else lambda rec: tuple(getattr(rec, name) for name in fields)
+    post_init = hasattr(cls, "__post_init__")
+    setter = object.__setattr__
+    where = f"{cls.__qualname__}.__init__()"
+
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        """The field values in field order, from arguments other than one per field in field order."""
+        if len(args) > n:
+            raise TypeError(f"{where} takes {n + 1} positional arguments but {len(args) + 1} were given")
+        values = dict(zip(fields, args))
+        values.update(kwargs)
+        if len(values) < len(args) + len(kwargs):
+            repeated = next(name for name in kwargs if name in fields[: len(args)])
+            raise TypeError(f"{where} got multiple values for argument {repeated!r}")
+        if not known.issuperset(kwargs):
+            unexpected = next(name for name in kwargs if name not in known)
+            raise TypeError(f"{where} got an unexpected keyword argument {unexpected!r}")
+        if len(values) < n:
+            values = {**defaults, **values}
+            missing = [name for name in fields if name not in values]
+            if missing:
+                raise TypeError(f"{where} missing required arguments: {', '.join(map(repr, missing))}")
+        return tuple(map(values.__getitem__, fields))
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs:
+            # keywords in field order after the positional arguments, as the
+            # report builders pass them, bind without a dict
+            args = (*args, *kwargs.values()) if tuple(kwargs) == fields[len(args) :] else bind(args, kwargs)
+        if len(args) != n:
+            args = bind(args, {})
+        # object.__setattr__ keeps the fields in the instance's inline values,
+        # where attribute reads are fastest; any() only drives the map
+        any(map(setter, repeat(self), fields, args))
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(key(self))
+
+    return {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__}
+
+
+class ModeShape(_Record):
     """Row and column mode sizes of a dense tensor.
 
     Either tuple may be empty, in which case that side behaves like a
     scalar index (one flat position).  ``row_count`` and ``col_count``,
     the numbers of flat row and column positions, are computed once on
-    construction; they take no part in equality, hashing or the repr.
+    construction; they are not fields, so they take no part in equality,
+    hashing or the repr.
     """
 
     row_dims: tuple[int, ...]
     col_dims: tuple[int, ...]
-    row_count: int = field(init=False, repr=False, compare=False)
-    col_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._set_dims(_as_dims(self.row_dims), _as_dims(self.col_dims))
@@ -111,8 +213,7 @@ class ModeShape:
         return f"{rows}:{cols}"
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
+class NumericPolicy(_Record):
     """Tolerances shared by every approximate comparison.
 
     Attributes
@@ -431,8 +532,7 @@ def _refuse_non_finite(residuals: dict[str, float | None], where: str = "") -> N
 _Report = TypeVar("_Report", bound="_ResidualReport")
 
 
-@dataclass(frozen=True)
-class _ResidualReport:
+class _ResidualReport(_Record):
     """Base of every residual report of the package.
 
     Every field of a report before ``tol`` is a residual under the shared
@@ -444,15 +544,16 @@ class _ResidualReport:
     ``_checked``, and ``max_residual`` never sees a NaN.
     """
 
-    @classmethod
-    @functools.cache
-    def _residual_names(cls) -> tuple[str, ...]:
-        names = [f.name for f in fields(cls)]
-        return tuple(names[: names.index("tol")])
+    _residual_names = ()  # unannotated, so not a field; each report sets its own
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields
+        cls._residual_names = fields[: fields.index("tol")] if "tol" in fields else ()
 
     @property
     def residuals(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self._residual_names()}
+        return {name: getattr(self, name) for name in self._residual_names}
 
     @property
     def booleans(self) -> dict[str, bool]:
@@ -477,8 +578,7 @@ def approx_equal(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = 
     return rel_residual(a, b) <= policy.eq_tol
 
 
-@dataclass(frozen=True)
-class StructuralFlags:
+class StructuralFlags(_Record):
     """Structural classification of a tensor at a given tolerance.
 
     ``hermitian``, ``skew_hermitian``, ``unitary``, ``idempotent`` and

@@ -11,7 +11,6 @@ one stacked SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ from .core import (
     ShapeMismatchError,
     _chain,
     _refuse_non_finite,
+    _Record,
     _ResidualReport,
     _zero_residual,
     conj_transpose,
@@ -69,8 +69,7 @@ class NotIdempotentError(ValueError):
         super().__init__(f"tensor is not idempotent (residual {residual:.3e})")
 
 
-@dataclass(frozen=True)
-class SvdFactors:
+class SvdFactors(_Record):
     """Factors of a tensor SVD ``A = u @ d @ v.H``.
 
     ``u`` has split I x I, ``d`` is diagonal with split I x J and ``v``
@@ -89,7 +88,6 @@ class SvdFactors:
         return np.real(mat[np.arange(k), np.arange(k)])
 
 
-@dataclass(frozen=True)
 class PenroseResiduals(_ResidualReport):
     """Relative residuals of the four Penrose equations for a pair (A, X), at ``DEFAULT_POLICY.eq_tol``."""
 
@@ -234,7 +232,6 @@ def penrose_residuals(a: DenseTensor, x: DenseTensor) -> PenroseResiduals:
     )._checked()
 
 
-@dataclass(frozen=True)
 class IdentitySuiteReport(_ResidualReport):
     """Residuals of the pseudoinverse identities for a single tensor.
 

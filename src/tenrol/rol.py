@@ -36,7 +36,6 @@ so each report equals the one for its pair alone bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +47,7 @@ from .core import (
     NumericPolicy,
     ShapeMismatchError,
     _chain,
+    _Record,
     _ResidualReport,
     _stack,
     _unitary_residual,
@@ -77,7 +77,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class RolReport(_ResidualReport):
     """Residuals of every reverse-order-law characterization for one pair."""
 
@@ -299,7 +298,6 @@ def sandwich_pinv(
     return _chain(conj_transpose(c), pinv(a, policy), conj_transpose(b))
 
 
-@dataclass(frozen=True)
 class ZeroEquivalenceReport(_ResidualReport):
     """Residuals of the three equivalent zero conditions for a pair (B, A).
 
@@ -349,7 +347,6 @@ def zero_equivalence(
     )._checked()
 
 
-@dataclass(frozen=True)
 class ProjectorCommuteReport(_ResidualReport):
     """Residuals of the projector commutation identities for a pair (A, B).
 
@@ -475,8 +472,7 @@ FUZZ_FAMILIES: tuple[str, ...] = (
 _FUZZ_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class FuzzSummary:
+class FuzzSummary(_Record):
     """Order-independent summary of a fuzz run.
 
     ``violations`` counts pairs whose characterization groups disagreed

@@ -533,6 +533,34 @@ class TestOrjsonRoute:
         assert "orjson" in got["by_format"]
         assert set(got["by_format"]) <= set(json.loads(own.stdout))
 
+    def test_importing_the_package_does_not_load_dataclasses(self):
+        code = "import sys, tenrol; print('dataclasses' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_tenrol_rol_loads_the_package_and_the_modules_of_what_it_uses(self, data_dir):
+        # -X importtime names every module a process imports; one compiled
+        # into the interpreter (gc) reads no file, so it does not count
+        def imported(*argv: str) -> tuple[int, set[str]]:
+            proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=120)
+            names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+            return proc.returncode, names - {"imported package"} - set(sys.builtin_module_names)
+
+        code, by_rol = imported(
+            "-m", "tenrol.cli", "rol",
+            "--a", str(data_dir / "rol_counterexample_a.json"), "--b", str(data_dir / "rol_counterexample_b.json"),
+        )
+        assert code == 3  # the law fails on the counterexample
+        # what `python -m` loads, numpy, and argparse (parsing), json and orjson in use
+        code, baseline = imported(
+            "-c", "import runpy, numpy, json, orjson, argparse; argparse.ArgumentParser().parse_args([])"
+        )
+        assert code == 0
+        package = {"tenrol", "tenrol._jacobi_py", "tenrol.core", "tenrol.mpinv", "tenrol.rol", "tenrol.unfold"}
+        # __future__ is what the modules' `from __future__ import annotations` loads
+        assert by_rol - baseline == package | {"__future__"}
+
 
 class TestGcPause:
     """parse_tensor_file keeps the cyclic GC off while a document is alive, and leaves the caller's state."""

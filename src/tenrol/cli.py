@@ -158,16 +158,9 @@ def _int_or_float(text: str) -> int | float:
 
 
 def _json_document(text: str) -> Any:
-    """``json.loads(text)``; a text it cannot read is ``malformed-json``."""
+    """``json.loads(text)``, huge integers read as floats; a text it cannot read is ``malformed-json``."""
     try:
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            raise
-        except ValueError:
-            # only int()'s digit limit raises a plain ValueError; the hook stays
-            # off the first pass, where it would double the cost of integers
-            return json.loads(text, parse_int=_int_or_float)
+        return json.loads(text, parse_int=_int_or_float)
     except json.JSONDecodeError as exc:
         raise TensorFormatError("malformed-json", exc.pos, exc.msg) from exc
     except RecursionError:

@@ -306,6 +306,10 @@ class DenseTensor:
     def __setattr__(self, name, value):
         raise AttributeError("DenseTensor is immutable")
 
+    def __reduce__(self):
+        # the default restore of __slots__ would go through __setattr__
+        return DenseTensor, (self.shape, self._mat)
+
     @property
     def array(self) -> np.ndarray:
         """Read-only view of the stored matrix, shaped ``row_dims + col_dims``."""
@@ -541,10 +545,13 @@ class _ResidualReport(_Record):
     legitimately differ across conditions, so equivalence is judged on
     booleans, never on residual values.  A NaN or infinite residual would
     read as a failed check, so every builder refuses one through
-    ``_checked``, and ``max_residual`` never sees a NaN.
+    ``_checked``, and ``max_residual`` never sees a NaN.  ``as_dict`` gives
+    ``tol``, ``residuals`` and ``booleans``, then the properties a report
+    class names in ``_derived``.
     """
 
     _residual_names = ()  # unannotated, so not a field; each report sets its own
+    _derived = ()  # unannotated too: the properties as_dict appends, in order
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -564,7 +571,8 @@ class _ResidualReport(_Record):
         return max(self.residuals.values())
 
     def as_dict(self) -> dict:
-        return {"tol": self.tol, "residuals": self.residuals, "booleans": self.booleans}
+        derived = {name: getattr(self, name) for name in self._derived}
+        return {"tol": self.tol, "residuals": self.residuals, "booleans": self.booleans, **derived}
 
     def _checked(self: _Report, where: str = "") -> _Report:
         """``self``, or ``ValueError`` naming the first non-finite residual."""

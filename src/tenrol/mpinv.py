@@ -155,9 +155,8 @@ def pinv(
         a sequence, a tuple of them in the same order.
     """
     policy = policy or DEFAULT_POLICY
-    if isinstance(a, DenseTensor):
-        return dematricize(_pinv_matrix(matricize(a), policy.rank_tol), a.shape.transposed)
-    ts = tuple(a)
+    single = isinstance(a, DenseTensor)
+    ts = (a,) if single else tuple(a)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, t in enumerate(ts):
         groups.setdefault((t.shape.row_count, t.shape.col_count), []).append(i)
@@ -171,15 +170,15 @@ def pinv(
                 xs = _pinv_matrix(np.stack(mats), policy.rank_tol)
         except _ReciprocalOverflow as e:
             i = idx[e.index]
-            raise _ReciprocalOverflow(e.value, i, f"tensor {i}") from None
+            raise _ReciprocalOverflow(e.value, i, "" if single else f"tensor {i}") from None
         finite = np.isfinite(xs)
         if not finite.all():  # a product of finite factors overflowed; name the entry and its tensor
             row, entry = divmod(int(np.flatnonzero(~finite)[0]), xs[0].size)
-            raise ValueError(f"non-finite entry at flat index {entry} in tensor {idx[row]}")
+            raise ValueError(f"non-finite entry at flat index {entry}" + ("" if single else f" in tensor {idx[row]}"))
         # each row of the fresh stack is a C-contiguous matrix no caller holds
         for i, x in zip(idx, xs):
             out[i] = DenseTensor._from_owned(ts[i].shape.transposed, x)
-    return tuple(out)
+    return out[0] if single else tuple(out)
 
 
 class _ReciprocalOverflow(ValueError):
@@ -192,6 +191,19 @@ class _ReciprocalOverflow(ValueError):
         super().__init__(
             f"pinv overflows: smallest kept singular value {value:.3e} has no finite reciprocal{where}"
         )
+
+
+def _named_pinv(ts: tuple, names: tuple, policy: NumericPolicy, pairs: int | None = None) -> tuple:
+    """``pinv(ts)`` for the operands ``names``, one tensor each or, for a sequence, ``pairs`` each.
+
+    An overflow names its operand, "in pinv(b)", and in a sequence its pair, "in pinv(b) of pair 2".
+    """
+    try:
+        return pinv(ts, policy)
+    except _ReciprocalOverflow as e:
+        k, i = divmod(e.index, pairs or 1)
+        where = f"pinv({names[k]})" + ("" if pairs is None else f" of pair {i}")
+        raise _ReciprocalOverflow(e.value, e.index, where) from None
 
 
 def _pinv_matrix(mat: np.ndarray, rank_tol: float) -> np.ndarray:
@@ -288,16 +300,15 @@ def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> Ident
     from one :func:`pinv` call.
 
     Raises ``ValueError`` naming the first non-finite residual (``normal``
-    and ``ep`` after the identities) if an intermediate product overflowed.
+    and ``ep`` after the identities) if an intermediate product overflowed,
+    and naming the pseudoinverse, such as "in pinv(A.H @ A)", if a kept
+    singular value has no finite reciprocal.
     """
     policy = policy or DEFAULT_POLICY
     ah = conj_transpose(a)
     gram = einstein_product(ah, a)  # A* A, split J x J
     cogram = einstein_product(a, ah)  # A A*, split I x I
-    try:
-        ap, gram_p, cogram_p = pinv((a, gram, cogram), policy)
-    except _ReciprocalOverflow as e:
-        raise _ReciprocalOverflow(e.value, e.index, ("a", "A.H @ A", "A @ A.H")[e.index]) from None
+    ap, gram_p, cogram_p = _named_pinv((a, gram, cogram), ("a", "A.H @ A", "A @ A.H"), policy)
     ahp = conj_transpose(ap)
     ap_a = einstein_product(ap, a)
     return IdentitySuiteReport(

@@ -34,7 +34,7 @@ same core primitives and in the same product order as for a single pair,
 so each report equals the one for its pair alone bit for bit.
 """
 
-from __future__ import annotations
+from __future__ import annotations  # evaluated, the np.random.Generator annotations would import numpy.random
 
 from typing import Callable, Sequence
 
@@ -59,7 +59,7 @@ from .core import (
     identity,
     rel_residual,
 )
-from .mpinv import _ReciprocalOverflow, pinv
+from .mpinv import _named_pinv, pinv
 from .unfold import dematricize
 
 __all__ = [
@@ -79,6 +79,8 @@ __all__ = [
 
 class RolReport(_ResidualReport):
     """Residuals of every reverse-order-law characterization for one pair."""
+
+    _derived = ("groups", "holds", "consistent", "implication_ok")
 
     direct: float
     absorb_left: float
@@ -130,15 +132,6 @@ class RolReport(_ResidualReport):
         """True unless the one-way implication direct => commute is violated."""
         return (not self.holds) or self.commute <= self.tol
 
-    def as_dict(self) -> dict:
-        return {
-            **super().as_dict(),
-            "groups": self.groups,
-            "holds": self.holds,
-            "consistent": self.consistent,
-            "implication_ok": self.implication_ok,
-        }
-
 
 def rol_report(
     a: DenseTensor | Sequence[DenseTensor],
@@ -179,7 +172,7 @@ def rol_report(
         ab = einstein_product(a, b)
         if not np.isfinite(ab._mat).all():
             raise ValueError("non-finite entry in a @ b: the product overflowed")
-        return RolReport(*_residuals(a, b, *_named_pinv((a, b, ab), policy)), tol=policy.eq_tol)._checked()
+        return RolReport(*_residuals(a, b, *_named_pinv((a, b, ab), _OPERANDS, policy)), tol=policy.eq_tol)._checked()
     as_, bs = tuple(a), tuple(b)
     if len(as_) != len(bs):
         raise ValueError(f"rol_report got {len(as_)} left factors and {len(bs)} right factors")
@@ -204,7 +197,7 @@ def rol_report(
             abs_[i] = DenseTensor._from_owned(sab.shape, m)
     if bad < n:
         raise ValueError(f"non-finite entry in a @ b of pair {bad}: the product overflowed")
-    inv = _named_pinv(as_ + bs + tuple(abs_), policy, n)
+    inv = _named_pinv(as_ + bs + tuple(abs_), _OPERANDS, policy, n)
     rows: list = [None] * n
     for idx, (sa, sb) in zip(groups.values(), stacks):
         pinvs = (_stack([inv[k * n + i] for i in idx]) for k in range(3))
@@ -218,14 +211,8 @@ def rol_report(
     return tuple(RolReport(*row, tol=policy.eq_tol) for row in rows)
 
 
-def _named_pinv(ts: tuple, policy: NumericPolicy, n: int | None = None) -> tuple[DenseTensor, ...]:
-    """``pinv(ts)`` for ``ts = as_ + bs + abs_``; an overflow names its operand, and its pair of a sequence of ``n``."""
-    try:
-        return pinv(ts, policy)
-    except _ReciprocalOverflow as e:
-        k, i = divmod(e.index, n or 1)
-        where = ("pinv(a)", "pinv(b)", "pinv(a @ b)")[k] + ("" if n is None else f" of pair {i}")
-        raise _ReciprocalOverflow(e.value, e.index, where) from None
+#: The operands whose pseudoinverses ``rol_report`` takes, in the order it passes them.
+_OPERANDS = ("a", "b", "a @ b")
 
 
 def _residuals(
@@ -306,6 +293,8 @@ class ZeroEquivalenceReport(_ResidualReport):
     that their ``booleans`` agree.
     """
 
+    _derived = ("consistent",)
+
     via_pinv: float
     via_star: float
     via_projector: float
@@ -314,9 +303,6 @@ class ZeroEquivalenceReport(_ResidualReport):
     @property
     def consistent(self) -> bool:
         return len(set(self.booleans.values())) == 1
-
-    def as_dict(self) -> dict:
-        return {**super().as_dict(), "consistent": self.consistent}
 
 
 def zero_equivalence(
@@ -328,14 +314,15 @@ def zero_equivalence(
     ``b @ pinv(a)`` and ``b @ a.H`` conform.
 
     Raises ``ShapeMismatchError`` if the column dims differ, and ``ValueError``
-    naming the first non-finite residual if an intermediate product overflowed.
+    naming the first non-finite residual if an intermediate product overflowed,
+    or "in pinv(a)" if a kept singular value of ``a`` has no finite reciprocal.
     """
     policy = policy or DEFAULT_POLICY
     if b.shape.col_dims != a.shape.col_dims:
         raise ShapeMismatchError(
             f"column dims of {b.shape} must match column dims of {a.shape}"
         )
-    ap = pinv(a, policy)
+    (ap,) = _named_pinv((a,), ("a",), policy)
     ah = conj_transpose(a)
     proj = einstein_product(ap, a)
     bn = frobenius_norm(b)
@@ -356,6 +343,8 @@ class ProjectorCommuteReport(_ResidualReport):
     ``absorb_gram_left`` is equivalent to ``cross_null_left`` and
     ``absorb_gram_right`` to ``cross_null_right``.
     """
+
+    _derived = ("commute_consistent", "pairs_consistent", "consistent")
 
     absorb_proj_left: float
     absorb_proj_right: float
@@ -389,14 +378,6 @@ class ProjectorCommuteReport(_ResidualReport):
     def consistent(self) -> bool:
         return self.commute_consistent and self.pairs_consistent
 
-    def as_dict(self) -> dict:
-        return {
-            **super().as_dict(),
-            "commute_consistent": self.commute_consistent,
-            "pairs_consistent": self.pairs_consistent,
-            "consistent": self.consistent,
-        }
-
 
 def projector_commute_report(
     a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None
@@ -421,7 +402,8 @@ def projector_commute_report(
 
     Raises ``ShapeMismatchError`` unless the splits are I x J and J x I, and
     ``ValueError`` naming the first non-finite residual if an intermediate
-    product overflowed.
+    product overflowed, or the pseudoinverse ("in pinv(a)" or "in pinv(b)")
+    whose kept singular value has no finite reciprocal.
     """
     policy = policy or DEFAULT_POLICY
     if a.shape.col_dims != b.shape.row_dims or b.shape.col_dims != a.shape.row_dims:
@@ -430,7 +412,7 @@ def projector_commute_report(
         )
     ah = conj_transpose(a)
     bh = conj_transpose(b)
-    ap, bp = pinv((a, b), policy)
+    ap, bp = _named_pinv((a, b), ("a", "b"), policy)
     p = einstein_product(ap, a)  # J x J
     q = einstein_product(b, bp)  # J x J
     r = einstein_product(a, ap)  # I x I

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import copy
 import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -146,6 +148,16 @@ class TestDenseTensor:
         t = zeros((2,), (2,))
         with pytest.raises(AttributeError):
             t.shape = ModeShape((3,), (3,))
+
+    def test_pickle_and_copies_keep_the_shape_and_the_bits(self, rng):
+        signed_zeros = as_tensor([-0.0, complex(0.0, -0.0), 1e-310, -2.5j], (2,), (2,))
+        for t in (identity((2,)), golden.random_tensor(rng, golden.SQ22), signed_zeros):
+            for twin in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+                assert type(twin) is DenseTensor and twin.shape == t.shape
+                assert twin._mat.dtype == np.complex128 and twin._mat.tobytes() == t._mat.tobytes()
+                assert not twin._mat.flags.writeable and twin._mat.flags.c_contiguous
+                with pytest.raises(AttributeError):
+                    twin.shape = ModeShape((3,), (3,))
 
     def test_as_tensor_checks_array_shape(self):
         with pytest.raises(ValueError, match="entry count"):

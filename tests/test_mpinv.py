@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -46,6 +49,14 @@ SHAPES = [
 
 
 class TestTsvd:
+    def test_factors_survive_pickle_and_copies(self, rng):
+        f = tsvd(golden.random_tensor(rng, ModeShape((2, 2), (3,))))
+        for twin in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            for name in ("u", "d", "v"):
+                got, want = getattr(twin, name), getattr(f, name)
+                assert got.shape == want.shape
+                assert got._mat.tobytes() == want._mat.tobytes() and not got._mat.flags.writeable
+
     def test_diagonal_singular_values(self):
         a = diagonal_from((2,), (2,), [2.0, 1.0])
         f = tsvd(a)
@@ -302,11 +313,11 @@ class TestIdentitySuite:
         a = 1e-160 * golden.random_tensor(rng, golden.SQ22)
         with pytest.raises(ValueError, match="^pinv overflows: smallest kept singular value") as info:
             identity_suite(a)
-        assert str(info.value).endswith("has no finite reciprocal in A.H @ A")
+        assert str(info.value).endswith("has no finite reciprocal in pinv(A.H @ A)")
 
     def test_overflowing_pinv_of_the_tensor_itself_is_named(self, rng):
         # the Gram matrices of 1e-310 * M underflow to zero; A's own reciprocals overflow
-        with pytest.raises(ValueError, match=r"^pinv overflows: .* has no finite reciprocal in a$"):
+        with pytest.raises(ValueError, match=r"^pinv overflows: .* has no finite reciprocal in pinv\(a\)$"):
             identity_suite(1e-310 * golden.random_tensor(rng, golden.SQ22))
 
 
@@ -388,6 +399,32 @@ class TestPinvSequence:
 
     def test_empty_sequence(self):
         assert pinv([]) == ()
+
+    def test_a_single_tensor_equals_a_sequence_of_one(self, rng):
+        ts = [golden.random_tensor(rng, s) for s in SHAPES]
+        ts += [zeros((2, 2), (3,)), golden.random_low_rank(rng, golden.SQ22, rank=2), identity((2,))]
+        for t in ts:
+            x, (y,) = pinv(t), pinv((t,))
+            assert type(x) is DenseTensor and x.shape == y.shape == t.shape.transposed
+            assert x._mat.tobytes() == y._mat.tobytes()
+            assert x._mat.flags.c_contiguous and not x._mat.flags.writeable
+
+    def test_a_single_tensor_overflow_names_no_tensor(self, rng):
+        with pytest.raises(ValueError, match=r"^pinv overflows: smallest kept singular value \S+ has no finite"
+                                             r" reciprocal$"):
+            pinv(1e-310 * golden.random_tensor(rng, golden.SQ22))
+
+    def test_a_single_tensor_overflowing_entry_names_no_tensor(self, rng, monkeypatch):
+        real = mpinv._pinv_matrix
+
+        def overflowing(mat, rank_tol):
+            x = real(mat, rank_tol)
+            x[..., 1, 2] = np.inf
+            return x
+
+        monkeypatch.setattr(mpinv, "_pinv_matrix", overflowing)
+        with pytest.raises(ValueError, match="^non-finite entry at flat index 6$"):
+            pinv(golden.random_tensor(rng, golden.SQ22))
 
     def test_results_are_read_only_c_contiguous_matrices(self, rng):
         ts = [golden.random_tensor(rng, s) for s in (golden.SQ22, ModeShape((2,), (3,)), golden.SQ22)]

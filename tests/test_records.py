@@ -185,8 +185,8 @@ class TestRecordContract:
     def test_pickle_and_copies_give_an_equal_record(self, name):
         cls, _, values, _ = SAMPLES[name]
         if cls is SvdFactors:
-            # a DenseTensor compares by identity and does not pickle, so the
-            # round trip of the factors carries stand-in values
+            # a DenseTensor compares by identity, so the round trip of the
+            # factors carries stand-in values
             values = ("u", "d", "v")
         rec = cls(*values)
         for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):

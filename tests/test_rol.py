@@ -39,7 +39,7 @@ from tenrol import (
     zero_equivalence,
     zeros,
 )
-from tenrol import core, rol
+from tenrol import core, mpinv, rol
 from tenrol.core import _ResidualReport
 from tenrol.rol import _FUZZ_BLOCK, _draw_block
 from tenrol.unfold import dematricize
@@ -520,6 +520,49 @@ def scaled_pair(scale: float) -> tuple:
     )
 
 
+def _cogram_pinv_overflows(monkeypatch, a):
+    """``identity_suite(a)``, with a stand-in ``pinv`` kernel that overflows on ``a @ a.H`` alone.
+
+    The Gram and co-Gram matrices share their nonzero singular values, and
+    the Gram one comes first, so no input makes the co-Gram one overflow
+    alone.
+    """
+    real = mpinv._pinv_matrix
+    cogram = (a @ a.H)._mat
+
+    def failing(mat, rank_tol):
+        hits = [k for k, m in enumerate(mat.reshape(-1, *mat.shape[-2:])) if np.array_equal(m, cogram)]
+        if hits:
+            raise mpinv._ReciprocalOverflow(1e-320, hits[0])
+        return real(mat, rank_tol)
+
+    monkeypatch.setattr(mpinv, "_pinv_matrix", failing)
+    return identity_suite(a)
+
+
+# name -> (the call on random 2x2:2x2 tensors m, n, the operand its overflow names);
+# the singular values of 1e-310 * m are subnormal, those of (1e-160 * m).H @ (1e-160 * m) too
+OVERFLOW_CASES = {
+    "projector_commute_report-a": (lambda m, n, mp: projector_commute_report(1e-310 * m, n), "pinv(a)"),
+    "projector_commute_report-b": (lambda m, n, mp: projector_commute_report(m, 1e-310 * n), "pinv(b)"),
+    "zero_equivalence": (lambda m, n, mp: zero_equivalence(n, 1e-310 * m), "pinv(a)"),
+    "identity_suite-a": (lambda m, n, mp: identity_suite(1e-310 * m), "pinv(a)"),
+    "identity_suite-gram": (lambda m, n, mp: identity_suite(1e-160 * m), "pinv(A.H @ A)"),
+    "identity_suite-cogram": (lambda m, n, mp: _cogram_pinv_overflows(mp, m), "pinv(A @ A.H)"),
+    "rol_report-single": (lambda m, n, mp: rol_report(m, 1e-310 * n), "pinv(b)"),
+    "rol_report-sequence": (lambda m, n, mp: rol_report([m, n, m], [n, 1e-310 * n, n]), "pinv(b) of pair 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOW_CASES))
+def test_every_builder_names_the_overflowing_pinv(case, monkeypatch):
+    build, operand = OVERFLOW_CASES[case]
+    m, n = scaled_pair(1.0)
+    with pytest.raises(ValueError, match=r"^pinv overflows: smallest kept singular value \S+ has no finite") as info:
+        build(m, n, monkeypatch)
+    assert str(info.value).endswith(f" reciprocal in {operand}")
+
+
 class TestNonFiniteResiduals:
     """Every report builder refuses a residual that an overflow made NaN or infinite."""
 
@@ -607,6 +650,22 @@ class TestReportBase:
             assert rep.residuals == {name: getattr(rep, name) for name in residual_names}
             assert rep.booleans == {name: getattr(rep, name) <= rep.tol for name in residual_names}
             assert rep.max_residual == max(getattr(rep, name) for name in residual_names)
+
+    def test_as_dict_is_the_base_one_and_appends_the_derived_properties(self):
+        classes, pending = set(), [_ResidualReport]
+        while pending:
+            for cls in pending.pop().__subclasses__():
+                classes.add(cls)
+                pending.append(cls)
+        assert classes == set(self.FIELDS)
+        for cls in classes:
+            assert "as_dict" not in cls.__dict__, cls
+            assert "_derived" not in cls._fields
+            assert all(isinstance(getattr(cls, name), property) for name in cls._derived), cls
+            rep = cls(**{name: 0.5 for name in cls._fields})
+            d = rep.as_dict()
+            assert list(d) == ["tol", "residuals", "booleans", *cls._derived]
+            assert all(d[name] == getattr(rep, name) for name in cls._derived)
 
     def test_as_dict_key_order(self, rng):
         for rep in self.reports(rng):

@@ -11,6 +11,7 @@ pseudoinverse and reverse-order-law machinery in the sibling modules work.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from itertools import repeat
 from operator import attrgetter
@@ -61,102 +62,75 @@ class _Record:
 
     A subclass declares its fields as annotations in its class body, in
     order, and a default as the annotated value; they follow the fields of
-    its bases.  ``__init_subclass__`` reads them once into ``_fields`` and
-    gives the class, unless its body defines them itself:
-
-    * ``__init__``, which binds positional, keyword and default arguments
-      like a function of the fields, raises ``TypeError`` for a missing,
-      repeated or unexpected one, and then calls ``__post_init__`` if the
-      class has one;
-    * ``__eq__``, true only between records of one class with equal fields
-      (a record is never equal to a tuple);
-    * ``__hash__``, the hash of the tuple of the fields;
-    * ``__match_args__``, the field names.
-
-    ``__repr__`` gives ``Name(field=value, ...)``, and assignment and
-    deletion raise ``AttributeError``.  The fields live in the instance
-    ``__dict__``, where pickle and copy restore them.  These are the
-    semantics of ``@dataclass(frozen=True)``, built from the field tuple with
-    ``operator.attrgetter`` and ``map`` instead of generated source, so a
-    class costs no compile.  A record is not a dataclass: ``as_dict()``
-    and ``residuals`` of a report take the place of ``dataclasses.asdict``.
+    its bases.  ``__init_subclass__`` builds from them ``_signature``, an
+    ``inspect.Signature`` (so a non-default field after a default raises
+    ``ValueError``), and sets ``_fields`` and ``__match_args__`` to the
+    names.  ``__init__`` takes one argument per field in field order as it
+    stands and binds any other call by ``_signature.bind``, re-raising its
+    ``TypeError`` prefixed ``Name.__init__()``; it then looks up and calls
+    ``self.__post_init__()``, which the benchmark's tracer wraps on
+    ``ModeShape`` to count shapes.  ``__eq__`` holds only between records
+    of one class with equal fields, and ``__hash__`` is the hash of their
+    tuple, ``_values``.  Assignment and deletion raise ``AttributeError``; the
+    fields live in the instance ``__dict__``, where pickle and copy restore
+    them.  These are the semantics of ``@dataclass(frozen=True)`` with no
+    compiled source.  numpy already imports ``inspect``;
+    ``test_tenrol_rol_loads_the_package_and_the_modules_of_what_it_uses``
+    fails if that stops.
     """
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
+    _signature = inspect.Signature()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        own = cls.__dict__.get("__annotations__", {})
-        fields = cls._fields + tuple(name for name in own if name not in cls._fields)
-        defaults = {**cls._defaults, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
-        cls._fields, cls._defaults = fields, defaults
-        methods = {"__match_args__": fields, **_record_methods(cls, fields, defaults)}
-        for name, value in methods.items():
-            if name not in cls.__dict__:
-                setattr(cls, name, value)
+        params = dict(cls._signature.parameters)
+        for name in cls.__dict__.get("__annotations__", {}):
+            default = cls.__dict__.get(name, inspect.Parameter.empty)
+            params[name] = inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default=default)
+        cls._signature = inspect.Signature(params.values())
+        cls._fields = cls.__match_args__ = fields = tuple(params)
+        # a data descriptor: its lookup skips the instance dict, and attrgetter reads the fields in C
+        values = attrgetter(*fields) if len(fields) > 1 else lambda rec: tuple(map(getattr, repeat(rec), fields))
+        cls._values = property(values)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs and tuple(kwargs) == fields[len(args) :]:
+            # keywords in field order after the positional arguments, as the
+            # report builders pass them, are the field values as they stand
+            args = (*args, *kwargs.values())
+        elif kwargs or len(args) != len(fields):
+            try:
+                bound = self._signature.bind(*args, **kwargs)
+            except TypeError as e:
+                raise TypeError(f"{type(self).__qualname__}.__init__() {e}") from None
+            bound.apply_defaults()
+            args = bound.args
+        # object.__setattr__ keeps the fields in the instance's inline values,
+        # where attribute reads are fastest; any() only drives the map
+        any(map(object.__setattr__, repeat(self), fields, args))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields; a record class with a condition on them overrides this."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
 
     def __repr__(self) -> str:
-        values = map(getattr, repeat(self), self._fields)
-        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, values))})"
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._values))})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _record_methods(cls: type, fields: tuple[str, ...], defaults: dict[str, object]) -> dict:
-    """``__init__``, ``__eq__`` and ``__hash__`` of a record class with these fields (see ``_Record``)."""
-    n = len(fields)
-    known = frozenset(fields)
-    key = attrgetter(*fields) if n > 1 else lambda rec: tuple(getattr(rec, name) for name in fields)
-    post_init = hasattr(cls, "__post_init__")
-    setter = object.__setattr__
-    where = f"{cls.__qualname__}.__init__()"
-
-    def bind(args: tuple, kwargs: dict) -> tuple:
-        """The field values in field order, from arguments other than one per field in field order."""
-        if len(args) > n:
-            raise TypeError(f"{where} takes {n + 1} positional arguments but {len(args) + 1} were given")
-        values = dict(zip(fields, args))
-        values.update(kwargs)
-        if len(values) < len(args) + len(kwargs):
-            repeated = next(name for name in kwargs if name in fields[: len(args)])
-            raise TypeError(f"{where} got multiple values for argument {repeated!r}")
-        if not known.issuperset(kwargs):
-            unexpected = next(name for name in kwargs if name not in known)
-            raise TypeError(f"{where} got an unexpected keyword argument {unexpected!r}")
-        if len(values) < n:
-            values = {**defaults, **values}
-            missing = [name for name in fields if name not in values]
-            if missing:
-                raise TypeError(f"{where} missing required arguments: {', '.join(map(repr, missing))}")
-        return tuple(map(values.__getitem__, fields))
-
-    def __init__(self, *args, **kwargs) -> None:
-        if kwargs:
-            # keywords in field order after the positional arguments, as the
-            # report builders pass them, bind without a dict
-            args = (*args, *kwargs.values()) if tuple(kwargs) == fields[len(args) :] else bind(args, kwargs)
-        if len(args) != n:
-            args = bind(args, {})
-        # object.__setattr__ keeps the fields in the instance's inline values,
-        # where attribute reads are fastest; any() only drives the map
-        any(map(setter, repeat(self), fields, args))
-        if post_init:
-            self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return key(self) == key(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(key(self))
-
-    return {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__}
 
 
 class ModeShape(_Record):
@@ -612,10 +586,8 @@ def classify(a: DenseTensor, policy: NumericPolicy | None = None) -> StructuralF
     """
     policy = policy or DEFAULT_POLICY
     tol = policy.eq_tol
-    mat = a._mat
     mask = np.eye(a.shape.row_count, a.shape.col_count, dtype=bool)
-    off = float(np.linalg.norm(mat[~mask])) if mat.size else 0.0
-    diagonal = off / max(1.0, float(np.linalg.norm(mat)))
+    diagonal = _norm(a._mat[~mask]) / max(1.0, _norm(a._mat))
     if not a.shape.is_square:
         _refuse_non_finite({"diagonal": diagonal})
         return StructuralFlags(

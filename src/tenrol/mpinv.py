@@ -134,9 +134,11 @@ def pinv(
     Singular values below ``rank_tol * sigma_max`` are treated as zero;
     the threshold itself is kept (ties count toward the rank).  A kept
     value whose reciprocal overflows raises ``ValueError``; for a sequence
-    the message names the first such tensor ("in tensor i").  A result
-    entry that overflows raises ``ValueError`` naming its flat index, and
-    for a sequence its tensor.
+    the message names the lowest such tensor ("in tensor i").  Otherwise a
+    result entry that overflows raises ``ValueError`` naming its flat
+    index, and for a sequence the lowest such tensor.  Every shape group
+    is decomposed before either is raised, so the tensor named is the
+    lowest whatever group it sits in.
 
     Parameters
     ----------
@@ -161,6 +163,9 @@ def pinv(
     for i, t in enumerate(ts):
         groups.setdefault((t.shape.row_count, t.shape.col_count), []).append(i)
     out: list[DenseTensor | None] = [None] * len(ts)
+    # (kind, tensor, error) of each failed group, kind 0 for an overflowing
+    # reciprocal and 1 for a non-finite result entry; the least one is raised
+    errors: list[tuple[int, int, ValueError]] = []
     for idx in groups.values():
         mats = [matricize(ts[i]) for i in idx]
         try:
@@ -170,14 +175,19 @@ def pinv(
                 xs = _pinv_matrix(np.stack(mats), policy.rank_tol)
         except _ReciprocalOverflow as e:
             i = idx[e.index]
-            raise _ReciprocalOverflow(e.value, i, "" if single else f"tensor {i}") from None
+            errors.append((0, i, _ReciprocalOverflow(e.value, i, "" if single else f"tensor {i}")))
+            continue
         finite = np.isfinite(xs)
         if not finite.all():  # a product of finite factors overflowed; name the entry and its tensor
             row, entry = divmod(int(np.flatnonzero(~finite)[0]), xs[0].size)
-            raise ValueError(f"non-finite entry at flat index {entry}" + ("" if single else f" in tensor {idx[row]}"))
+            where = "" if single else f" in tensor {idx[row]}"
+            errors.append((1, idx[row], ValueError(f"non-finite entry at flat index {entry}{where}")))
+            continue
         # each row of the fresh stack is a C-contiguous matrix no caller holds
         for i, x in zip(idx, xs):
             out[i] = DenseTensor._from_owned(ts[i].shape.transposed, x)
+    if errors:
+        raise min(errors, key=lambda error: error[:2])[2]
     return out[0] if single else tuple(out)
 
 

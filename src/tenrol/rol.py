@@ -160,7 +160,9 @@ def rol_report(
         message names the lowest such pair of a sequence), or the sequences
         differ in length.  A pseudoinverse whose kept singular value has
         no finite reciprocal raises naming its operand, such as "in
-        pinv(b)", and in a sequence its pair ("in pinv(b) of pair 2").
+        pinv(b)", and in a sequence its pair ("in pinv(b) of pair 2"):
+        the lowest pair of ``pinv(a)``, else of ``pinv(b)``, else of
+        ``pinv(a @ b)``, whatever shape group the pairs sit in.
     TypeError
         If one of ``a`` and ``b`` is a tensor and the other a sequence.
     """

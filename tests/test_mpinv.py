@@ -478,6 +478,27 @@ class TestPinvSequence:
         with pytest.raises(ValueError, match="^non-finite entry at flat index 3 in tensor 3$"):
             pinv([rect[0], sq[0], rect[1], sq[1], sq[2]])
 
+    def test_the_lowest_failing_tensor_is_named_whatever_its_group(self, rng, monkeypatch):
+        # the groups are the 4x4 matricizations (tensors 0 and 2) and the 2x3 one
+        # (tensor 1); the 4x4 group is decomposed first but fails higher up
+        m = golden.random_tensor(rng, golden.SQ22)
+        r = golden.random_tensor(rng, ModeShape((2,), (3,)))
+        with pytest.raises(ValueError, match=r"has no finite reciprocal in tensor 1$"):
+            pinv([m, 1e-310 * r, 1e-310 * m])
+        real = mpinv._pinv_matrix
+
+        def overflowing(mat, rank_tol):
+            x = real(mat, rank_tol)
+            x.flat[-1] = np.inf  # the last entry of the last matrix
+            return x
+
+        monkeypatch.setattr(mpinv, "_pinv_matrix", overflowing)
+        with pytest.raises(ValueError, match="^non-finite entry at flat index 5 in tensor 1$"):
+            pinv([m, r, m])
+        # an overflowing reciprocal outranks a lower non-finite entry
+        with pytest.raises(ValueError, match=r"has no finite reciprocal in tensor 2$"):
+            pinv([m, m, 1e-310 * r])
+
     def test_sum_equals_sum_of_single_calls(self, rng):
         a = golden.random_tensor(rng, golden.SQ22)
         f = tsvd(a)

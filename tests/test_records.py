@@ -178,6 +178,18 @@ class TestRecordContract:
                 with pytest.raises(TypeError, match="missing"):
                     cls(*values[:1])
 
+    def test_binding_errors_name_the_class_init(self, name):
+        cls, fields, values, _ = SAMPLES[name]
+        calls = {"surplus": lambda: cls(*values, None), "unexpected": lambda: cls(*values, bogus=1)}
+        if fields:
+            calls["repeated"] = lambda: cls(*values, **{fields[0]: values[0]})
+            if name != "NumericPolicy":  # every field of the policy has a default
+                calls["missing"] = lambda: cls(*values[:1])
+        for kind, call in calls.items():
+            with pytest.raises(TypeError) as info:
+                call()
+            assert str(info.value).startswith(f"{cls.__qualname__}.__init__() "), kind
+
     def test_match_args_are_the_fields(self, name):
         cls, fields, _, _ = SAMPLES[name]
         assert cls.__match_args__ == fields
@@ -210,6 +222,20 @@ def test_a_class_pattern_binds_the_fields_by_position():
             assert (rows, cols) == ((2,), (3, 4))
         case _:
             raise AssertionError("the class pattern did not match")
+
+
+def test_post_init_is_looked_up_on_each_construction(monkeypatch):
+    # the benchmark counts shape constructions by wrapping the hook on the class
+    seen = []
+    real = ModeShape.__post_init__
+
+    def counted(self):
+        seen.append(self)
+        real(self)
+
+    monkeypatch.setattr(ModeShape, "__post_init__", counted)
+    shape = ModeShape((2,), (3,))
+    assert len(seen) == 1 and seen[0] is shape and shape.row_count == 2
 
 
 def test_validation_still_runs_on_construction():

@@ -442,6 +442,17 @@ class TestRolReportBatch:
         with pytest.raises(ValueError, match=f"in {re.escape(operand)} of pair 0$"):
             rol_report([x], [y])
 
+    def test_the_lowest_overflowing_pinv_is_named_whatever_its_group(self):
+        # pinv groups the 4x4 matricizations (pairs 0 and 2) before the 2x3 one (pair 1)
+        rng = np.random.default_rng(0)
+        m = as_tensor(rng.standard_normal(16), (2, 2), (2, 2))
+        r, r2 = as_tensor(rng.standard_normal(6), (2,), (3,)), as_tensor(rng.standard_normal(6), (3,), (2,))
+        with pytest.raises(ValueError, match=r"has no finite reciprocal in pinv\(a\) of pair 1$"):
+            rol_report([m, 1e-310 * r, 1e-310 * m], [m, r2, m])
+        # every pinv(a) comes before every pinv(b)
+        with pytest.raises(ValueError, match=r"has no finite reciprocal in pinv\(a\) of pair 2$"):
+            rol_report([m, r, 1e-310 * m], [m, 1e-310 * r2, m])
+
     def test_interleaved_shapes_equal_per_pair_reports(self):
         # 2x2:2x2 and 4:2x2 factors share their 4x4 matricizations, so pinv
         # stacks them together, while the reports group them apart

@@ -1,10 +1,10 @@
 """The one-sided Jacobi rotation kernel, in numpy.
 
-``tenrol.unfold.matrix_svd`` calls :func:`jacobi_sweeps` on its prescaled
-matrix, or on a stack of prescaled matrices of one shape.  A sweep visits
-the column pairs in the round-robin order of Brent and Luk (1985), so that
-each numpy call rotates many disjoint pairs at once, of every matrix in
-the stack.
+``tenrol.unfold.matrix_svd`` calls :func:`jacobi_sweeps` on ``R^H`` from
+the QR of its prescaled matrix, or on a stack of such ``R^H`` of one
+shape.  A sweep visits the column pairs in the round-robin order of Brent
+and Luk (1985), so that each numpy call rotates many disjoint pairs at
+once, of every matrix in the stack.
 
 A round costs a fixed numpy call overhead, not arithmetic: about 35-40 us
 at n <= 16 and 50 us at n = 32 (one BLAS thread, a shared 2-CPU Xeon),

@@ -10,18 +10,23 @@ copy of it and ``dematricize`` wraps a validated copy of its input.
 Everything spectral in this package (SVD, pseudoinverse, rank) is computed
 through this matrix image and mapped back.
 
-The SVD itself is a one-sided Jacobi: plane rotations orthogonalize the
-columns of the matrix, chosen for its simplicity, its reliable convergence
-at these sizes, and its high relative accuracy.  The rotation loop is the
-hot kernel of the package; it lives in ``tenrol._jacobi_py``, which visits
-the pairs of a sweep in round-robin rounds of disjoint pairs so that each
+The SVD itself is a one-sided Jacobi: plane rotations orthogonalize a set
+of columns, chosen for its simplicity, its reliable convergence at these
+sizes, and its high relative accuracy.  The rotation loop is the hot
+kernel of the package; it lives in ``tenrol._jacobi_py``, which visits the
+pairs of a sweep in round-robin rounds of disjoint pairs so that each
 numpy call rotates many pairs at once.  Before the kernel runs,
-``matrix_svd`` scales the matrix by an exact power of two so that its
-largest real or imaginary part lies in [0.5, 1); the kernel treats a
-column whose squared norm is at most 1e-64 of that scaled matrix as null,
-so singular values at or below about ``1e-32 * max|entry|`` come out as
-exactly 0.  A matrix with a NaN or infinite entry is rejected with
-``ValueError`` before any rotation.
+``matrix_svd`` scales the (tall) matrix ``m`` by an exact power of two so
+that its largest real or imaginary part lies in [0.5, 1), sorts its rows
+by decreasing largest part and factors it as ``P m = Q R`` with numpy's
+Householder QR (the preconditioning of Drmac and Veselic, 2008).  The
+kernel then orthogonalizes the columns of ``R^H``, which takes about half
+the sweeps of the columns of ``m`` when ``m`` is rank-deficient and one
+fewer at full rank.  The rotated columns of ``R^H`` have the singular
+values as their norms, and the kernel treats one whose squared norm is at
+most 1e-64 as null, so singular values at or below about
+``1e-32 * max|entry|`` come out as exactly 0.  A matrix with a NaN or
+infinite entry is rejected with ``ValueError`` before any factorization.
 
 ``matrix_svd`` also decomposes a ``(T, rows, cols)`` stack of matrices,
 each with its own power-of-two scale, through stacked kernel calls of at
@@ -91,11 +96,17 @@ def dematricize(mat: np.ndarray, shape: ModeShape) -> DenseTensor:
 
 
 def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD ``m = u @ diag(s) @ v.conj().T`` by one-sided Jacobi.
+    """Full SVD ``m = u @ diag(s) @ v.conj().T`` by one-sided Jacobi after a QR.
 
-    The iteration thresholds are fixed (``JACOBI_EPS``, ``MAX_SWEEPS``)
-    and no rank truncation happens here.  The result is exactly
-    equivariant under scaling by powers of two (see the module notes).
+    With the rows of the prescaled matrix sorted, ``P m = Q R``, the
+    rotations give ``R^H V = W S``; then ``u`` is ``P^T Q`` with its
+    leading columns turned by ``V``, and ``v`` is ``W`` (for a wide
+    ``m``, the factors of ``m^H`` swapped).  A null column of ``W``, one
+    per zero singular value, is completed by the QR of ``W``.  The
+    iteration thresholds are fixed (``JACOBI_EPS``, ``MAX_SWEEPS``) and no
+    rank truncation happens here.  The QR runs on the prescaled matrix,
+    so the result is exactly equivariant under scaling by powers of two
+    (see the module notes).
 
     A stack of matrices of one shape is decomposed matrix by matrix, but
     through shared kernel calls; ``matrix_svd(stack)[k][i]`` equals
@@ -132,19 +143,24 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, s, v = matrix_svd(mat.conj().swapaxes(-1, -2))
         return v, s, u
 
-    # Row k holds column k, scaled by the power of two 2**-e that brings the
-    # largest real or imaginary part of its matrix into [0.5, 1).  The
-    # scaling is exact, keeps the kernel's squared norms and their products
-    # far from overflow and underflow, and makes the result exactly
-    # scale-equivariant under powers of two.  ldexp also makes a fresh
-    # array, so the caller's input is never rotated in place.
-    parts = np.ascontiguousarray(mat.swapaxes(-1, -2)).view(np.float64)
-    top = np.abs(parts).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    # Scale each matrix by the power of two 2**-e that brings its largest
+    # real or imaginary part into [0.5, 1).  The scaling is exact, keeps the
+    # kernel's squared norms and their products far from overflow and
+    # underflow, and makes the result exactly scale-equivariant under powers
+    # of two.
+    parts = np.ascontiguousarray(mat).view(np.float64)
+    big = np.abs(parts).max(axis=-1, initial=0.0)  # largest part of each row
+    top = big.max(axis=-1, keepdims=True, initial=0.0)[..., None]
     if not np.isfinite(top).all():
         raise ValueError("non-finite entry in the matrix to decompose")
     e = np.frexp(top)[1]
-    colrows = np.ldexp(parts, -e).view(np.complex128)
-    vrows = np.zeros(colrows.shape[:-2] + (cols, cols), dtype=np.complex128)
+    # P m = Q R, where P sorts the rows by decreasing largest part: without
+    # it, the QR loses the small singular values of a matrix whose rows
+    # grow downwards.  Row k of ``colrows`` holds column k of R^H.
+    rowsort = _rows(np.argsort(-big, axis=-1, kind="stable"))
+    q, r = np.linalg.qr(np.ldexp(parts[rowsort], -e).view(np.complex128), mode="complete")
+    colrows = np.conjugate(r[..., :cols, :])
+    vrows = np.zeros(colrows.shape, dtype=np.complex128)
     vrows.reshape(*vrows.shape[:-2], -1)[..., :: cols + 1] = 1.0  # identity per matrix
     if colrows.ndim == 2:
         sweeps = _kernel.jacobi_sweeps(colrows, vrows, JACOBI_EPS, MAX_SWEEPS)
@@ -153,23 +169,32 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if sweeps < 0:
         raise SvdConvergenceError(MAX_SWEEPS)
 
-    s = np.linalg.norm(colrows, axis=-1)
-    order = np.argsort(-s, axis=-1, kind="stable")
-    # the index that reorders the rows of each matrix of the stack
-    pick = order if order.ndim == 1 else (np.arange(len(order))[:, None], order)
+    s = np.sqrt(np.vecdot(colrows, colrows).real)
+    pick = _rows(np.argsort(-s, axis=-1, kind="stable"))
     s, colrows, vrows = s[pick], colrows[pick], vrows[pick]
+    u = np.empty_like(q)
+    u[rowsort] = q
+    u[..., :cols] = u[..., :cols] @ vrows.swapaxes(-1, -2)
 
     # The kernel zeroes null columns, so exactly the zero singular values
-    # leave a zero column of u.  The complete QR of u extends its nonzero
-    # columns to a unitary basis; it also runs when there is nothing to
-    # complete, because skipping it on square input left LAPACK's QR cold
-    # for the tall SVDs that need it (8% slower ``tsvd`` at 64x4 when
-    # timed between square pseudoinverses).
+    # leave a zero column of W; the QR of W extends its nonzero columns to
+    # a unitary basis.  Only the matrices with a zero singular value pay
+    # for it: run on every matrix, it made a 60x4x4 stack 10% slower.
     null = s == 0.0
-    u = (colrows / np.where(null, 1.0, s)[..., None]).swapaxes(-1, -2)
-    q, _ = np.linalg.qr(u, mode="complete")
-    q[..., :cols] = np.where(null[..., None, :], q[..., :cols], u) if null.any() else u
-    return q, np.ldexp(s, e[..., 0]), vrows.swapaxes(-1, -2)
+    w = (colrows / np.where(null, 1.0, s)[..., None]).swapaxes(-1, -2)
+    if null.any():
+        # s is sorted, so a matrix with a zero singular value ends in one;
+        # for a lone matrix ``some`` is 0-d and w[some] is a stack of one
+        some = null[..., -1]
+        part = w[some]
+        basis, _ = np.linalg.qr(part)
+        w[some] = np.where(null[some][..., None, :], basis, part)
+    return u, np.ldexp(s, e[..., 0]), w
+
+
+def _rows(order: np.ndarray):
+    """The index that picks the rows ``order`` of each matrix of a stack."""
+    return order if order.ndim == 1 else (np.arange(len(order))[:, None], order)
 
 
 def _stacked_sweeps(colrows: np.ndarray, vrows: np.ndarray) -> int:

@@ -99,6 +99,19 @@ def sequential_sweeps(cols: np.ndarray, vrows: np.ndarray, eps: float, max_sweep
     return -1
 
 
+def graded_errors(graded: list[np.ndarray]) -> list[float]:
+    """Largest relative error of ``matrix_svd``'s singular values, per matrix, against mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    errors = []
+    with mpmath.workdps(50):
+        for m in graded:
+            exact = mpmath.svd_c(mpmath.matrix(m.tolist()), compute_uv=False)
+            want = np.sort([float(x) for x in exact])[::-1]
+            _, s, _ = matrix_svd(m)
+            errors.append(float(np.max(np.abs(s - want) / want)))
+    return errors
+
+
 class TestMatricize:
     def test_matrix_tensor_is_unchanged(self, rng):
         a = golden.random_tensor(rng, ModeShape((3,), (2,)))
@@ -247,15 +260,32 @@ class TestMatrixSvd:
     def test_column_graded_singular_values_to_high_relative_accuracy(self):
         # Jacobi keeps every singular value of a column-graded matrix to a
         # few ulps of itself; on these inputs np.linalg.svd is off by 1e-14
-        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(3)
-        with mpmath.workdps(50):
-            for _ in range(6):
-                m = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) * np.logspace(0, -14, 8)
-                exact = mpmath.svd_c(mpmath.matrix(m.tolist()), compute_uv=False)
-                want = np.sort([float(x) for x in exact])[::-1]
-                _, s, _ = matrix_svd(m)
-                assert np.max(np.abs(s - want) / want) <= 4e-15
+        graded = [
+            (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) * np.logspace(0, -14, 8)
+            for _ in range(6)
+        ]
+        assert max(graded_errors(graded)) <= 4e-15
+
+    def test_row_graded_singular_values_to_high_relative_accuracy(self):
+        # the row-graded companion of the test above: rows shrinking downwards
+        rng = np.random.default_rng(3)
+        graded = [
+            np.logspace(0, -14, 8)[:, None] * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+            for _ in range(6)
+        ]
+        assert max(graded_errors(graded)) <= 4e-15
+
+    def test_rows_growing_downwards_keep_relative_accuracy(self):
+        # an unpivoted QR of these inputs loses the small singular values
+        # (relative errors of 3e-4 to 4e-2); sorting the rows by size first
+        # keeps them within about 40 ulps
+        rng = np.random.default_rng(3)
+        graded = [
+            np.logspace(-14, 0, 8)[:, None] * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+            for _ in range(6)
+        ]
+        assert max(graded_errors(graded)) <= 1e-14
 
     def test_input_is_left_unchanged(self, rng):
         # a Fortran-ordered input once reached the kernel without a copy
@@ -292,6 +322,29 @@ class TestScaleAndNullColumns:
         for k in range(-500, 501):
             scaled = pinv(as_tensor(m * 2.0**k, (2, 2), (2, 2))).array
             assert np.array_equal(scaled, base * 2.0**-k), f"k = {k}"
+
+    @pytest.mark.parametrize("shape", [(6, 5), (5, 6)], ids=["tall", "wide"])
+    def test_stack_is_exactly_scale_equivariant_under_powers_of_two(self, rng, shape):
+        stack = rng.standard_normal((4, *shape)) + 1j * rng.standard_normal((4, *shape))
+        stack[1] = golden.random_low_rank(rng, ModeShape(shape[:1], shape[1:]), rank=2).array
+        stack[2, :, -1] = 0.0
+        u0, s0, v0 = matrix_svd(stack)
+        for k in ([-500] * 4, [500] * 4, [-500, 1, 500, -3]):
+            scale = 2.0 ** np.array(k)
+            u, s, v = matrix_svd(stack * scale[:, None, None])
+            assert np.array_equal(u, u0), k
+            assert np.array_equal(s, s0 * scale[:, None]), k
+            assert np.array_equal(v, v0), k
+
+    @pytest.mark.parametrize("dims, rank", [((4, 4), 6), ((4, 4, 2), 16)], ids=["flat16", "flat32"])
+    def test_rank_deficient_pinv_matches_numpy(self, dims, rank):
+        rng = np.random.default_rng(rank)
+        n = int(np.prod(dims))
+        for _ in range(4):
+            a = golden.random_low_rank(rng, ModeShape(dims, dims), rank=rank)
+            x = pinv(a).array.reshape(n, n)
+            want = np.linalg.pinv(matricize(a), rcond=1e-12)
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("m", NULL_COLUMN_EXAMPLES, ids=["row_order", "round_robin"])
     def test_null_column_examples_terminate(self, m):
@@ -438,11 +491,12 @@ class TestStackedSvd:
             for got, want in zip((u[i], s[i], v[i]), matrix_svd(m)):
                 assert np.array_equal(got, want), i
 
-    @pytest.mark.parametrize("shape", [(6, 3), (3, 6), (4, 4)])
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 6), (4, 4), (16, 16), (12, 6)])
     def test_stack_matches_single_calls(self, rng, shape):
-        stack = rng.standard_normal((6, *shape)) + 1j * rng.standard_normal((6, *shape))
+        stack = rng.standard_normal((7, *shape)) + 1j * rng.standard_normal((7, *shape))
         stack[1, :, -1] = stack[1, :, 0]  # rank-deficient
         stack[2, 0] = stack[2, 1]  # rank-deficient the other way
+        stack[6] = golden.random_low_rank(rng, ModeShape(shape[:1], shape[1:]), rank=2).array
         stack[3] = 0.0
         stack[4] *= 2.0**500
         stack[5] *= 2.0**-500

@@ -2,17 +2,17 @@
 
 ``tenrol.unfold.matrix_svd`` calls :func:`jacobi_sweeps` on ``R^H`` from
 the QR of its prescaled matrix, or on a stack of such ``R^H`` of one
-shape.  A sweep visits the column pairs in the round-robin order of Brent
-and Luk (1985), so that each numpy call rotates many disjoint pairs at
-once, of every matrix in the stack.
+shape, held slot-major.  A sweep visits the column pairs in the
+round-robin order of Brent and Luk (1985), so that each numpy call
+rotates many disjoint pairs at once, of every matrix in the stack.
 
-A round costs a fixed numpy call overhead, not arithmetic: about 35-40 us
-at n <= 16 and 50 us at n = 32 (one BLAS thread, a shared 2-CPU Xeon),
-against 45-55 and 65-70 us for the plainer round it replaced.  The round
-makes few and cheap calls (0-d constants, one no-rotation test, in-place
-masks, both rotated halves written into one fresh array), but it performs
-the same floating-point operations in the same order as that plainer
-round, so its results are bit-identical to it;
+A round costs numpy call overhead more than arithmetic: per round, 21 us
+for one matrix at n = 4 and 39 us at n = 16 and 32; 46 and 37 us for
+stacks of 3 at n = 2 and 16, 37 and 50 us for 20 and 60 at n = 4, where
+the matrix-major stack took 49, 45, 44 and 65 us (one BLAS thread, a
+shared 2-CPU Xeon, ``BENCH_21.json``).  The round performs the same
+floating-point operations in the same order as the plainer round it
+replaced, so its results are bit-identical to it;
 ``tests/test_jacobi_reference.py`` keeps the plainer round as the
 reference.
 """
@@ -65,11 +65,14 @@ def jacobi_sweeps(
     NaN.  A non-finite pair never counts as orthogonal.
 
     A stack of T matrices is rotated by the same rounds, one numpy call
-    each for the whole stack.  A matrix none of whose pairs is active in
-    a round gets the exact identity rotation (c = 1, s = 0), and a matrix
-    leaves the stack after its first rotation-free sweep, so each matrix
-    comes out as it would from a call of its own, up to the sign of zero
-    entries.
+    each for the whole stack, on a slot-major ``(2h, T, m + n)`` work
+    array: the rotated halves are contiguous blocks, and every per-pair
+    value is a contiguous ``(h, T)`` array.  A matrix none of whose pairs
+    is active in a round gets the exact identity rotation (c = 1, s = 0),
+    and a matrix leaves the stack (axis 1) after its first rotation-free
+    sweep, so each matrix comes out as it would from a call of its own, up
+    to the sign of zero entries.  A single matrix drops the T axis: as a
+    stack of one, it took 1.29x as long at n = 4 and 1.09x at n = 32.
 
     Parameters
     ----------
@@ -103,19 +106,19 @@ def jacobi_sweeps(
     f64 = np.dtype(np.float64)
     zero, one = np.array(0.0), np.array(1.0)
     eps, null = np.array(eps, dtype=f64), np.array(NULL_NORM2)
-    # the rows of the low and the high slots: pair k is row k of both
-    lo, hi = (..., slice(None, h), slice(None)), (..., slice(h, None), slice(None))
-    work = np.zeros((*cols.shape[:-2], 2 * h, m + n), dtype=np.complex128)
-    work[..., :n, :m] = cols
-    work[..., :n, m:] = vrows
+    # slot-major: work[k] holds slot k of every matrix, so the low and the
+    # high slots, and each per-pair quantity, are contiguous blocks
+    work = np.zeros((2 * h, *cols.shape[:-2], m + n), dtype=np.complex128)
+    work[:n, ..., :m] = cols.swapaxes(0, -2)  # for a single matrix, swapaxes(0, 0)
+    work[:n, ..., m:] = vrows.swapaxes(0, -2)
     for sweep in range(max_sweeps):
-        # per matrix and pair on a stack; a single matrix needs only a flag
-        calm = np.ones((live.size, h), dtype=bool) if stacked else True
+        # per pair and matrix on a stack; a single matrix needs only a flag
+        calm = np.ones((h, live.size), dtype=bool) if stacked else True
         for _ in range(2 * h - 1):
             cw = work[..., :m]
             norm2 = np.vecdot(cw, cw).real
-            app, aqq = norm2[..., :h], norm2[..., h:]
-            apq = np.vecdot(cw[lo], cw[hi])
+            app, aqq = norm2[:h], norm2[h:]
+            apq = np.vecdot(cw[:h], cw[h:])
             g = np.abs(apq)
             # a pair stays when orthogonal or null; written so that NaN
             # makes it rotate: it must never pass as orthogonal
@@ -136,35 +139,36 @@ def jacobi_sweeps(
                 dc /= g
                 dc[still] = one
                 # the halves become c*x - s*(dc*y) and s*x + c*(dc*y)
-                x = work.view(f64)[lo]
-                y = (dc[..., None] * work[hi]).view(f64)
+                x = work[:h].view(f64)
+                y = (dc[..., None] * work[h:]).view(f64)
                 work = np.empty_like(work)
                 rot = work.view(f64)
-                top, bot = rot[lo], rot[hi]
+                top, bot = rot[:h], rot[h:]
                 np.multiply(s, y, out=bot)
                 np.multiply(c, x, out=top)
                 top -= bot
                 np.multiply(s, x, out=bot)
                 y *= c
                 bot += y
-            work = work.take(perm, axis=-2)
+            work = work.take(perm, axis=0)
         if not stacked:
             if not calm:
                 continue
             result = sweep + 1
             break
-        busy = ~calm.all(axis=-1)
+        busy = ~calm.all(axis=0)
         if not busy.all():
             # retire the matrices whose sweep was rotation-free
             result = sweep + 1
-            cols[live[~busy]] = work[~busy, :n, :m]
-            vrows[live[~busy]] = work[~busy, :n, m:]
-            work, live = work[busy], live[busy]
+            done = work[:n, ~busy].swapaxes(0, 1)
+            cols[live[~busy]] = done[..., :m]
+            vrows[live[~busy]] = done[..., m:]
+            work, live = work[:, busy], live[busy]
             if not live.size:
                 break
     else:
         result = -1
-    cols[live] = work[..., :n, :m]
-    vrows[live] = work[..., :n, m:]
+    cols[live] = work[:n, ..., :m].swapaxes(0, -2)
+    vrows[live] = work[:n, ..., m:].swapaxes(0, -2)
     cols[np.vecdot(cols, cols).real <= NULL_NORM2] = 0.0
     return result

@@ -240,12 +240,13 @@ class DenseTensor:
 
     Privately, :func:`_stack` builds a tensor whose matrix is a
     ``(T, row_count, col_count)`` stack of T tensors of one shape.
-    ``einstein_product``, ``_chain`` and ``conj_transpose`` act on it
-    matrix by matrix, and ``frobenius_norm`` and ``rel_residual`` return a
-    ``(T,)`` float64 array, each entry equal bit for bit to the result for
-    that matrix alone.  A stack is a batching device of
-    :func:`tenrol.rol.rol_report` and never leaves it; the other methods
-    and functions assume a single matrix.
+    ``einstein_product``, ``_chain``, ``conj_transpose`` and
+    :func:`tenrol.mpinv.pinv` act on it matrix by matrix, and
+    ``frobenius_norm`` and ``rel_residual`` return a ``(T,)`` float64
+    array, each entry equal bit for bit to the result for that matrix
+    alone.  A stack is a batching device of :func:`tenrol.rol.rol_report`
+    and never leaves it; the other methods and functions assume a single
+    matrix.
     """
 
     __slots__ = ("shape", "_mat")

@@ -140,6 +140,10 @@ def pinv(
     is decomposed before either is raised, so the tensor named is the
     lowest whatever group it sits in.
 
+    Privately, the tensors may all be stacks of T matrices (see the
+    ``DenseTensor`` notes); each result is then a stack, and matrix r of
+    tensor i counts as tensor ``i * T + r``.
+
     Parameters
     ----------
     a : DenseTensor or sequence of DenseTensor
@@ -163,64 +167,72 @@ def pinv(
     for i, t in enumerate(ts):
         groups.setdefault((t.shape.row_count, t.shape.col_count), []).append(i)
     out: list[DenseTensor | None] = [None] * len(ts)
-    # (kind, tensor, error) of each failed group, kind 0 for an overflowing
-    # reciprocal and 1 for a non-finite result entry; the least one is raised
-    errors: list[tuple[int, int, ValueError]] = []
-    for idx in groups.values():
-        mats = [matricize(ts[i]) for i in idx]
+    # the failure of each failed group; the least (kind, tensor) is raised
+    errors: list[_PinvOverflow] = []
+    for (rows, cols), idx in groups.items():
+        mats = [matricize(ts[i]).reshape(-1, rows, cols) for i in idx]
+        stack = mats[0] if len(mats) == 1 else np.concatenate(mats)
+        count = len(stack) // len(idx)
         try:
-            if len(mats) == 1:  # a lone matrix takes the plain single call
-                xs = _pinv_matrix(mats[0], policy.rank_tol)[None]
+            if len(stack) == 1:  # a lone matrix takes the plain single call
+                xs = _pinv_matrix(stack[0], policy.rank_tol)[None]
             else:
-                xs = _pinv_matrix(np.stack(mats), policy.rank_tol)
-        except _ReciprocalOverflow as e:
-            i = idx[e.index]
-            errors.append((0, i, _ReciprocalOverflow(e.value, i, "" if single else f"tensor {i}")))
-            continue
-        finite = np.isfinite(xs)
-        if not finite.all():  # a product of finite factors overflowed; name the entry and its tensor
-            row, entry = divmod(int(np.flatnonzero(~finite)[0]), xs[0].size)
-            where = "" if single else f" in tensor {idx[row]}"
-            errors.append((1, idx[row], ValueError(f"non-finite entry at flat index {entry}{where}")))
+                xs = _pinv_matrix(stack, policy.rank_tol)
+            finite = np.isfinite(xs)
+            if not finite.all():  # a product of finite factors overflowed; name the entry
+                row, entry = divmod(int(np.flatnonzero(~finite)[0]), xs[0].size)
+                raise _PinvOverflow(entry, row, kind=1)
+        except _PinvOverflow as e:
+            tensor = idx[e.index // count] * count + e.index % count
+            errors.append(_PinvOverflow(e.value, tensor, "" if single else f"tensor {tensor}", e.kind))
             continue
         # each row of the fresh stack is a C-contiguous matrix no caller holds
-        for i, x in zip(idx, xs):
+        for i, x in zip(idx, xs.reshape(len(idx), *ts[idx[0]]._mat.shape[:-2], *xs.shape[1:])):
             out[i] = DenseTensor._from_owned(ts[i].shape.transposed, x)
     if errors:
-        raise min(errors, key=lambda error: error[:2])[2]
+        raise min(errors, key=lambda e: (e.kind, e.index))  # overflowing reciprocals first
     return out[0] if single else tuple(out)
 
 
-class _ReciprocalOverflow(ValueError):
-    """A kept singular value of matrix ``index`` of a stack has no finite reciprocal."""
+class _PinvOverflow(ValueError):
+    """The pseudoinverse of matrix ``index`` of a stack, named ``operand``, overflowed.
 
-    def __init__(self, value: float, index: int, operand: str = ""):
-        self.value = value
-        self.index = index
+    Of ``kind`` 0, its kept singular value ``value`` has no finite reciprocal;
+    of ``kind`` 1, its entry at flat index ``value`` is not finite.  Failures
+    are raised in ``(kind, index)`` order.
+    """
+
+    def __init__(self, value, index, operand: str = "", kind: int = 0):
+        self.value, self.index, self.kind = value, index, kind
         where = f" in {operand}" if operand else ""
-        super().__init__(
-            f"pinv overflows: smallest kept singular value {value:.3e} has no finite reciprocal{where}"
-        )
+        what = f"non-finite entry at flat index {value}" if kind else (
+            f"pinv overflows: smallest kept singular value {value:.3e} has no finite reciprocal")
+        super().__init__(what + where)
 
 
-def _named_pinv(ts: tuple, names: tuple, policy: NumericPolicy, pairs: int | None = None) -> tuple:
-    """``pinv(ts)`` for the operands ``names``, one tensor each or, for a sequence, ``pairs`` each.
+def _named_pinv(ts: tuple, names: tuple, policy: NumericPolicy, pairs: Sequence[int] | None = None) -> tuple:
+    """``pinv(ts)`` for the operands ``names``; with ``pairs``, ``ts`` are stacks of those pairs.
 
-    An overflow names its operand, "in pinv(b)", and in a sequence its pair, "in pinv(b) of pair 2".
+    A failure names its operand, "in pinv(b)", and with ``pairs`` the pair
+    of its matrix, "in pinv(b) of pair 2"; its index becomes the operand's
+    position, and with ``pairs`` that position and the pair.
     """
     try:
         return pinv(ts, policy)
-    except _ReciprocalOverflow as e:
-        k, i = divmod(e.index, pairs or 1)
-        where = f"pinv({names[k]})" + ("" if pairs is None else f" of pair {i}")
-        raise _ReciprocalOverflow(e.value, e.index, where) from None
+    except _PinvOverflow as e:
+        if pairs is None:
+            k, index, where = e.index, e.index, ""
+        else:
+            k, j = divmod(e.index, len(pairs))
+            index, where = (k, pairs[j]), f" of pair {pairs[j]}"
+        raise _PinvOverflow(e.value, index, f"pinv({names[k]}){where}", e.kind) from None
 
 
 def _pinv_matrix(mat: np.ndarray, rank_tol: float) -> np.ndarray:
     """Pseudoinverse of a matrix or of each matrix in a stack.
 
-    Raises ``_ReciprocalOverflow`` with the stack index (0 for a matrix) of
-    the first matrix whose smallest kept singular value has no finite
+    Raises ``_PinvOverflow`` with the stack index (0 for a matrix) of the
+    first matrix whose smallest kept singular value has no finite
     reciprocal.
     """
     u, s, v = matrix_svd(mat)
@@ -233,7 +245,7 @@ def _pinv_matrix(mat: np.ndarray, rank_tol: float) -> np.ndarray:
             sinv[keep] = 1.0 / s[keep]
         if not np.isfinite(sinv).all():
             index = int(np.flatnonzero(~np.isfinite(sinv))[0]) // k
-            raise _ReciprocalOverflow(float(s.reshape(-1, k)[index][keep.reshape(-1, k)[index]].min()), index)
+            raise _PinvOverflow(float(s.reshape(-1, k)[index][keep.reshape(-1, k)[index]].min()), index)
     return (v[..., :k] * sinv[..., None, :]) @ u[..., :k].conj().swapaxes(-1, -2)
 
 

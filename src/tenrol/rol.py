@@ -25,13 +25,13 @@ herm_right``, ``paired_product`` and ``factor_left AND factor_right`` are
 equivalent; ``commute`` is only implied by them, not conversely.
 
 :func:`rol_report` also takes two sequences of factors and returns one
-report per pair; all of their pseudoinverses come from one ``pinv`` call,
-which is how :func:`fuzz_search` evaluates a block of trials at once.  The
-pairs of a sequence that share their factor shapes are evaluated together:
-``a @ b``, its finiteness check and the residual code run once on stacked
-tensors (see the ``DenseTensor`` notes in :mod:`tenrol.core`), through the
-same core primitives and in the same product order as for a single pair,
-so each report equals the one for its pair alone bit for bit.
+report per pair, which is how :func:`fuzz_search` evaluates a block of
+trials at once.  The pairs of a sequence that share their factor shapes
+are evaluated together as stacked tensors (see the ``DenseTensor`` notes
+in :mod:`tenrol.core`): ``a @ b`` and its finiteness check, one ``pinv``
+call on the stacks of ``a``, ``b`` and ``a @ b``, and the residual code,
+through the same core primitives and in the same product order as for a
+single pair, so each report equals the one for its pair alone bit for bit.
 """
 
 from __future__ import annotations  # evaluated, the np.random.Generator annotations would import numpy.random
@@ -53,13 +53,12 @@ from .core import (
     _unitary_residual,
     _zero_residual,
     conj_transpose,
-    diagonal_from,
     einstein_product,
     frobenius_norm,
     identity,
     rel_residual,
 )
-from .mpinv import _named_pinv, pinv
+from .mpinv import _named_pinv, _PinvOverflow, pinv
 from .unfold import dematricize
 
 __all__ = [
@@ -143,12 +142,12 @@ def rol_report(
     Exactly three pseudoinverses are computed per pair: ``pinv(a)``,
     ``pinv(b)`` and ``pinv(a @ b)``; everything else is products.  ``a``
     and ``b`` may also be equal-length sequences, evaluated into a tuple of
-    reports, one per pair.  Either way every pseudoinverse comes from one
-    :func:`tenrol.mpinv.pinv` call.  The pairs of a sequence are grouped by
-    their factor shapes; ``a @ b`` and the residuals of a group come from
-    one evaluation on stacked tensors, so each product of a whole group
-    costs one call, and each report equals the one for its pair alone, bit
-    for bit.
+    reports, one per pair.  The pairs of a sequence are grouped by their
+    factor shapes; ``a @ b``, the pseudoinverses (one
+    :func:`tenrol.mpinv.pinv` call on three stacks) and the residuals of a
+    group come from one evaluation on stacked tensors, so each product of
+    a whole group costs one call, and each report equals the one for its
+    pair alone, bit for bit.
 
     Raises
     ------
@@ -174,7 +173,7 @@ def rol_report(
         ab = einstein_product(a, b)
         if not np.isfinite(ab._mat).all():
             raise ValueError("non-finite entry in a @ b: the product overflowed")
-        return RolReport(*_residuals(a, b, *_named_pinv((a, b, ab), _OPERANDS, policy)), tol=policy.eq_tol)._checked()
+        return RolReport(*_residuals(a, b, *_named_pinv((a, b, ab), _OPERANDS, policy)), policy.eq_tol)._checked()
     as_, bs = tuple(a), tuple(b)
     if len(as_) != len(bs):
         raise ValueError(f"rol_report got {len(as_)} left factors and {len(bs)} right factors")
@@ -187,30 +186,36 @@ def rol_report(
                 f" != row dims {y.shape.row_dims} of pair {i}"
             )
         groups.setdefault((x.shape, y.shape), []).append(i)
-    # a @ b and its finiteness check once per group; the lowest failing pair is named
-    stacks = [(_stack([as_[i] for i in idx]), _stack([bs[i] for i in idx])) for idx in groups.values()]
-    abs_: list = [None] * n
+    # per group: the stacks of a, b and a @ b, one finiteness check of a @ b
+    # and one pinv call; the lowest failing pair, operand first, is named
+    stacks, pinvs, errors = [], [], []
     bad = n
-    for idx, (sa, sb) in zip(groups.values(), stacks):
+    for idx in groups.values():
+        sa, sb = _stack([as_[i] for i in idx]), _stack([bs[i] for i in idx])
         sab = einstein_product(sa, sb)
         ok = np.isfinite(sab._mat).all(axis=(1, 2))
-        bad = bad if ok.all() else min(bad, idx[int(np.argmin(ok))])
-        for i, m in zip(idx, sab._mat):
-            abs_[i] = DenseTensor._from_owned(sab.shape, m)
+        if not ok.all():
+            bad = min(bad, idx[int(np.argmin(ok))])
+            continue
+        stacks.append((sa, sb))
+        try:
+            pinvs.append(_named_pinv((sa, sb, sab), _OPERANDS, policy, idx))
+        except _PinvOverflow as e:
+            errors.append(e)
     if bad < n:
         raise ValueError(f"non-finite entry in a @ b of pair {bad}: the product overflowed")
-    inv = _named_pinv(as_ + bs + tuple(abs_), _OPERANDS, policy, n)
+    if errors:
+        raise min(errors, key=lambda e: (e.kind, e.index))
     rows: list = [None] * n
-    for idx, (sa, sb) in zip(groups.values(), stacks):
-        pinvs = (_stack([inv[k * n + i] for i in idx]) for k in range(3))
-        group_rows = np.array(_residuals(sa, sb, *pinvs)).T
+    for idx, (sa, sb), inverses in zip(groups.values(), stacks, pinvs):
+        group_rows = np.array(_residuals(sa, sb, *inverses)).T
         ok = np.isfinite(group_rows).all(axis=1)
         bad = bad if ok.all() else min(bad, idx[int(np.argmin(ok))])
         for i, row in zip(idx, group_rows.tolist()):
             rows[i] = row
     if bad < n:  # raises, naming the first non-finite residual of that pair
-        RolReport(*rows[bad], tol=policy.eq_tol)._checked(f" of pair {bad}")
-    return tuple(RolReport(*row, tol=policy.eq_tol) for row in rows)
+        RolReport(*rows[bad], policy.eq_tol)._checked(f" of pair {bad}")
+    return tuple(RolReport(*row, policy.eq_tol) for row in rows)
 
 
 #: The operands whose pseudoinverses ``rol_report`` takes, in the order it passes them.
@@ -475,11 +480,11 @@ class FuzzSummary(_Record):
 
 # A pair is drawn in two phases, so that a block shares its QR calls.  The
 # first draws all of the trial's random numbers, in program order (no draw
-# depends on a unitary factor), and returns the Gaussian matrices whose QR
+# depends on a unitary factor), and returns the Gaussian parts whose QR
 # factors the pair needs with the function that builds the pair from them.
 def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The n x n complex Gaussian matrix behind a Haar-random unitary."""
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    """The real and imaginary parts, ``(2, n, n)``, of the Gaussian matrix behind a Haar-random unitary."""
+    return rng.standard_normal((2, n, n))
 
 
 def _orthonormalize(z: np.ndarray) -> np.ndarray:
@@ -490,8 +495,8 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
 
 
 def _dense_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
-    n = shape.row_count * shape.col_count
-    return DenseTensor(shape, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    re, im = rng.standard_normal((2, shape.row_count, shape.col_count))
+    return DenseTensor._from_owned(shape, re + 1j * im)
 
 
 def _low_rank_tensor(rng: np.random.Generator, shape: ModeShape) -> tuple[list[np.ndarray], Callable]:
@@ -510,7 +515,9 @@ def _diagonal_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
     phases = np.exp(2j * np.pi * rng.random(k))
     vals = mags * phases
     vals[rng.random(k) < 0.25] = 0.0
-    return diagonal_from(shape.row_dims, shape.col_dims, vals)
+    mat = np.zeros((shape.row_count, shape.col_count), dtype=np.complex128)
+    np.fill_diagonal(mat, vals)
+    return DenseTensor._from_owned(shape, mat)
 
 
 def _sigma_with_gaps(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -528,25 +535,22 @@ def _pair_of(draw_a: tuple[list[np.ndarray], Callable], draw_b: tuple[list[np.nd
 def _pair_draw(rng: np.random.Generator, shape: ModeShape, family: str) -> tuple[list[np.ndarray], Callable]:
     """The first phase of a pair's draw: its Gaussian matrices and the function that builds it."""
     shape_b = shape.transposed
-    if family == "dense":
-        pair = _dense_tensor(rng, shape), _dense_tensor(rng, shape_b)
+    if family in ("dense", "diagonal"):
+        draw = _dense_tensor if family == "dense" else _diagonal_tensor
+        pair = draw(rng, shape), draw(rng, shape_b)
         return [], lambda: pair
     if family == "rank_deficient":
         return _pair_of(_low_rank_tensor(rng, shape), _low_rank_tensor(rng, shape_b))
     if family == "unitary_factor":
         draw_a = _low_rank_tensor(rng, shape)
         return _pair_of(draw_a, ([_gaussian(rng, shape_b.row_count)], lambda u: dematricize(u, shape_b)))
-    if family == "diagonal":
-        pair = _diagonal_tensor(rng, shape), _diagonal_tensor(rng, shape_b)
-        return [], lambda: pair
     if family == "orthogonal_sum":
         # both factors are sums of aligned rank-one pieces with mutually
         # orthogonal ranges, sharing the middle unitary; the law holds
         rc, cc = shape.row_count, shape.col_count
         zs = [_gaussian(rng, rc), _gaussian(rng, cc), _gaussian(rng, rc)]
         k = min(rc, cc)
-        sa = np.zeros((rc, cc))
-        sb = np.zeros((cc, rc))
+        sa, sb = np.zeros((rc, cc)), np.zeros((cc, rc))
         sa_vals = _sigma_with_gaps(rng, k)
         sb_vals = _sigma_with_gaps(rng, k)
         # keep one mode alive in both factors: with disjoint supports the
@@ -555,8 +559,8 @@ def _pair_draw(rng: np.random.Generator, shape: ModeShape, family: str) -> tuple
         for vals in (sa_vals, sb_vals):
             if vals[0] == 0.0:
                 vals[0] = rng.uniform(0.3, 3.0)
-        sa[np.arange(k), np.arange(k)] = sa_vals
-        sb[np.arange(k), np.arange(k)] = sb_vals
+        np.fill_diagonal(sa, sa_vals)
+        np.fill_diagonal(sb, sb_vals)
         return zs, lambda u, v, w: (
             dematricize(u @ sa @ v.conj().T, shape),
             dematricize(v @ sb @ w.conj().T, shape_b),
@@ -572,10 +576,12 @@ def _draw_block(
     by_size: dict[int, list[np.ndarray]] = {}
     for pending, _ in draws:
         for z in pending:
-            by_size.setdefault(len(z), []).append(z)
-    # the builds take the unitaries of each size in the order they were drawn
-    unitaries = {n: iter(_orthonormalize(np.stack(zs))) for n, zs in by_size.items()}
-    return [build(*(next(unitaries[len(z)]) for z in pending)) for pending, build in draws]
+            by_size.setdefault(z.shape[-1], []).append(z)
+    # one re + 1j * im step and one QR per size; the builds take the
+    # unitaries of each size in the order they were drawn
+    parts = {n: np.array(zs) for n, zs in by_size.items()}
+    unitaries = {n: iter(_orthonormalize(z[:, 0] + 1j * z[:, 1])) for n, z in parts.items()}
+    return [build(*(next(unitaries[z.shape[-1]]) for z in pending)) for pending, build in draws]
 
 
 def fuzz_search(
@@ -592,11 +598,13 @@ def fuzz_search(
     flat counts differ, since no unitary B exists then.  Each trial uses
     an independently derived substream of ``seed``, so results do not
     depend on evaluation order.  Trials are evaluated in fixed-size
-    blocks, one :func:`rol_report` call per block, so that the
-    pseudoinverses of a whole block come from one stacked SVD and memory
-    does not grow with ``trials``.  The pairs of a block are drawn in two
-    phases: every trial first draws its random numbers, then one stacked QR
-    per unitary size serves the whole block, then each trial builds its pair.
+    blocks, as stacks from end to end, and memory does not grow with
+    ``trials``.  The pairs of a block are drawn in two phases: every trial
+    first draws its random numbers, then one stacked ``re + 1j * im`` step
+    and one stacked QR per unitary size serve the whole block, then each
+    trial builds its pair.  One :func:`rol_report` call per block then
+    takes the pseudoinverses of each shape group's stacks of ``a``, ``b``
+    and ``a @ b`` from one stacked SVD.
 
     Returns
     -------
@@ -612,16 +620,10 @@ def fuzz_search(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     policy = policy or DEFAULT_POLICY
-    families = [
-        f
-        for f in FUZZ_FAMILIES
-        if f != "unitary_factor" or shape.row_count == shape.col_count
-    ]
+    families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
     root = np.random.SeedSequence(seed)
-    direct_true = 0
-    direct_false = 0
+    direct_true = violations = 0
     family_counts = {f: 0 for f in families}
-    violations = 0
     first_violation: dict | None = None
     for start in range(0, trials, _FUZZ_BLOCK):
         block = range(start, min(start + _FUZZ_BLOCK, trials))
@@ -636,19 +638,9 @@ def fuzz_search(
         for t, report in zip(block, reports):
             family = families[t % len(families)]
             family_counts[family] += 1
-            if report.holds:
-                direct_true += 1
-            else:
-                direct_false += 1
+            direct_true += report.holds
             if not (report.consistent and report.implication_ok):
                 violations += 1
                 if first_violation is None:
                     first_violation = {"trial": t, "family": family, "report": report.as_dict()}
-    return FuzzSummary(
-        trials=trials,
-        direct_true=direct_true,
-        direct_false=direct_false,
-        family_counts=family_counts,
-        violations=violations,
-        first_violation=first_violation,
-    )
+    return FuzzSummary(trials, direct_true, trials - direct_true, family_counts, violations, first_violation)

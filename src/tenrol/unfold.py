@@ -51,9 +51,10 @@ JACOBI_EPS: float = 1e-14
 
 #: Complex entries of the kernel's work array above which a stack is split
 #: over several kernel calls; a matrix over it alone gets a call of its own.
-#: Stacks of a few matrices beat separate calls up to about flat 48 and lost
-#: at flat 64 (work arrays of 16k entries and more).
-KERNEL_BUDGET: int = 2**13
+#: On the slot-major stack, 8 matrices at flat 32, 3 at flat 48 and 2 at
+#: flat 64 (16k entries or fewer) ran at 0.41-0.47, 0.68-0.80 and 0.83-0.90
+#: of separate calls; the matrix-major one ran at 0.91-1.24 at flat 64.
+KERNEL_BUDGET: int = 2**14
 
 __all__ = [
     "SvdConvergenceError",
@@ -163,10 +164,15 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vrows = np.zeros(colrows.shape, dtype=np.complex128)
     vrows.reshape(*vrows.shape[:-2], -1)[..., :: cols + 1] = 1.0  # identity per matrix
     if colrows.ndim == 2:
-        sweeps = _kernel.jacobi_sweeps(colrows, vrows, JACOBI_EPS, MAX_SWEEPS)
+        chunks = [(colrows, vrows)]
     else:
-        sweeps = _stacked_sweeps(colrows, vrows)
-    if sweeps < 0:
+        # kernel calls of at most KERNEL_BUDGET work entries, 2 * ceil(cols / 2)
+        # rows of 2 * cols per matrix; a lone matrix, also one left over at
+        # the end of a stack, takes the plain single call
+        step = max(1, KERNEL_BUDGET // ((cols + cols % 2) * 2 * cols))
+        chunks = [(colrows[i : i + step], vrows[i : i + step]) for i in range(0, len(colrows), step)]
+        chunks = [(c[0], v[0]) if len(c) == 1 else (c, v) for c, v in chunks]
+    if min([_kernel.jacobi_sweeps(c, v, JACOBI_EPS, MAX_SWEEPS) for c, v in chunks]) < 0:
         raise SvdConvergenceError(MAX_SWEEPS)
 
     s = np.sqrt(np.vecdot(colrows, colrows).real)
@@ -195,20 +201,3 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _rows(order: np.ndarray):
     """The index that picks the rows ``order`` of each matrix of a stack."""
     return order if order.ndim == 1 else (np.arange(len(order))[:, None], order)
-
-
-def _stacked_sweeps(colrows: np.ndarray, vrows: np.ndarray) -> int:
-    """Run the kernel on a stack, in chunks that keep its work array small."""
-    t, n, m = colrows.shape
-    # ``jacobi_sweeps`` rotates a (2 * ceil(n / 2), m + n) work array per matrix
-    step = max(1, KERNEL_BUDGET // ((n + n % 2) * (m + n)))
-    worst = 0
-    for i in range(0, t, step):
-        cs, vs = colrows[i : i + step], vrows[i : i + step]
-        if len(cs) == 1:
-            cs, vs = cs[0], vs[0]  # a lone matrix gets the plain single call
-        sweeps = _kernel.jacobi_sweeps(cs, vs, JACOBI_EPS, MAX_SWEEPS)
-        if sweeps < 0:
-            return sweeps
-        worst = max(worst, sweeps)
-    return worst

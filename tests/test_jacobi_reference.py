@@ -167,6 +167,19 @@ class TestStacks:
         stack[::7, :, 0] = 0.0
         assert both_kernels(stack) > 0
 
+    @pytest.mark.parametrize("t, n", [(20, 4), (3, 16), (3, 2)], ids=["20x4x4", "3x16x16", "3x2x2"])
+    def test_workload_stack_shapes(self, rng, t, n):
+        # a fuzz block of one family per pinv operand, and the 3-matrix
+        # stacks of identity_suite at flat 16 and of rol_report at 2:2
+        for _ in range(3):
+            stack = complex_normal(rng, t, n, n) / 4
+            stack[1] = low_rank(rng, n, max(1, n // 2))
+            stack[2, :, -1] = 0.0
+            assert both_kernels(stack) > 0
+            # the kernel's own input in matrix_svd: R^H of the QR of each matrix
+            r = np.linalg.qr(stack, mode="r")
+            assert both_kernels(np.ascontiguousarray(r.conj())) > 0
+
 
 class TestEdgeCases:
     @pytest.mark.parametrize("factor", [0.5, 1.0, np.nextafter(1.0, 2.0), 2.0, 4.0])

@@ -39,6 +39,7 @@ from tenrol import (
     zeros,
 )
 from tenrol import mpinv
+from tenrol.core import _stack
 
 SHAPES = [
     ModeShape((2,), (3,)),
@@ -498,6 +499,33 @@ class TestPinvSequence:
         # an overflowing reciprocal outranks a lower non-finite entry
         with pytest.raises(ValueError, match=r"has no finite reciprocal in tensor 2$"):
             pinv([m, m, 1e-310 * r])
+
+    def test_stacked_tensors_give_stacks_equal_to_single_calls(self, rng):
+        # the private batching route of rol_report: one stack per operand
+        sq = [golden.random_tensor(rng, golden.SQ22) for _ in range(4)]
+        sq[1] = zeros((2, 2), (2, 2))
+        sq[2] = golden.random_low_rank(rng, golden.SQ22, rank=2)
+        rect = [golden.random_tensor(rng, ModeShape((2,), (3,))) for _ in range(4)]
+        stacks = (_stack(sq), _stack(rect), _stack([t.H for t in rect]), _stack(sq[::-1]))
+        got = pinv(stacks)
+        assert isinstance(got, tuple) and len(got) == len(stacks)
+        for stack, x in zip(stacks, got):
+            assert x.shape == stack.shape.transposed
+            assert x._mat.shape == (4, stack.shape.col_count, stack.shape.row_count)
+            assert x._mat.flags.c_contiguous and not x._mat.flags.writeable
+            for m, row in zip(stack._mat, x._mat):
+                alone = pinv(DenseTensor(stack.shape, m))
+                assert row.tobytes() == alone._mat.tobytes()
+
+    def test_a_stacked_overflow_counts_the_matrices_of_each_stack(self, rng):
+        # matrix r of stacked tensor i counts as tensor i * T + r
+        sq = [golden.random_tensor(rng, golden.SQ22) for _ in range(3)]
+        rect = [golden.random_tensor(rng, ModeShape((2,), (3,))) for _ in range(3)]
+        low = [1e-310 * t for t in rect]
+        with pytest.raises(ValueError, match=r"has no finite reciprocal in tensor 4$"):
+            pinv((_stack(sq), _stack([rect[0], low[1], low[2]]), _stack(rect)))
+        with pytest.raises(ValueError, match=r"has no finite reciprocal in tensor 2$"):
+            pinv((_stack([sq[0], sq[1], 1e-310 * sq[2]]), _stack([rect[0], low[1], rect[2]])))
 
     def test_sum_equals_sum_of_single_calls(self, rng):
         a = golden.random_tensor(rng, golden.SQ22)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 import tracemalloc
 
@@ -364,6 +365,38 @@ class TestFuzzSearch:
         assert s.direct_false >= 5
 
 
+# SHA-256 of the float64 bytes of every factor ``_draw_block`` returns for a
+# block of two trials per family, each trial on its own child of the seed,
+# as the draws gave them before the block combined its Gaussian parts.
+DRAW_DIGESTS = {
+    ("2x2:2x2", 0): "170b0e542409b96193d2d06cbcc924749ef2c2d7e911f812e17bd95b2f82a72e",
+    ("2x2:2x2", 1): "a5f2b622047027e856e3facab209f7212779123428b314b94e940598dd6a1715",
+    ("2x2:2x2", 2): "569e501fef854a84c7defb19d15955c15a7ffb95696d53c1f106b1a55974dd63",
+    ("2x2:2x2", 3): "ca4b502098cfb00c91def29c8ae09b6a064df91b2b2ff68b5d7fac3c1cb04658",
+    ("2:3", 0): "3d02b488bf773530e3bacbce5902852f1aea885ac2e1215972417219e7efe9a6",
+    ("2:3", 1): "06af428f42e867967db73cb67a263c91b933f4adc4248f98f4b75760e6137547",
+    ("2:3", 2): "62860bb6e5f6e3b4b6cac508ed2393a7fac7f13b7b243345eda07ef43d0bba81",
+    ("2:3", 3): "736cfdb10c163236aa49269792fd62c563c04ebff05c1b7119b62cca7447652d",
+}
+
+
+class TestDrawBlock:
+    @pytest.mark.parametrize("name, seed", list(DRAW_DIGESTS), ids=[f"{n}-{s}" for n, s in DRAW_DIGESTS])
+    def test_draws_are_pinned_bit_for_bit(self, name, seed):
+        shape = FUZZ_SHAPES[name]
+        families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
+        trials = 2 * len(families)
+        rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(trials)]
+        pairs = _draw_block(rngs, shape, [families[t % len(families)] for t in range(trials)])
+        digest = hashlib.sha256()
+        for a, b in pairs:
+            assert a.shape == shape and b.shape == shape.transposed
+            for x in (a, b):
+                assert x._mat.dtype == np.complex128 and x._mat.flags.c_contiguous
+                digest.update(x._mat.view(np.float64).tobytes())
+        assert digest.hexdigest() == DRAW_DIGESTS[name, seed]
+
+
 class TestRolReportBatch:
     def pool(self, shape: ModeShape, count: int) -> tuple[list, list]:
         families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
@@ -480,6 +513,58 @@ class TestRolReportBatch:
             rol_report(as_[:3] + [huge], bs[:3] + [huge])
         assert str(info.value) == "non-finite entry in a @ b of pair 3: the product overflowed"
 
+    def test_two_interleaved_groups_equal_single_pair_reports_bit_for_bit(self):
+        # each group hands its stacks of a, b and a @ b to one pinv call
+        sq, rect = self.pool(SQ22, 7), self.pool(FUZZ_SHAPES["2:3"], 7)
+        as_ = [x for k in range(7) for x in (sq[0][k], rect[0][k])]
+        bs = [x for k in range(7) for x in (sq[1][k], rect[1][k])]
+        batch = np.array([r._values for r in rol_report(as_, bs)])
+        alone = np.array([rol_report(a, b)._values for a, b in zip(as_, bs)])
+        assert batch.tobytes() == alone.tobytes()
+
+    def test_overflow_in_the_second_group_names_its_pair(self):
+        # groups in order of first appearance: 2x2:2x2 (even pairs), 2:3 (odd pairs)
+        sq, rect = self.pool(SQ22, 3), self.pool(FUZZ_SHAPES["2:3"], 3)
+
+        def pairs(planted: dict) -> tuple[list, list]:
+            as_ = [x for k in range(3) for x in (sq[0][k], rect[0][k])]
+            bs = [x for k in range(3) for x in (sq[1][k], rect[1][k])]
+            for i, (scale_a, scale_b) in planted.items():
+                as_[i], bs[i] = scale_a * as_[i], scale_b * bs[i]
+            return as_, bs
+
+        cases = [
+            ({3: (1.0, 1e-310)}, "pinv(b) of pair 3"),
+            ({5: (1.0, 1e-310), 3: (1.0, 1e-310)}, "pinv(b) of pair 3"),
+            ({4: (1.0, 1e-310), 1: (1.0, 1e-310)}, "pinv(b) of pair 1"),
+            ({2: (1.0, 1e-310), 5: (1.0, 1e-310)}, "pinv(b) of pair 2"),
+            ({2: (1.0, 1e-310), 5: (1e-310, 1.0)}, "pinv(a) of pair 5"),
+            ({0: (1e-160, 1e-160), 3: (1.0, 1e-310)}, "pinv(b) of pair 3"),
+            ({1: (1e-160, 1e-160)}, "pinv(a @ b) of pair 1"),
+        ]
+        for planted, named in cases:
+            with pytest.raises(ValueError, match=r"^pinv overflows: smallest kept singular value") as info:
+                rol_report(*pairs(planted))
+            assert str(info.value).endswith(f"has no finite reciprocal in {named}"), planted
+
+    def test_an_overflowing_pinv_entry_names_its_operand_and_pair(self, monkeypatch):
+        # stand in for finite reciprocals whose products overflow: entry 1 of
+        # row 1 of the 2:3 group's stack of its three 3x2 factors b, pair 3
+        real = mpinv._pinv_matrix
+
+        def overflowing(mat, rank_tol):
+            x = real(mat, rank_tol)
+            if mat.shape == (3, 3, 2):
+                x[1, 0, 1] = np.inf
+            return x
+
+        monkeypatch.setattr(mpinv, "_pinv_matrix", overflowing)
+        sq, rect = self.pool(SQ22, 3), self.pool(FUZZ_SHAPES["2:3"], 3)
+        as_ = [x for k in range(3) for x in (sq[0][k], rect[0][k])]
+        bs = [x for k in range(3) for x in (sq[1][k], rect[1][k])]
+        with pytest.raises(ValueError, match=r"^non-finite entry at flat index 1 in pinv\(b\) of pair 3$"):
+            rol_report(as_, bs)
+
     def test_a_block_costs_one_evaluation_per_shape_group(self, monkeypatch):
         # the per-pair report made 24 products per pair; the stacked one makes
         # one a @ b and the 23 products of one evaluation per shape group
@@ -544,7 +629,7 @@ def _cogram_pinv_overflows(monkeypatch, a):
     def failing(mat, rank_tol):
         hits = [k for k, m in enumerate(mat.reshape(-1, *mat.shape[-2:])) if np.array_equal(m, cogram)]
         if hits:
-            raise mpinv._ReciprocalOverflow(1e-320, hits[0])
+            raise mpinv._PinvOverflow(1e-320, hits[0])
         return real(mat, rank_tol)
 
     monkeypatch.setattr(mpinv, "_pinv_matrix", failing)

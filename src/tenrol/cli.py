@@ -15,12 +15,18 @@ at its first offending entry; an integer beyond double range is
 orjson reads and writes documents.  A document that orjson refuses, or
 that fails a check, is parsed again with the standard ``json`` module,
 and that route alone builds the error, so codes, indices and messages are
-``json``'s.  orjson has no nesting limit: a document nested deeper than
-``json`` can read is accepted when the deep part sits under a key that is
-not read, and is otherwise ``malformed-json``.  From the parse until the
-parsed document is released the cyclic garbage collector is off, as the
-document's lists hold no cycle for it to find; it comes back on only if
-it was on, also when the parse fails.
+``json``'s.  The pass that turns away bools and strings among the entries
+is skipped when the raw text shows there are none: at most six quote
+marks (the three keys' own) and no ``u`` or ``f`` (no ``true``, ``false``
+or ``null``).  That is sound because ``np.fromiter``, which reads the
+numbers, refuses the only other non-numbers left, a list or ``{}``, and
+the refusal sends the document to the same fallback.  orjson has no
+nesting limit: a document nested deeper than ``json`` can read is
+accepted when the deep part sits under a key that is not read, and is
+otherwise ``malformed-json``.  From the parse until the parsed document
+is released the cyclic garbage collector is off, as the document's lists
+hold no cycle for it to find; it comes back on only if it was on, also
+when the parse fails.
 
 Exit codes: 0 success, 1 I/O or input error (including a missing input
 file and a non-finite intermediate, such as a product or a ``rol``
@@ -117,12 +123,39 @@ def _entry_error(entries: list) -> TensorFormatError:
             return TensorFormatError("non-finite", i, f"entry [{re!r}, {im!r}] is not finite")
 
 
-def _tensor_of(doc: Any) -> DenseTensor:
+def _scalars_are_numbers(data: bytes | str) -> bool:
+    """True if every scalar in the JSON document ``data``, keys aside, must be a number.
+
+    A document that a check accepts holds the three keys ``row_dims``,
+    ``col_dims`` and ``entries``, two quote marks each, so with at most
+    six quote marks there is no string besides them; with no ``u`` and no
+    ``f`` there is no ``true``, ``false`` or ``null``.  The keys hold
+    neither letter unless written with a ``\\u`` escape, and a JSON number
+    holds no letter but ``e``/``E``.
+    """
+    quote, u, f = ('"', "u", "f") if isinstance(data, str) else (b'"', b"u", b"f")
+    # Counted up to the last quote mark, which rfind finds at memory speed:
+    # where the keys come before the entries, as tenrol writes them, this
+    # scans a few dozen bytes where counting the whole text takes milliseconds.
+    return data.count(quote, 0, data.rfind(quote) + 1) <= 6 and u not in data and f not in data
+
+
+def _tensor_of(doc: Any, scalars_are_numbers: bool = False) -> DenseTensor:
     """The tensor that ``doc`` describes.
 
     Raises the :class:`TensorFormatError` naming the first check that
     ``doc`` fails.  The entries of a valid document are checked in one
     C-level pass per check; only a failing one is walked entry by entry.
+
+    ``scalars_are_numbers`` (from :func:`_scalars_are_numbers` on the
+    document's text) skips the pass over the type of every number, which
+    exists only to turn away the bools and strings that ``np.fromiter``
+    would read silently (``true`` as 1.0, ``"1.5"`` as 1.5).  The skip is
+    sound: with no string, bool or null in the document, a pair that is
+    not two numbers holds a list or ``{}``, which ``np.fromiter`` refuses
+    with ``ValueError`` or ``TypeError``, so the document is walked entry
+    by entry as before, and an accepted one is read by the same
+    ``fromiter`` to the same bits.
     """
     if not isinstance(doc, dict):
         raise TensorFormatError("malformed-json", None, "top level must be an object")
@@ -138,13 +171,16 @@ def _tensor_of(doc: Any) -> DenseTensor:
             f"shape {shape} needs {expected} entries, got {len(entries)}",
         )
     try:
-        if set(map(len, entries)) == {2} and set(map(type, _scalars(entries))) <= _NUMBER_TYPES:
+        if set(map(len, entries)) == {2} and (
+            scalars_are_numbers or set(map(type, _scalars(entries))) <= _NUMBER_TYPES
+        ):
             pairs = np.fromiter(_scalars(entries), np.float64, 2 * expected)
             if np.isfinite(pairs).all():
                 # pairs is fresh and finite, so it is wrapped without DenseTensor's checked copy
                 mat = pairs.view(np.complex128).reshape(shape.row_count, shape.col_count)
                 return DenseTensor._from_owned(shape, mat)
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
+        # ValueError: np.fromiter on a list nested in a pair that the type pass did not see
         pass
     raise _entry_error(entries)
 
@@ -214,7 +250,7 @@ def _read_document(data: bytes | str) -> DenseTensor:
     import orjson
 
     try:
-        return _tensor_of(orjson.loads(data))
+        return _tensor_of(orjson.loads(data), _scalars_are_numbers(data))
     except (orjson.JSONDecodeError, TensorFormatError, RecursionError):
         # RecursionError: the error message's repr of an entry nested too deeply
         pass

@@ -13,6 +13,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import golden
@@ -21,6 +23,7 @@ from tenrol.cli import (
     TensorFormatError,
     _build_parser,
     _fmt17,
+    _scalars_are_numbers,
     _tensor_of,
     format_tensor,
     main,
@@ -560,6 +563,108 @@ class TestOrjsonRoute:
         package = {"tenrol", "tenrol._jacobi_py", "tenrol.core", "tenrol.mpinv", "tenrol.rol", "tenrol.unfold"}
         # __future__ is what the modules' `from __future__ import annotations` loads
         assert by_rol - baseline == package | {"__future__"}
+
+
+def parse_outcome(source) -> tuple:
+    """What parse_tensor_file gives for ``source``: the tensor's shape and bytes, or its error's code, index and message."""
+    try:
+        t = parse_tensor_file(source)
+    except TensorFormatError as exc:
+        return ("error", exc.code, exc.index, str(exc))
+    return ("tensor", t.shape, t.entries.tobytes())
+
+
+def full_pass_outcome(source) -> tuple:
+    """parse_outcome(source) with the type pass never skipped."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("tenrol.cli._scalars_are_numbers", lambda data: False)
+        return parse_outcome(source)
+
+
+# Valid documents with exactly the keys' six quote marks and no u or f: the skip applies to each.
+SKIP_SEEDS = [
+    '{"row_dims": [1], "col_dims": [2], "entries": [[1.5,-2],[0,3e2]]}',
+    '{"row_dims":[1],"col_dims":[3],"entries":[[1,0],[-0.0,2E-3],[7,8]]}',
+]
+EDIT_CHARS = '[]{},:" 0123456789.eE+-tfuln'
+edits = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 200), st.sampled_from(EDIT_CHARS)),
+    min_size=1,
+    max_size=2,
+)
+
+
+def edited(text: str, changes) -> str:
+    """``text`` after each (kind, position, character) edit in turn; positions wrap around the text."""
+    for kind, pos, char in changes:
+        pos %= len(text) + (kind == "insert")
+        text = text[:pos] + ("" if kind == "delete" else char) + text[pos + (kind != "insert"):]
+    return text
+
+
+# Documents that must take the full type pass; each parses to the 1x2 tensor [1, 2j].
+FULL_PASS_DOCS = {
+    "extra key holding true": '{"row_dims": [1], "col_dims": [2], "entries": [[1,0],[0,2]], "note": true}',
+    "extra key holding null": '{"row_dims": [1], "col_dims": [2], "entries": [[1,0],[0,2]], "note": null}',
+    "extra key holding a string": '{"row_dims": [1], "col_dims": [2], "entries": [[1,0],[0,2]], "note": "x"}',
+    "escaped key": '{"row_dims": [1], "col_dims": [2], "entr\\u0069es": [[1,0],[0,2]]}',
+}
+
+
+class TestTypePassSkip:
+    """Skipping the type pass where the raw text rules out strings, bools and null decides as the pass did."""
+
+    @pytest.mark.parametrize("middle", ["[[1,2],0]", "[{},0]", "[[],0]", "[1,[2]]"])
+    def test_a_list_or_object_in_a_pair_is_refused_as_before(self, middle, tmp_path):
+        # np.fromiter meets it unchecked and refuses it; json then names it
+        text = entries_doc(f"[1,0],{middle},[0,0]")
+        assert _scalars_are_numbers(text)
+        with pytest.raises(TensorFormatError) as ref:
+            reference_parse(text)
+        path = tmp_path / "nested.json"
+        path.write_text(text)
+        for source in (text, path):
+            assert parse_outcome(source) == ("error", ref.value.code, ref.value.index, str(ref.value))
+
+    @pytest.mark.parametrize("name", FULL_PASS_DOCS)
+    def test_documents_that_may_hold_non_numbers_take_the_full_pass(self, name, tmp_path):
+        text = FULL_PASS_DOCS[name]
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert not _scalars_are_numbers(text) and not _scalars_are_numbers(path.read_bytes())
+        for source in (text, path):
+            assert parse_outcome(source) == ("tensor", ModeShape((1,), (2,)), np.array([1, 2j]).tobytes())
+
+    @pytest.mark.parametrize(
+        "entries", ["[1,0],[true,0],[0,0]", "[1,0],[0,false],[0,0]", "[1,0],[null,0],[0,0]", '[1,0],["1.5",0],[0,0]']
+    )
+    def test_a_bool_null_or_string_entry_keeps_the_type_pass(self, entries, monkeypatch):
+        # test_errors_match_reference checks that these documents are refused as before
+        text = entries_doc(entries)
+        assert not _scalars_are_numbers(text) and not _scalars_are_numbers(text.encode())
+        # the hazard the check guards: with the pass skipped, np.fromiter would read
+        # true as 1.0 and "1.5" as 1.5 (null it refuses)
+        monkeypatch.setattr("tenrol.cli._scalars_are_numbers", lambda data: True)
+        assert parse_outcome(text)[0] == ("error" if "null" in entries else "tensor")
+
+    def test_the_skip_applies_to_written_documents_and_the_fixtures(self, rng, data_dir):
+        for dims in (((1,), (1,)), ((2, 3), (4,)), ((16,), (16, 4))):
+            t = awkward_tensor(rng, ModeShape(*dims))
+            doc = {"row_dims": list(dims[0]), "col_dims": list(dims[1]),
+                   "entries": t.entries.view(np.float64).reshape(-1, 2).tolist()}
+            for text in (format_tensor(t), json.dumps(doc), json.dumps(doc, indent=1)):
+                assert _scalars_are_numbers(text) and _scalars_are_numbers(text.encode())
+                assert parse_tensor_file(text).entries.tobytes() == t.entries.tobytes()
+        fixtures = sorted(p for p in data_dir.glob("*.json") if not p.name.endswith(".report.json"))
+        assert len(fixtures) == 4
+        for path in fixtures:
+            assert _scalars_are_numbers(path.read_bytes()), path.name
+
+    @given(st.sampled_from(SKIP_SEEDS), edits)
+    @settings(max_examples=400, deadline=None)
+    def test_edited_documents_parse_as_with_the_full_pass(self, seed, changes):
+        text = edited(seed, changes)
+        assert parse_outcome(text) == full_pass_outcome(text)
 
 
 class TestGcPause:

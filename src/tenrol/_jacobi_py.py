@@ -67,12 +67,14 @@ def jacobi_sweeps(
     A stack of T matrices is rotated by the same rounds, one numpy call
     each for the whole stack, on a slot-major ``(2h, T, m + n)`` work
     array: the rotated halves are contiguous blocks, and every per-pair
-    value is a contiguous ``(h, T)`` array.  A matrix none of whose pairs
-    is active in a round gets the exact identity rotation (c = 1, s = 0),
-    and a matrix leaves the stack (axis 1) after its first rotation-free
-    sweep, so each matrix comes out as it would from a call of its own, up
-    to the sign of zero entries.  A single matrix drops the T axis: as a
-    stack of one, it took 1.29x as long at n = 4 and 1.09x at n = 32.
+    value is a contiguous ``(h, T)`` array.  A single matrix takes the same
+    path without the T axis.  A matrix none of whose pairs is active in a
+    round gets the exact identity rotation (c = 1, s = 0), also once its
+    own sweeps are rotation-free, until a sweep rotates no pair of any
+    matrix; so each matrix comes out as it would from a call of its own,
+    up to the sign of zero entries.  A stack of one costs 1.14x, 1.09x
+    and 1.07x a 2-D call at n = 4, 16 and 32 (``BENCH_23.json``), so
+    ``matrix_svd`` hands a lone matrix over as 2-D.
 
     Parameters
     ----------
@@ -96,9 +98,6 @@ def jacobi_sweeps(
     n, m = cols.shape[-2:]
     if n < 2 or cols.size == 0:
         return 0
-    stacked = cols.ndim == 3
-    # stack index of each matrix still in ``work`` (a single matrix: all of it)
-    live = np.arange(len(cols)) if stacked else ...
     perm = round_robin(n)
     h = perm.size // 2
     # 0-d operands and a dtype object, made once: numpy converts a Python
@@ -112,8 +111,7 @@ def jacobi_sweeps(
     work[:n, ..., :m] = cols.swapaxes(0, -2)  # for a single matrix, swapaxes(0, 0)
     work[:n, ..., m:] = vrows.swapaxes(0, -2)
     for sweep in range(max_sweeps):
-        # per pair and matrix on a stack; a single matrix needs only a flag
-        calm = np.ones((h, live.size), dtype=bool) if stacked else True
+        calm = True  # no rotation in this sweep, in any matrix
         for _ in range(2 * h - 1):
             cw = work[..., :m]
             norm2 = np.vecdot(cw, cw).real
@@ -124,10 +122,7 @@ def jacobi_sweeps(
             # makes it rotate: it must never pass as orthogonal
             still = (g <= eps * np.sqrt(app * aqq)) | (np.minimum(app, aqq) <= null)
             if np.count_nonzero(still) != still.size:
-                if stacked:
-                    calm &= still
-                else:
-                    calm = False
+                calm = False
                 g[still] = one
                 zeta = (aqq - app) / (g + g)
                 t = np.copysign(one / (np.abs(zeta) + np.hypot(one, zeta)), zeta)
@@ -151,24 +146,12 @@ def jacobi_sweeps(
                 y *= c
                 bot += y
             work = work.take(perm, axis=0)
-        if not stacked:
-            if not calm:
-                continue
+        if calm:
             result = sweep + 1
             break
-        busy = ~calm.all(axis=0)
-        if not busy.all():
-            # retire the matrices whose sweep was rotation-free
-            result = sweep + 1
-            done = work[:n, ~busy].swapaxes(0, 1)
-            cols[live[~busy]] = done[..., :m]
-            vrows[live[~busy]] = done[..., m:]
-            work, live = work[:, busy], live[busy]
-            if not live.size:
-                break
     else:
         result = -1
-    cols[live] = work[:n, ..., :m].swapaxes(0, -2)
-    vrows[live] = work[:n, ..., m:].swapaxes(0, -2)
+    cols[...] = work[:n, ..., :m].swapaxes(0, -2)
+    vrows[...] = work[:n, ..., m:].swapaxes(0, -2)
     cols[np.vecdot(cols, cols).real <= NULL_NORM2] = 0.0
     return result

@@ -325,6 +325,7 @@ def _shape(text: str) -> ModeShape:
 
 _parse_shape = _arg_type(_shape, lambda shape: True, "shape must look like ROWSxROWS:COLSxCOLS")
 _positive_int = _arg_type(int, lambda n: n >= 1, "must be an integer >= 1")
+_nonnegative_int = _arg_type(int, lambda n: n >= 0, "must be an integer >= 0")
 # a NumericPolicy tolerance: a float in (0, 1), so never NaN
 _open_unit_fraction = _arg_type(float, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)")
 
@@ -477,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="mode split of the left factor, e.g. 2x2:2x2",
     )
     p.add_argument("--trials", type=_positive_int, default=500, help="number of pairs (default 500)")
-    p.add_argument("--seed", type=int, default=42, help="stream seed (default 42)")
+    p.add_argument("--seed", type=_nonnegative_int, default=42, help="stream seed (default 42)")
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("identities", help="pseudoinverse identity residuals for one tensor")

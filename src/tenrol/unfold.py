@@ -31,8 +31,9 @@ infinite entry is rejected with ``ValueError`` before any factorization.
 ``matrix_svd`` also decomposes a ``(T, rows, cols)`` stack of matrices,
 each with its own power-of-two scale, through stacked kernel calls of at
 most ``KERNEL_BUDGET`` work entries each.  The kernel gives a matrix in a
-stack the same rotations it would get alone, so stacking saves numpy call
-overhead without changing results.
+stack the rotations it would get alone, then exact identity rotations
+until every matrix of the call has converged, so stacking saves numpy call
+overhead without changing results beyond the sign of zero entries.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ JACOBI_EPS: float = 1e-14
 
 #: Complex entries of the kernel's work array above which a stack is split
 #: over several kernel calls; a matrix over it alone gets a call of its own.
-#: On the slot-major stack, 8 matrices at flat 32, 3 at flat 48 and 2 at
-#: flat 64 (16k entries or fewer) ran at 0.41-0.47, 0.68-0.80 and 0.83-0.90
-#: of separate calls; the matrix-major one ran at 0.91-1.24 at flat 64.
+#: 8 matrices at flat 32, 3 at flat 48 and 2 at flat 64 (16k entries or
+#: fewer) ran at 0.43-0.53, 0.72-0.76 and 0.82-0.98 of separate calls
+#: (quartiles, ``BENCH_23.json``).
 KERNEL_BUDGET: int = 2**14
 
 __all__ = [
@@ -162,8 +163,8 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(np.ldexp(parts[rowsort], -e).view(np.complex128), mode="complete")
     colrows = np.conjugate(r[..., :cols, :])
     vrows = np.zeros(colrows.shape, dtype=np.complex128)
-    vrows.reshape(*vrows.shape[:-2], -1)[..., :: cols + 1] = 1.0  # identity per matrix
-    if colrows.ndim == 2:
+    vrows.reshape(*vrows.shape[:-2], cols * cols)[..., :: cols + 1] = 1.0  # identity per matrix
+    if colrows.ndim == 2 or colrows.size == 0:  # an empty stack: one call, no rotation
         chunks = [(colrows, vrows)]
     else:
         # kernel calls of at most KERNEL_BUDGET work entries, 2 * ceil(cols / 2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tenrol import DenseTensor, ModeShape, as_tensor
+from tenrol import FUZZ_FAMILIES, DenseTensor, ModeShape, RolReport, as_tensor, rol_report
 from tenrol.rol import _draw_block
 
 SQ22 = ModeShape((2, 2), (2, 2))
@@ -159,3 +159,23 @@ def random_unitary_tensor(rng: np.random.Generator, dims: tuple[int, ...]) -> De
 def fuzz_pair(rng: np.random.Generator, shape: ModeShape, family: str) -> tuple[DenseTensor, DenseTensor]:
     """One pair of the fuzz ``family`` as ``fuzz_search`` draws it: a block of one."""
     return _draw_block([rng], shape, [family])[0]
+
+
+def fuzz_trial_reports(shape: ModeShape, trials: int, seed: int) -> list[tuple[str, RolReport]]:
+    """``(family, report)`` of every trial of ``fuzz_search(shape, trials, seed)``, pair by pair."""
+    families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
+    out = []
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        family = families[t % len(families)]
+        out.append((family, rol_report(*fuzz_pair(np.random.default_rng(child), shape, family))))
+    return out
+
+
+def force_violations(monkeypatch, reports: list[RolReport], trials) -> None:
+    """Make ``RolReport.implication_ok`` False on the reports of ``trials`` and True elsewhere.
+
+    A report is recognized by its ``direct`` and ``commute`` residuals, so
+    a stacked evaluation of the same pair is recognized too.
+    """
+    keys = {(reports[t].direct, reports[t].commute) for t in trials}
+    monkeypatch.setattr(RolReport, "implication_ok", property(lambda r: (r.direct, r.commute) not in keys))

@@ -31,6 +31,7 @@ from tenrol.cli import (
     run_command,
     write_tensor_file,
 )
+from tenrol import unfold as unfold_mod
 from tenrol.unfold import SvdConvergenceError
 
 
@@ -1084,3 +1085,35 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "4 0"
+
+
+class TestExitPaths:
+    """Exit codes reached by running the real code path, nothing raised by hand."""
+
+    def test_pinv_at_the_sweep_cap_exits_four(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(4)
+        src, out = tmp_path / "g.json", tmp_path / "x.json"
+        write_tensor_file(src, as_tensor(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), (2, 4), (4, 2)))
+        monkeypatch.setattr(unfold_mod, "MAX_SWEEPS", 1)
+        assert run_command(["pinv", "--in", str(src), "--out", str(out)]) == 4
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fuzz_violations_exit_three_and_name_the_first_trial(self, monkeypatch, capsys):
+        per_pair = golden.fuzz_trial_reports(golden.SQ22, 72, 3)
+        golden.force_violations(monkeypatch, [r for _, r in per_pair], [9, 40, 70])
+        code = run_command(["fuzz", "--shape", "2x2:2x2", "--trials", "72", "--seed", "3"])
+        assert code == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "equivalence violations: 3 (first at trial 9)"
+
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
+    def test_seed_must_be_a_nonnegative_integer(self, value):
+        # a negative seed once reached numpy and exited 1
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_command(["fuzz", "--shape", "2x2:2x2", "--trials", "5", "--seed", value]) == 2
+        assert err.getvalue().endswith(f"tenrol fuzz: error: argument --seed: must be an integer >= 0, got {value!r}\n")
+
+    def test_seed_zero_is_accepted(self, capsys):
+        assert run_command(["fuzz", "--shape", "2x2:2x2", "--trials", "5", "--seed", "0"]) == 0
+        assert "no equivalence violations" in capsys.readouterr().out

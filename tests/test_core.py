@@ -725,3 +725,22 @@ class TestSharedShapes:
         assert rel_residual(a, b) == rel_residual(b, a)
         with pytest.raises(ShapeMismatchError):
             rel_residual(a, golden.random_tensor(rng, ModeShape((4,), (1,))))
+
+
+class TestInputChecks:
+    def test_dense_tensor_needs_a_mode_shape(self):
+        with pytest.raises(TypeError, match="shape must be a ModeShape, got tuple"):
+            DenseTensor((2, 2), np.zeros(4))
+
+    def test_combining_different_shapes(self):
+        a, b = zeros((2,), (2,)), zeros((2,), (3,))
+        with pytest.raises(ShapeMismatchError, match="cannot combine shapes"):
+            add_scale(1.0, a, 2.0, b)
+        with pytest.raises(ShapeMismatchError, match="cannot combine shapes"):
+            a + b
+        with pytest.raises(ShapeMismatchError, match="cannot combine shapes"):
+            a - b
+
+    def test_inner_product_of_different_shapes(self):
+        with pytest.raises(ShapeMismatchError, match="inner product requires equal shapes"):
+            inner_product(zeros((2,), (2,)), zeros((4,), (1,)))

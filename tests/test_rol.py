@@ -929,3 +929,20 @@ class TestLockstepDraws:
         assert summary.direct_true == sum(r.holds for r in reports)
         assert summary.direct_false == sum(not r.holds for r in reports)
         assert summary.violations == sum(not (r.consistent and r.implication_ok) for r in reports)
+
+
+class TestFuzzViolations:
+    """``fuzz_search``'s violation count and first violation, forced on known trials of two blocks."""
+
+    TRIALS, SEED, CHOSEN = _FUZZ_BLOCK + 8, 3, [5, 17, _FUZZ_BLOCK + 2]
+
+    def test_violations_and_the_first_one_equal_pair_by_pair_evaluation(self, monkeypatch):
+        per_pair = golden.fuzz_trial_reports(SQ22, self.TRIALS, self.SEED)
+        golden.force_violations(monkeypatch, [r for _, r in per_pair], self.CHOSEN)
+        failing = [t for t, (_, r) in enumerate(per_pair) if not (r.consistent and r.implication_ok)]
+        assert failing == self.CHOSEN
+        summary = fuzz_search(SQ22, self.TRIALS, self.SEED)
+        assert summary.violations == len(failing)
+        family, report = per_pair[failing[0]]
+        assert summary.first_violation == {"trial": failing[0], "family": family, "report": report.as_dict()}
+        assert summary.first_violation["report"]["implication_ok"] is False

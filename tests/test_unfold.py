@@ -525,3 +525,46 @@ class TestStackedSvd:
     def test_rejects_higher_rank_arrays(self):
         with pytest.raises(ValueError, match="ndim 4"):
             matrix_svd(np.zeros((2, 2, 2, 2)))
+
+
+class TestSweepCap:
+    """The real non-convergence path, reached by lowering ``MAX_SWEEPS`` to one sweep."""
+
+    @pytest.fixture(autouse=True)
+    def one_sweep(self, monkeypatch):
+        monkeypatch.setattr(unfold_mod, "MAX_SWEEPS", 1)
+
+    @staticmethod
+    def gaussian(rng, *shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def test_matrix(self, rng):
+        with pytest.raises(SvdConvergenceError, match="did not converge within 1 sweeps"):
+            matrix_svd(self.gaussian(rng, 8, 8))
+
+    def test_stack(self, rng):
+        stack = self.gaussian(rng, 3, 8, 8)
+        stack[1] = np.diag(self.gaussian(rng, 8))  # converges in one sweep on its own
+        matrix_svd(stack[1])
+        with pytest.raises(SvdConvergenceError, match="did not converge within 1 sweeps"):
+            matrix_svd(stack)
+
+    def test_pinv(self, rng):
+        with pytest.raises(SvdConvergenceError, match="did not converge within 1 sweeps"):
+            pinv(as_tensor(self.gaussian(rng, 8, 8), (2, 4), (4, 2)))
+
+
+class TestEmptySvd:
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (0, 3, 4), (2, 3, 0), (2, 0, 3), (3, 0), (0, 3)])
+    def test_empty_factors_of_the_documented_shapes(self, shape):
+        *stack, rows, cols = shape
+        u, s, v = matrix_svd(np.zeros(shape))
+        assert u.shape == (*stack, rows, rows)
+        assert s.shape == (*stack, min(rows, cols))
+        assert v.shape == (*stack, cols, cols)
+        assert u.dtype == v.dtype == np.complex128 and s.dtype == np.float64
+        # the unitary factors of a matrix with no entries are identities
+        assert np.array_equal(u, np.broadcast_to(np.eye(rows), u.shape))
+        assert np.array_equal(v, np.broadcast_to(np.eye(cols), v.shape))
+        if stack:
+            TestStackedSvd.check(np.zeros(shape))

@@ -32,11 +32,20 @@ in :mod:`tenrol.core`): ``a @ b`` and its finiteness check, one ``pinv``
 call on the stacks of ``a``, ``b`` and ``a @ b``, and the residual code,
 through the same core primitives and in the same product order as for a
 single pair, so each report equals the one for its pair alone bit for bit.
+
+:func:`fuzz_search` also draws a block in one batch.  Trial ``t`` draws
+from child ``t`` of ``SeedSequence(seed)``, the stream of
+``np.random.default_rng(child)`` bit for bit (``TestBlockSeeding`` in
+``tests/test_rol.py`` pins this), through one generator reset to each
+child's PCG64 state, and those states are hashed for the whole block at
+once.  The block's factors are then built from their raw draws with one
+batched expression per kind of factor and shape.
 """
 
 from __future__ import annotations  # evaluated, the np.random.Generator annotations would import numpy.random
 
-from typing import Callable, Sequence
+import operator
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -478,13 +487,41 @@ class FuzzSummary(_Record):
     first_violation: dict | None
 
 
-# A pair is drawn in two phases, so that a block shares its QR calls.  The
-# first draws all of the trial's random numbers, in program order (no draw
-# depends on a unitary factor), and returns the Gaussian parts whose QR
-# factors the pair needs with the function that builds the pair from them.
-def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The real and imaginary parts, ``(2, n, n)``, of the Gaussian matrix behind a Haar-random unitary."""
-    return rng.standard_normal((2, n, n))
+def _hash(value: np.ndarray, steps: range, init: int, mult: int) -> np.ndarray:
+    """``SeedSequence`` hash steps ``steps``, one per row, on 32-bit words held in ``uint64``."""
+    h = np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(steps.start, steps.stop + 1)], dtype=np.uint64)
+    value = (value ^ h[:-1, None]) * h[1:, None] & 0xFFFFFFFF
+    return value ^ value >> 16
+
+
+def _streams(gen: np.random.Generator, root: np.random.SeedSequence, first: int, n: int):
+    """``gen`` reset in turn to the start of ``np.random.default_rng(child)`` for ``root``'s children ``first`` on.
+
+    A child's pool is ``root.pool`` (the seed's words, hashed and mixed)
+    with its spawn key hashed in (numpy's INIT_A and MULT_A) and mixed in
+    (MIX_MULT_L and MIX_MULT_R), and ``generate_state(4, uint64)`` hashes
+    it out (INIT_B and MULT_B); both steps run for all ``n`` children at
+    once.  PCG64 seeds ``(state, inc)`` from those words, high word first.
+    """
+    behind = 4 * max(4, (root.entropy.bit_length() + 31) // 32)  # hash steps the root pool took
+    key = _hash(np.arange(first, first + n, dtype=np.uint64), range(behind, behind + 4), 0x43B0D7E5, 0x931E8875)
+    pool = (0xCA01F9DD * root.pool.astype(np.uint64)[:, None] - 0x4973F715 * key) & 0xFFFFFFFF
+    words = _hash(np.tile(pool ^ pool >> 16, (2, 1)), range(8), 0x8B51F9DD, 0x58F38DED)
+    bits = gen.bit_generator
+    for hi, lo, inc_hi, inc_lo in zip(*(words[0::2] | words[1::2] << 32).tolist()):
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) % 2**128
+        start = ((inc + (hi << 64 | lo)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": start, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        yield gen
+
+
+# A block is drawn in two phases: every trial's random numbers, raw and in
+# program order (no draw depends on a unitary), then one QR per unitary size
+# and one batched build per factor key.
+def _unitary(rng: np.random.Generator, n: int, gauss: dict[int, list[np.ndarray]]) -> int:
+    """Draw the Gaussian parts of an order-``n`` unitary; its index among the block's unitaries of that order."""
+    gauss.setdefault(n, []).append(rng.standard_normal((2, n, n)))
+    return len(gauss[n]) - 1
 
 
 def _orthonormalize(z: np.ndarray) -> np.ndarray:
@@ -494,94 +531,87 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _dense_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
-    re, im = rng.standard_normal((2, shape.row_count, shape.col_count))
-    return DenseTensor._from_owned(shape, re + 1j * im)
-
-
-def _low_rank_tensor(rng: np.random.Generator, shape: ModeShape) -> tuple[list[np.ndarray], Callable]:
+def _low_rank(rng: np.random.Generator, shape: ModeShape, gauss: dict) -> tuple:
     # bounded singular values keep the pseudoinverses well conditioned,
     # so boolean decisions sit far from the tolerance
-    rc, cc = shape.row_count, shape.col_count
-    r = int(rng.integers(1, min(rc, cc) + 1))
-    zs = [_gaussian(rng, rc), _gaussian(rng, cc)]
-    s = rng.uniform(0.3, 3.0, r)
-    return zs, lambda u, v: dematricize((u[:, :r] * s) @ v[:, :r].conj().T, shape)
+    r = int(rng.integers(1, min(shape.row_count, shape.col_count) + 1))
+    u, v = _unitary(rng, shape.row_count, gauss), _unitary(rng, shape.col_count, gauss)
+    return ("low_rank", shape, r), (u, v, rng.uniform(0.3, 3.0, r))
 
 
-def _diagonal_tensor(rng: np.random.Generator, shape: ModeShape) -> DenseTensor:
-    k = min(shape.row_count, shape.col_count)
-    mags = rng.uniform(0.3, 3.0, k)
-    phases = np.exp(2j * np.pi * rng.random(k))
-    vals = mags * phases
-    vals[rng.random(k) < 0.25] = 0.0
-    mat = np.zeros((shape.row_count, shape.col_count), dtype=np.complex128)
-    np.fill_diagonal(mat, vals)
-    return DenseTensor._from_owned(shape, mat)
-
-
-def _sigma_with_gaps(rng: np.random.Generator, k: int) -> np.ndarray:
-    s = rng.uniform(0.3, 3.0, k)
-    s[rng.random(k) < 0.25] = 0.0
-    return s
-
-
-def _pair_of(draw_a: tuple[list[np.ndarray], Callable], draw_b: tuple[list[np.ndarray], Callable]) -> tuple:
-    """The first phase of a pair's draw from those of its two factors."""
-    (za, build_a), (zb, build_b) = draw_a, draw_b
-    return za + zb, lambda *us: (build_a(*us[: len(za)]), build_b(*us[len(za) :]))
-
-
-def _pair_draw(rng: np.random.Generator, shape: ModeShape, family: str) -> tuple[list[np.ndarray], Callable]:
-    """The first phase of a pair's draw: its Gaussian matrices and the function that builds it."""
+def _pair_draw(rng: np.random.Generator, shape: ModeShape, family: str, gauss: dict) -> tuple:
+    """The first phase of a pair's draw: ``(build key, raw numbers)`` of each factor."""
     shape_b = shape.transposed
-    if family in ("dense", "diagonal"):
-        draw = _dense_tensor if family == "dense" else _diagonal_tensor
-        pair = draw(rng, shape), draw(rng, shape_b)
-        return [], lambda: pair
+    rc, cc = shape.row_count, shape.col_count
+    k = min(rc, cc)
+    if family == "dense":
+        return tuple((("dense", s), rng.standard_normal((2, s.row_count, s.col_count))) for s in (shape, shape_b))
+    if family == "diagonal":  # magnitudes, phases, and the draws that zero a quarter of the entries
+        return tuple((("diagonal", s), (rng.uniform(0.3, 3.0, k), rng.random(k), rng.random(k))) for s in (shape, shape_b))
     if family == "rank_deficient":
-        return _pair_of(_low_rank_tensor(rng, shape), _low_rank_tensor(rng, shape_b))
+        return _low_rank(rng, shape, gauss), _low_rank(rng, shape_b, gauss)
     if family == "unitary_factor":
-        draw_a = _low_rank_tensor(rng, shape)
-        return _pair_of(draw_a, ([_gaussian(rng, shape_b.row_count)], lambda u: dematricize(u, shape_b)))
+        return _low_rank(rng, shape, gauss), (("unitary", shape_b), _unitary(rng, cc, gauss))
     if family == "orthogonal_sum":
         # both factors are sums of aligned rank-one pieces with mutually
         # orthogonal ranges, sharing the middle unitary; the law holds
-        rc, cc = shape.row_count, shape.col_count
-        zs = [_gaussian(rng, rc), _gaussian(rng, cc), _gaussian(rng, rc)]
-        k = min(rc, cc)
-        sa, sb = np.zeros((rc, cc)), np.zeros((cc, rc))
-        sa_vals = _sigma_with_gaps(rng, k)
-        sb_vals = _sigma_with_gaps(rng, k)
+        u, v, w = (_unitary(rng, n, gauss) for n in (rc, cc, rc))
+        sigmas = [(rng.uniform(0.3, 3.0, k), rng.random(k)) for _ in "ab"]
         # keep one mode alive in both factors: with disjoint supports the
         # product is rounding noise and a relative rank cutoff would turn
         # pinv(a @ b) into an inversion of that noise
-        for vals in (sa_vals, sb_vals):
-            if vals[0] == 0.0:
-                vals[0] = rng.uniform(0.3, 3.0)
-        np.fill_diagonal(sa, sa_vals)
-        np.fill_diagonal(sb, sb_vals)
-        return zs, lambda u, v, w: (
-            dematricize(u @ sa @ v.conj().T, shape),
-            dematricize(v @ sb @ w.conj().T, shape_b),
-        )
+        for vals, gaps in sigmas:
+            if gaps[0] < 0.25:
+                vals[0], gaps[0] = rng.uniform(0.3, 3.0), 1.0
+        return (("sum", shape), (u, *sigmas[0], v)), (("sum", shape_b), (v, *sigmas[1], w))
     raise ValueError(f"unknown family {family!r}")
 
 
+def _build(key: tuple, raw: list, unitaries: dict[int, np.ndarray]) -> list[DenseTensor]:
+    """The factors of one build key from their raw numbers, in one batched expression."""
+    kind, shape = key[:2]
+    rows, cols = shape.row_count, shape.col_count
+    if kind == "unitary":  # perfbench's fuzz trace expects unfold.dematricize on this route
+        return [dematricize(unitaries[rows][i], shape) for i in raw]
+    parts = [np.array(p) for p in zip(*raw)]  # a dense draw splits into its re and im parts
+    diag = np.arange(min(rows, cols))
+    if kind == "dense":
+        mats = parts[0] + 1j * parts[1]
+    elif kind == "diagonal":
+        mags, phases, gaps = parts
+        vals = mags * np.exp(2j * np.pi * phases)
+        vals[gaps < 0.25] = 0.0
+        mats = np.zeros((len(raw), rows, cols), dtype=np.complex128)
+        mats[:, diag, diag] = vals
+    elif kind == "low_rank":
+        (u, v, s), r = parts, key[2]
+        mats = (unitaries[rows][u][..., :r] * s[:, None]) @ unitaries[cols][v][..., :r].conj().swapaxes(1, 2)
+    else:  # "sum": u @ diag(vals with gaps) @ v.H
+        u, vals, gaps, v = parts
+        vals[gaps < 0.25] = 0.0
+        sigma = np.zeros((len(raw), rows, cols))
+        sigma[:, diag, diag] = vals
+        mats = unitaries[rows][u] @ sigma @ unitaries[cols][v].conj().swapaxes(1, 2)
+    return [DenseTensor._from_owned(shape, m) for m in mats]
+
+
 def _draw_block(
-    rngs: Sequence[np.random.Generator], shape: ModeShape, families: Sequence[str]
+    rngs: Iterable[np.random.Generator], shape: ModeShape, families: Sequence[str]
 ) -> list[tuple[DenseTensor, DenseTensor]]:
-    """One pair per generator and family, with one stacked QR per unitary size."""
-    draws = [_pair_draw(rng, shape, family) for rng, family in zip(rngs, families)]
-    by_size: dict[int, list[np.ndarray]] = {}
-    for pending, _ in draws:
-        for z in pending:
-            by_size.setdefault(z.shape[-1], []).append(z)
-    # one re + 1j * im step and one QR per size; the builds take the
-    # unitaries of each size in the order they were drawn
-    parts = {n: np.array(zs) for n, zs in by_size.items()}
-    unitaries = {n: iter(_orthonormalize(z[:, 0] + 1j * z[:, 1])) for n, z in parts.items()}
-    return [build(*(next(unitaries[z.shape[-1]]) for z in pending)) for pending, build in draws]
+    """One pair per generator and family; a trial draws all it needs before the next generator is taken."""
+    gauss: dict[int, list[np.ndarray]] = {}
+    slots: dict[tuple, list[int]] = {}
+    raw: list = []
+    for rng, family in zip(rngs, families):
+        for key, numbers in _pair_draw(rng, shape, family, gauss):
+            slots.setdefault(key, []).append(len(raw))
+            raw.append(numbers)
+    unitaries = {n: _orthonormalize((z := np.array(zs))[:, 0] + 1j * z[:, 1]) for n, zs in gauss.items()}
+    factors: list = [None] * len(raw)
+    for key, idx in slots.items():
+        for i, tensor in zip(idx, _build(key, [raw[i] for i in idx], unitaries)):
+            factors[i] = tensor
+    return list(zip(factors[::2], factors[1::2]))
 
 
 def fuzz_search(
@@ -599,12 +629,14 @@ def fuzz_search(
     an independently derived substream of ``seed``, so results do not
     depend on evaluation order.  Trials are evaluated in fixed-size
     blocks, as stacks from end to end, and memory does not grow with
-    ``trials``.  The pairs of a block are drawn in two phases: every trial
-    first draws its random numbers, then one stacked ``re + 1j * im`` step
-    and one stacked QR per unitary size serve the whole block, then each
-    trial builds its pair.  One :func:`rol_report` call per block then
-    takes the pseudoinverses of each shape group's stacks of ``a``, ``b``
-    and ``a @ b`` from one stacked SVD.
+    ``trials``.  A block is seeded in one pass: trial ``t`` draws from
+    child ``t`` of ``SeedSequence(seed)``, the stream of
+    ``np.random.default_rng(child)`` bit for bit, through one generator
+    reset to each child's PCG64 state.  Every trial draws its raw numbers
+    in program order; then one stacked QR per unitary size and one batched
+    expression per kind of factor and shape build the block's pairs, and
+    one :func:`rol_report` call takes the pseudoinverses of each shape
+    group's stacks of ``a``, ``b`` and ``a @ b`` from one stacked SVD.
 
     Returns
     -------
@@ -615,25 +647,29 @@ def fuzz_search(
     Raises
     ------
     ValueError
-        If ``trials < 1``.
+        If ``trials < 1`` or ``seed < 0``.
+    TypeError
+        If ``seed`` is not an integer (``operator.index`` refuses it).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {type(seed).__name__}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     policy = policy or DEFAULT_POLICY
     families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
     root = np.random.SeedSequence(seed)
+    gen = np.random.default_rng(root)
     direct_true = violations = 0
     family_counts = {f: 0 for f in families}
     first_violation: dict | None = None
     for start in range(0, trials, _FUZZ_BLOCK):
         block = range(start, min(start + _FUZZ_BLOCK, trials))
-        # successive spawns continue one child sequence: trial t always
-        # draws from child t, whatever the block size
-        pairs = _draw_block(
-            [np.random.default_rng(child) for child in root.spawn(len(block))],
-            shape,
-            [families[t % len(families)] for t in block],
-        )
+        # trial t always draws from child t, whatever the block size
+        pairs = _draw_block(_streams(gen, root, start, len(block)), shape, [families[t % len(families)] for t in block])
         reports = rol_report([a for a, _ in pairs], [b for _, b in pairs], policy)
         for t, report in zip(block, reports):
             family = families[t % len(families)]

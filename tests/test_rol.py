@@ -321,6 +321,20 @@ class TestFuzzSearch:
         with pytest.raises(ValueError):
             fuzz_search(SQ22, 0, 42)
 
+    @pytest.mark.parametrize(
+        "seed, error", [(-1, ValueError), (1.5, TypeError), ("3", TypeError), ([1, 2], TypeError)]
+    )
+    def test_refuses_a_seed_that_is_not_a_nonnegative_integer(self, seed, error, monkeypatch):
+        monkeypatch.setattr(rol, "_draw_block", lambda *args: pytest.fail("drew before checking the seed"))
+        with pytest.raises(error, match="seed"):
+            fuzz_search(SQ22, 5, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**200])
+    def test_zero_and_huge_seeds_draw_from_their_spawned_children(self, seed):
+        reports = [r for _, r in golden.fuzz_trial_reports(SQ22, 10, seed)]
+        s = fuzz_search(SQ22, 10, seed)
+        assert (s.direct_true, s.violations) == (sum(r.holds for r in reports), 0)
+
     def test_deterministic_for_a_seed(self):
         s1 = fuzz_search(SQ22, 20, 123)
         s2 = fuzz_search(SQ22, 20, 123)
@@ -379,6 +393,23 @@ DRAW_DIGESTS = {
     ("2:3", 3): "736cfdb10c163236aa49269792fd62c563c04ebff05c1b7119b62cca7447652d",
 }
 
+# The same for the shapes whose unitaries come in two orders, or whose
+# factors have a one-mode and a two-mode side.
+LOCKSTEP_DRAW_DIGESTS = {
+    ("3:2x2", 0): "f37bbf33088ad49f74cce46ea95aafeb942a12b7ff6e70bdcf42122ca24eba0f",
+    ("3:2x2", 1): "0e3fbb775b4ddd9da3003cd32f6188838ab7db9c890596f90caeb863f239cd7a",
+    ("3:2x2", 2): "10481083bac05ce9057b831bf42ce5453114b883265dacfcfa0bdb1b3978bf53",
+    ("3:2x2", 3): "bff846167be87d01a74211918d345308ac6e1fe837e9c4b43118a0c33eada6ac",
+    ("4:2", 0): "54a25d0baaa4b4b93ba5943c3ad5796d5bf09a98d6b5aa7ae0ad10f4ac122ef0",
+    ("4:2", 1): "1f254b9e9d0d9bcc12bea88afc5216e71f4c799924ff0594a4ffbcc01bf48e47",
+    ("4:2", 2): "edb0edd90ac49f392fdaba1aa0f8b911b5d04a20c2504e92e1d390df4d9f87b7",
+    ("4:2", 3): "8074a154294d2a8dd76be323f403f0fa0e55da1ee319ceb198f764a30cef7d94",
+    ("5:3", 0): "e6b26462b6e1d14d595893532ae93cf60616fc4a06fb5f8326d5af586b191dd6",
+    ("5:3", 1): "ebfed6fb08e713e416d4018ad15ba7bde5b8450a49e9b057d6c0c4baba56bc20",
+    ("5:3", 2): "fd802366d379080822abb6ba0243fc9a14a70b940bac5ef0fef16cd4bbaa2b03",
+    ("5:3", 3): "e0a41a5a796bc2f11311fd36fd26c7999ba50f0fad7cebcf58a136d825307e84",
+}
+
 
 class TestDrawBlock:
     @pytest.mark.parametrize("name, seed", list(DRAW_DIGESTS), ids=[f"{n}-{s}" for n, s in DRAW_DIGESTS])
@@ -395,6 +426,48 @@ class TestDrawBlock:
                 assert x._mat.dtype == np.complex128 and x._mat.flags.c_contiguous
                 digest.update(x._mat.view(np.float64).tobytes())
         assert digest.hexdigest() == DRAW_DIGESTS[name, seed]
+
+    @pytest.mark.parametrize(
+        "name, seed", list(LOCKSTEP_DRAW_DIGESTS), ids=[f"{n}-{s}" for n, s in LOCKSTEP_DRAW_DIGESTS]
+    )
+    def test_draws_with_unitaries_of_other_orders_are_pinned_bit_for_bit(self, name, seed):
+        shape = DRAW_SHAPES[name]
+        families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
+        trials = 2 * len(families)
+        rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(trials)]
+        pairs = _draw_block(rngs, shape, [families[t % len(families)] for t in range(trials)])
+        digest = hashlib.sha256()
+        for a, b in pairs:
+            assert a.shape == shape and b.shape == shape.transposed
+            for x in (a, b):
+                assert x._mat.dtype == np.complex128 and x._mat.flags.c_contiguous
+                digest.update(x._mat.view(np.float64).tobytes())
+        assert digest.hexdigest() == LOCKSTEP_DRAW_DIGESTS[name, seed]
+
+
+class TestBlockSeeding:
+    """``fuzz_search``'s streams are those of ``np.random.default_rng`` on ``SeedSequence(seed).spawn`` children."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5, 2**200])
+    def test_streams_equal_the_spawned_children_bit_for_bit(self, seed):
+        root = np.random.SeedSequence(seed)
+        gen = np.random.default_rng(99)
+        first = 0
+        for n in (_FUZZ_BLOCK, _FUZZ_BLOCK, 7):  # three blocks: successive spawns continue one child sequence
+            for child, rng in zip(root.spawn(n), rol._streams(gen, root, first, n), strict=True):
+                assert rng is gen
+                ref = np.random.PCG64(child)
+                assert rng.bit_generator.state == ref.state
+                assert rng.standard_normal(5).tobytes() == np.random.Generator(ref).standard_normal(5).tobytes()
+            first += n
+
+    def test_a_stream_starts_afresh_after_a_half_used_word(self):
+        # integers() on a small range draws 32 bits and buffers the other half
+        gen = np.random.default_rng(0)
+        for child, rng in zip(np.random.SeedSequence(4).spawn(3), rol._streams(gen, np.random.SeedSequence(4), 0, 3)):
+            ref = np.random.default_rng(child)
+            assert rng.integers(1, 5) == ref.integers(1, 5)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestRolReportBatch:

@@ -207,9 +207,6 @@ def _json_document(text: str) -> Any:
 def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
     """Parse a tensor document from a file path or raw JSON text.
 
-    A ``str`` of 32,768 characters or more is read as JSON text without a
-    file-system check: no platform opens a path that long.
-
     The document is parsed with orjson.  If orjson refuses it or it fails
     any check, it is parsed again with the standard ``json`` module, which
     decides the outcome and builds the error.
@@ -229,7 +226,7 @@ def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
     OSError
         If ``source`` is a path that cannot be read.
     """
-    if isinstance(source, os.PathLike) or (len(source) < 32_768 and os.path.exists(source)):
+    if isinstance(source, os.PathLike) or os.path.exists(source):
         data = Path(source).read_bytes()
     else:
         data = str(source)

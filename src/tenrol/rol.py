@@ -35,10 +35,10 @@ single pair, so each report equals the one for its pair alone bit for bit.
 
 :func:`fuzz_search` also draws a block in one batch.  Trial ``t`` draws
 from child ``t`` of ``SeedSequence(seed)``, the stream of
-``np.random.default_rng(child)`` bit for bit (``TestBlockSeeding`` in
-``tests/test_rol.py`` pins this), through one generator reset to each
-child's PCG64 state, and those states are hashed for the whole block at
-once.  The block's factors are then built from their raw draws with one
+``np.random.default_rng(child)`` bit for bit for ``t < 2**32``
+(``TestBlockSeeding`` in ``tests/test_rol.py`` pins this), through one
+generator reset to each child's PCG64 state, and those states are hashed
+for the whole block at once.  The block's factors are then built from their raw draws with one
 batched expression per kind of factor and shape.
 """
 
@@ -632,7 +632,9 @@ def fuzz_search(
     ``trials``.  A block is seeded in one pass: trial ``t`` draws from
     child ``t`` of ``SeedSequence(seed)``, the stream of
     ``np.random.default_rng(child)`` bit for bit, through one generator
-    reset to each child's PCG64 state.  Every trial draws its raw numbers
+    reset to each child's PCG64 state.  That holds for the first 2**32
+    trials: a spawn key is hashed as one 32-bit word, where numpy would
+    give trial 2**32 and later a key of two words.  Every trial draws its raw numbers
     in program order; then one stacked QR per unitary size and one batched
     expression per kind of factor and shape build the block's pairs, and
     one :func:`rol_report` call takes the pseudoinverses of each shape

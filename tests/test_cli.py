@@ -8,7 +8,6 @@ import gc
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -255,38 +254,6 @@ class TestFormatRoundTrip:
     def test_golden_fixture_file(self, data_dir):
         t = parse_tensor_file(data_dir / "nonnormal_invertible.json")
         assert np.array_equal(t.array, golden.golden_a().array)
-
-
-class TestPathCheck:
-    """A ``str`` is looked up as a path only when it is short enough to be one."""
-
-    def spy(self, monkeypatch) -> list:
-        seen, exists = [], os.path.exists
-        monkeypatch.setattr(os.path, "exists", lambda p: seen.append(p) or exists(p))
-        return seen
-
-    def test_long_text_parses_to_the_same_bytes_without_a_file_system_check(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(8)
-        t = as_tensor(rng.standard_normal((16, 128)) + 1j * rng.standard_normal((16, 128)), (16,), (128,))
-        text = format_tensor(t)
-        assert len(text) >= 32_768
-        path = tmp_path / "t.json"
-        path.write_text(text)
-        want = parse_tensor_file(path).entries.tobytes()
-        seen = self.spy(monkeypatch)
-        assert parse_tensor_file(text).entries.tobytes() == want == t.entries.tobytes()
-        doc = format_tensor(identity((2,)))
-        assert parse_tensor_file(doc.ljust(32_768)).entries.tobytes() == identity((2,)).entries.tobytes()
-        assert seen == []
-        parse_tensor_file(doc.ljust(32_767))  # one character shorter: still checked
-        assert seen == [doc.ljust(32_767)]
-
-    def test_a_short_str_path_is_still_read_as_a_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "t.json"
-        write_tensor_file(path, identity((2,)))
-        seen = self.spy(monkeypatch)
-        assert parse_tensor_file(str(path)).entries.tobytes() == identity((2,)).entries.tobytes()
-        assert seen == [str(path)]
 
 
 class TestParseErrors:

@@ -330,10 +330,19 @@ class TestFuzzSearch:
             fuzz_search(SQ22, 5, seed)
 
     @pytest.mark.parametrize("seed", [0, 2**200])
-    def test_zero_and_huge_seeds_draw_from_their_spawned_children(self, seed):
-        reports = [r for _, r in golden.fuzz_trial_reports(SQ22, 10, seed)]
-        s = fuzz_search(SQ22, 10, seed)
-        assert (s.direct_true, s.violations) == (sum(r.holds for r in reports), 0)
+    def test_zero_and_huge_seeds_draw_from_their_spawned_children(self, seed, monkeypatch):
+        # two blocks, so the second block's streams start at child _FUZZ_BLOCK
+        trials, seen, report = _FUZZ_BLOCK + 6, [], rol.rol_report
+
+        def capture(a, b, policy=None):
+            reports = report(a, b, policy)
+            seen.extend(reports)
+            return reports
+
+        monkeypatch.setattr(rol, "rol_report", capture)
+        fuzz_search(SQ22, trials, seed)
+        want = golden.fuzz_trial_reports(SQ22, trials, seed)
+        assert [r.as_dict() for r in seen] == [r.as_dict() for _, r in want]
 
     def test_deterministic_for_a_seed(self):
         s1 = fuzz_search(SQ22, 20, 123)

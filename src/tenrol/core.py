@@ -244,9 +244,9 @@ class DenseTensor:
     :func:`tenrol.mpinv.pinv` act on it matrix by matrix, and
     ``frobenius_norm`` and ``rel_residual`` return a ``(T,)`` float64
     array, each entry equal bit for bit to the result for that matrix
-    alone.  A stack is a batching device of :func:`tenrol.rol.rol_report`
-    and never leaves it; the other methods and functions assume a single
-    matrix.
+    alone.  A stack is a batching device of :mod:`tenrol.rol`, made by
+    ``rol_report`` or by ``fuzz_search``'s draws and evaluated by
+    ``rol_report``; the other methods and functions assume one matrix.
     """
 
     __slots__ = ("shape", "_mat")

@@ -25,21 +25,18 @@ herm_right``, ``paired_product`` and ``factor_left AND factor_right`` are
 equivalent; ``commute`` is only implied by them, not conversely.
 
 :func:`rol_report` also takes two sequences of factors and returns one
-report per pair, which is how :func:`fuzz_search` evaluates a block of
-trials at once.  The pairs of a sequence that share their factor shapes
-are evaluated together as stacked tensors (see the ``DenseTensor`` notes
-in :mod:`tenrol.core`): ``a @ b`` and its finiteness check, one ``pinv``
-call on the stacks of ``a``, ``b`` and ``a @ b``, and the residual code,
-through the same core primitives and in the same product order as for a
-single pair, so each report equals the one for its pair alone bit for bit.
+report per pair.  One loop evaluates every input as groups of pairs: a
+lone pair, the pairs of a sequence that share their factor shapes as
+stacked tensors (see the ``DenseTensor`` notes in :mod:`tenrol.core`), or
+the two stacks of a block that :func:`fuzz_search` draws.  Stacks run
+through the same core primitives in the same product order as a lone
+pair, so each report equals the one for its pair alone bit for bit.
 
-:func:`fuzz_search` also draws a block in one batch.  Trial ``t`` draws
-from child ``t`` of ``SeedSequence(seed)``, the stream of
-``np.random.default_rng(child)`` bit for bit for ``t < 2**32``
-(``TestBlockSeeding`` in ``tests/test_rol.py`` pins this), through one
-generator reset to each child's PCG64 state, and those states are hashed
-for the whole block at once.  The block's factors are then built from their raw draws with one
-batched expression per kind of factor and shape.
+:func:`fuzz_search` draws trial ``t`` from child ``t`` of
+``SeedSequence(seed)``, the stream of ``np.random.default_rng(child)`` bit
+for bit for ``t < 2**32`` (``TestBlockSeeding`` in ``tests/test_rol.py``
+pins this), hashing a block's PCG64 states at once, and builds the block's
+factors with one batched expression per kind of factor and shape.
 """
 
 from __future__ import annotations  # evaluated, the np.random.Generator annotations would import numpy.random
@@ -151,26 +148,26 @@ def rol_report(
     Exactly three pseudoinverses are computed per pair: ``pinv(a)``,
     ``pinv(b)`` and ``pinv(a @ b)``; everything else is products.  ``a``
     and ``b`` may also be equal-length sequences, evaluated into a tuple of
-    reports, one per pair.  The pairs of a sequence are grouped by their
-    factor shapes; ``a @ b``, the pseudoinverses (one
-    :func:`tenrol.mpinv.pinv` call on three stacks) and the residuals of a
-    group come from one evaluation on stacked tensors, so each product of
-    a whole group costs one call, and each report equals the one for its
-    pair alone, bit for bit.
+    reports, one per pair, or privately two stacks of T pairs (see the
+    ``DenseTensor`` notes in :mod:`tenrol.core`), evaluated into T reports.
+    One loop takes every input as groups: a lone pair, a sequence's pairs
+    stacked by their factor shapes, or the two stacks.  A group costs one
+    ``a @ b`` and its finiteness check, one :func:`tenrol.mpinv.pinv` call
+    on ``a``, ``b`` and ``a @ b``, and one residual evaluation, and each
+    report equals the one for its pair alone, bit for bit.
 
     Raises
     ------
     ShapeMismatchError
         If ``a.col_dims != b.row_dims`` for some pair (of a sequence: the lowest, "of pair i").
     ValueError
-        If ``a @ b`` overflows to a non-finite entry, or a residual is
-        non-finite because an intermediate product overflowed (either
-        message names the lowest such pair of a sequence), or the sequences
-        differ in length.  A pseudoinverse whose kept singular value has
-        no finite reciprocal raises naming its operand, such as "in
-        pinv(b)", and in a sequence its pair ("in pinv(b) of pair 2"):
-        the lowest pair of ``pinv(a)``, else of ``pinv(b)``, else of
-        ``pinv(a @ b)``, whatever shape group the pairs sit in.
+        If the sequences differ in length, or else for the first failure
+        in this order, naming the lowest pair of a sequence or stack ("of
+        pair 2"): ``a @ b`` overflows to a non-finite entry; a kept
+        singular value has no finite reciprocal, then a pseudoinverse
+        entry is not finite, naming the operand ("in pinv(b)"), each
+        ``pinv(a)`` before each ``pinv(b)`` and ``pinv(a @ b)``; a residual
+        is non-finite because an intermediate product overflowed.
     TypeError
         If one of ``a`` and ``b`` is a tensor and the other a sequence.
     """
@@ -178,57 +175,56 @@ def rol_report(
     single = isinstance(a, DenseTensor)
     if single != isinstance(b, DenseTensor):
         raise TypeError("rol_report takes two tensors or two sequences of tensors")
-    if single:
-        ab = einstein_product(a, b)
-        if not np.isfinite(ab._mat).all():
-            raise ValueError("non-finite entry in a @ b: the product overflowed")
-        return RolReport(*_residuals(a, b, *_named_pinv((a, b, ab), _OPERANDS, policy)), policy.eq_tol)._checked()
-    as_, bs = tuple(a), tuple(b)
-    if len(as_) != len(bs):
-        raise ValueError(f"rol_report got {len(as_)} left factors and {len(bs)} right factors")
-    n = len(as_)
-    groups: dict[tuple[ModeShape, ModeShape], list[int]] = {}
-    for i, (x, y) in enumerate(zip(as_, bs)):
-        if x.shape.col_dims != y.shape.row_dims:
-            raise ShapeMismatchError(
-                f"cannot contract {x.shape} with {y.shape}: column dims {x.shape.col_dims}"
-                f" != row dims {y.shape.row_dims} of pair {i}"
-            )
-        groups.setdefault((x.shape, y.shape), []).append(i)
-    # per group: the stacks of a, b and a @ b, one finiteness check of a @ b
-    # and one pinv call; the lowest failing pair, operand first, is named
-    stacks, pinvs, errors = [], [], []
-    bad = n
-    for idx in groups.values():
-        sa, sb = _stack([as_[i] for i in idx]), _stack([bs[i] for i in idx])
+    if single:  # a pair, or privately two stacks of T pairs
+        groups = [(a, b, None if a._mat.ndim == 2 else range(len(a._mat)))]
+    else:
+        as_, bs = tuple(a), tuple(b)
+        if len(as_) != len(bs):
+            raise ValueError(f"rol_report got {len(as_)} left factors and {len(bs)} right factors")
+        by_shape: dict[tuple[ModeShape, ModeShape], list[int]] = {}
+        for i, (x, y) in enumerate(zip(as_, bs)):
+            if x.shape.col_dims != y.shape.row_dims:
+                raise ShapeMismatchError(
+                    f"cannot contract {x.shape} with {y.shape}: column dims {x.shape.col_dims}"
+                    f" != row dims {y.shape.row_dims} of pair {i}"
+                )
+            by_shape.setdefault((x.shape, y.shape), []).append(i)
+        groups = [(_stack([as_[i] for i in idx]), _stack([bs[i] for i in idx]), idx) for idx in by_shape.values()]
+    rows: dict[int, list] = {}  # by pair
+    failures: list = []  # (stage, ..., pair) and the error; the least is raised
+    for sa, sb, pairs in groups:
         sab = einstein_product(sa, sb)
-        ok = np.isfinite(sab._mat).all(axis=(1, 2))
-        if not ok.all():
-            bad = min(bad, idx[int(np.argmin(ok))])
+        if not (finite := np.isfinite(sab._mat)).all():
+            pair, where = _first_failing(finite, pairs)
+            failures.append(((0, pair), ValueError(f"non-finite entry in a @ b{where}: the product overflowed")))
             continue
-        stacks.append((sa, sb))
         try:
-            pinvs.append(_named_pinv((sa, sb, sab), _OPERANDS, policy, idx))
+            inverses = _named_pinv((sa, sb, sab), _OPERANDS, policy, pairs)
         except _PinvOverflow as e:
-            errors.append(e)
-    if bad < n:
-        raise ValueError(f"non-finite entry in a @ b of pair {bad}: the product overflowed")
-    if errors:
-        raise min(errors, key=lambda e: (e.kind, e.index))
-    rows: list = [None] * n
-    for idx, (sa, sb), inverses in zip(groups.values(), stacks, pinvs):
-        group_rows = np.array(_residuals(sa, sb, *inverses)).T
-        ok = np.isfinite(group_rows).all(axis=1)
-        bad = bad if ok.all() else min(bad, idx[int(np.argmin(ok))])
-        for i, row in zip(idx, group_rows.tolist()):
-            rows[i] = row
-    if bad < n:  # raises, naming the first non-finite residual of that pair
-        RolReport(*rows[bad], policy.eq_tol)._checked(f" of pair {bad}")
-    return tuple(RolReport(*row, policy.eq_tol) for row in rows)
+            failures.append(((1, e.kind, e.index), e))
+            continue
+        group_rows = np.atleast_2d(np.array(_residuals(sa, sb, *inverses)).T)
+        rows.update(zip(range(1) if pairs is None else pairs, group_rows.tolist()))
+        if not (finite := np.isfinite(group_rows)).all():
+            pair, where = _first_failing(finite, pairs)
+            try:
+                RolReport(*rows[pair], policy.eq_tol)._checked(where)
+            except ValueError as e:
+                failures.append(((2, pair), e))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    reports = tuple(RolReport(*row, policy.eq_tol) for _, row in sorted(rows.items()))
+    return reports[0] if single and a._mat.ndim == 2 else reports
 
 
 #: The operands whose pseudoinverses ``rol_report`` takes, in the order it passes them.
 _OPERANDS = ("a", "b", "a @ b")
+
+
+def _first_failing(finite: np.ndarray, pairs: Sequence[int] | None) -> tuple[int, str]:
+    """The first pair with a False in its part of ``finite``, and the suffix naming it ("" for a lone pair, pair 0)."""
+    j = int(np.argmin(finite.reshape(1 if pairs is None else len(pairs), -1).all(axis=1)))
+    return (j, "") if pairs is None else (pairs[j], f" of pair {pairs[j]}")
 
 
 def _residuals(
@@ -567,12 +563,12 @@ def _pair_draw(rng: np.random.Generator, shape: ModeShape, family: str, gauss: d
     raise ValueError(f"unknown family {family!r}")
 
 
-def _build(key: tuple, raw: list, unitaries: dict[int, np.ndarray]) -> list[DenseTensor]:
-    """The factors of one build key from their raw numbers, in one batched expression."""
+def _build(key: tuple, raw: list, unitaries: dict[int, np.ndarray]) -> np.ndarray:
+    """The ``(G, rows, cols)`` stack of one build key's factors, from their raw numbers in one batched expression."""
     kind, shape = key[:2]
     rows, cols = shape.row_count, shape.col_count
     if kind == "unitary":  # perfbench's fuzz trace expects unfold.dematricize on this route
-        return [dematricize(unitaries[rows][i], shape) for i in raw]
+        return np.array([dematricize(unitaries[rows][i], shape)._mat for i in raw])
     parts = [np.array(p) for p in zip(*raw)]  # a dense draw splits into its re and im parts
     diag = np.arange(min(rows, cols))
     if kind == "dense":
@@ -592,13 +588,13 @@ def _build(key: tuple, raw: list, unitaries: dict[int, np.ndarray]) -> list[Dens
         sigma = np.zeros((len(raw), rows, cols))
         sigma[:, diag, diag] = vals
         mats = unitaries[rows][u] @ sigma @ unitaries[cols][v].conj().swapaxes(1, 2)
-    return [DenseTensor._from_owned(shape, m) for m in mats]
+    return mats
 
 
 def _draw_block(
     rngs: Iterable[np.random.Generator], shape: ModeShape, families: Sequence[str]
-) -> list[tuple[DenseTensor, DenseTensor]]:
-    """One pair per generator and family; a trial draws all it needs before the next generator is taken."""
+) -> tuple[DenseTensor, DenseTensor]:
+    """The stacks of ``a`` and ``b``, a pair per generator and family; a trial draws all it needs before the next."""
     gauss: dict[int, list[np.ndarray]] = {}
     slots: dict[tuple, list[int]] = {}
     raw: list = []
@@ -607,11 +603,19 @@ def _draw_block(
             slots.setdefault(key, []).append(len(raw))
             raw.append(numbers)
     unitaries = {n: _orthonormalize((z := np.array(zs))[:, 0] + 1j * z[:, 1]) for n, zs in gauss.items()}
-    factors: list = [None] * len(raw)
+    stacks = [np.empty((len(raw) // 2, s.row_count, s.col_count), np.complex128) for s in (shape, shape.transposed)]
     for key, idx in slots.items():
-        for i, tensor in zip(idx, _build(key, [raw[i] for i in idx], unitaries)):
-            factors[i] = tensor
-    return list(zip(factors[::2], factors[1::2]))
+        for i, mat in zip(idx, _build(key, [raw[i] for i in idx], unitaries)):
+            stacks[i % 2][i // 2] = mat  # factor 2t is a of trial t, factor 2t + 1 its b
+    return DenseTensor._from_owned(shape, stacks[0]), DenseTensor._from_owned(shape.transposed, stacks[1])
+
+
+def _integer(name: str, value) -> int:
+    """``operator.index(value)``, or ``TypeError`` naming the argument ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
 
 
 def fuzz_search(
@@ -628,17 +632,15 @@ def fuzz_search(
     flat counts differ, since no unitary B exists then.  Each trial uses
     an independently derived substream of ``seed``, so results do not
     depend on evaluation order.  Trials are evaluated in fixed-size
-    blocks, as stacks from end to end, and memory does not grow with
-    ``trials``.  A block is seeded in one pass: trial ``t`` draws from
-    child ``t`` of ``SeedSequence(seed)``, the stream of
+    blocks, and memory does not grow with ``trials``.  Trial ``t`` draws
+    from child ``t`` of ``SeedSequence(seed)``, the stream of
     ``np.random.default_rng(child)`` bit for bit, through one generator
-    reset to each child's PCG64 state.  That holds for the first 2**32
-    trials: a spawn key is hashed as one 32-bit word, where numpy would
-    give trial 2**32 and later a key of two words.  Every trial draws its raw numbers
-    in program order; then one stacked QR per unitary size and one batched
-    expression per kind of factor and shape build the block's pairs, and
-    one :func:`rol_report` call takes the pseudoinverses of each shape
-    group's stacks of ``a``, ``b`` and ``a @ b`` from one stacked SVD.
+    reset to each child's PCG64 state; that holds for the first 2**32
+    trials, since a spawn key is hashed as one 32-bit word, where numpy
+    would give trial 2**32 and later a key of two words.  A block's raw
+    numbers are drawn in program order, its factors are built into a stack
+    of ``a`` and a stack of ``b``, and one :func:`rol_report` call
+    evaluates the two stacks.
 
     Returns
     -------
@@ -651,15 +653,11 @@ def fuzz_search(
     ValueError
         If ``trials < 1`` or ``seed < 0``.
     TypeError
-        If ``seed`` is not an integer (``operator.index`` refuses it).
+        If ``trials`` or ``seed`` is not an integer (``operator.index`` refuses it).
     """
-    if trials < 1:
+    if (trials := _integer("trials", trials)) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}") from None
-    if seed < 0:
+    if (seed := _integer("seed", seed)) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     policy = policy or DEFAULT_POLICY
     families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
@@ -671,8 +669,8 @@ def fuzz_search(
     for start in range(0, trials, _FUZZ_BLOCK):
         block = range(start, min(start + _FUZZ_BLOCK, trials))
         # trial t always draws from child t, whatever the block size
-        pairs = _draw_block(_streams(gen, root, start, len(block)), shape, [families[t % len(families)] for t in block])
-        reports = rol_report([a for a, _ in pairs], [b for _, b in pairs], policy)
+        sa, sb = _draw_block(_streams(gen, root, start, len(block)), shape, [families[t % len(families)] for t in block])
+        reports = rol_report(sa, sb, policy)
         for t, report in zip(block, reports):
             family = families[t % len(families)]
             family_counts[family] += 1

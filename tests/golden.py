@@ -158,7 +158,8 @@ def random_unitary_tensor(rng: np.random.Generator, dims: tuple[int, ...]) -> De
 
 def fuzz_pair(rng: np.random.Generator, shape: ModeShape, family: str) -> tuple[DenseTensor, DenseTensor]:
     """One pair of the fuzz ``family`` as ``fuzz_search`` draws it: a block of one."""
-    return _draw_block([rng], shape, [family])[0]
+    sa, sb = _draw_block([rng], shape, [family])
+    return DenseTensor(sa.shape, sa._mat[0]), DenseTensor(sb.shape, sb._mat[0])
 
 
 def fuzz_trial_reports(shape: ModeShape, trials: int, seed: int) -> list[tuple[str, RolReport]]:

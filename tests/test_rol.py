@@ -41,9 +41,10 @@ from tenrol import (
     zeros,
 )
 from tenrol import core, mpinv, rol
-from tenrol.core import _ResidualReport
+from tenrol.core import _ResidualReport, _stack
 from tenrol.rol import _FUZZ_BLOCK, _draw_block
 from tenrol.unfold import dematricize
+from test_core import STACK_SPLITS
 
 SQ22 = golden.SQ22
 
@@ -329,6 +330,19 @@ class TestFuzzSearch:
         with pytest.raises(error, match="seed"):
             fuzz_search(SQ22, 5, seed)
 
+    @pytest.mark.parametrize("trials", [2.5, 2.0, "3", None])
+    def test_refuses_trials_that_are_not_integers(self, trials, monkeypatch):
+        # refused before any draw, by a message that names the argument
+        monkeypatch.setattr(rol, "_draw_block", lambda *args: pytest.fail("drew before checking trials"))
+        with pytest.raises(TypeError, match=f"^trials must be an integer, got {type(trials).__name__}$"):
+            fuzz_search(SQ22, trials, 1)
+
+    def test_trials_are_stored_as_an_int(self):
+        # operator.index takes True as 1, and the summary holds that int
+        summary = fuzz_search(ModeShape((2,), (2,)), True, 1)
+        assert type(summary.trials) is int and summary.trials == 1
+        assert summary.direct_true + summary.direct_false == 1
+
     @pytest.mark.parametrize("seed", [0, 2**200])
     def test_zero_and_huge_seeds_draw_from_their_spawned_children(self, seed, monkeypatch):
         # two blocks, so the second block's streams start at child _FUZZ_BLOCK
@@ -427,13 +441,15 @@ class TestDrawBlock:
         families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
         trials = 2 * len(families)
         rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(trials)]
-        pairs = _draw_block(rngs, shape, [families[t % len(families)] for t in range(trials)])
+        sa, sb = _draw_block(rngs, shape, [families[t % len(families)] for t in range(trials)])
+        assert sa.shape == shape and sb.shape == shape.transposed
+        assert len(sa._mat) == len(sb._mat) == trials
+        for x in (sa, sb):
+            assert x._mat.dtype == np.complex128 and x._mat.flags.c_contiguous
         digest = hashlib.sha256()
-        for a, b in pairs:
-            assert a.shape == shape and b.shape == shape.transposed
-            for x in (a, b):
-                assert x._mat.dtype == np.complex128 and x._mat.flags.c_contiguous
-                digest.update(x._mat.view(np.float64).tobytes())
+        for a, b in zip(sa._mat, sb._mat):
+            digest.update(a.view(np.float64).tobytes())
+            digest.update(b.view(np.float64).tobytes())
         assert digest.hexdigest() == DRAW_DIGESTS[name, seed]
 
     @pytest.mark.parametrize(
@@ -444,13 +460,15 @@ class TestDrawBlock:
         families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
         trials = 2 * len(families)
         rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(trials)]
-        pairs = _draw_block(rngs, shape, [families[t % len(families)] for t in range(trials)])
+        sa, sb = _draw_block(rngs, shape, [families[t % len(families)] for t in range(trials)])
+        assert sa.shape == shape and sb.shape == shape.transposed
+        assert len(sa._mat) == len(sb._mat) == trials
+        for x in (sa, sb):
+            assert x._mat.dtype == np.complex128 and x._mat.flags.c_contiguous
         digest = hashlib.sha256()
-        for a, b in pairs:
-            assert a.shape == shape and b.shape == shape.transposed
-            for x in (a, b):
-                assert x._mat.dtype == np.complex128 and x._mat.flags.c_contiguous
-                digest.update(x._mat.view(np.float64).tobytes())
+        for a, b in zip(sa._mat, sb._mat):
+            digest.update(a.view(np.float64).tobytes())
+            digest.update(b.view(np.float64).tobytes())
         assert digest.hexdigest() == LOCKSTEP_DRAW_DIGESTS[name, seed]
 
 
@@ -679,6 +697,23 @@ class TestRolReportBatch:
             low = min(bad_rect, bad_sq)
             assert str(info.value) == f"non-finite entry in a @ b of pair {low}: the product overflowed"
 
+    def test_a_residual_failure_yields_to_a_later_pair_failing_earlier(self):
+        # pair 0's group reaches its residuals, which overflow; pair 1's group
+        # fails at a @ b or at a pseudoinverse, and that earlier stage is named
+        big_a, big_b = scaled_pair(1e120)
+        rect = self.pool(FUZZ_SHAPES["2:3"], 1)
+        big_2x3 = as_tensor(1e200 * np.arange(1.0, 7.0).reshape(2, 3), (2,), (3,))
+        cases = [
+            ((big_2x3, big_2x3.H), "non-finite entry in a @ b of pair 1: the product overflowed"),
+            ((rect[0][0], 1e-310 * rect[1][0]), "in pinv(b) of pair 1"),
+        ]
+        for (x, y), named in cases:
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+                rol_report([big_a, x], [big_b, y])
+            assert str(info.value).endswith(named)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="absorb_left of pair 0"):
+            rol_report([big_a, rect[0][0]], [big_b, rect[1][0]])
+
     def test_shape_mismatch_names_its_pair(self):
         (a0, a1), (b0, b1) = self.pool(SQ22, 2)
         rect_a, rect_b = self.pool(FUZZ_SHAPES["2:3"], 1)
@@ -686,6 +721,52 @@ class TestRolReportBatch:
             rol_report([a0, rect_a[0], a1], [b0, rect_b[0], rect_b[0]])
         with pytest.raises(ShapeMismatchError, match="^cannot contract 2:3 with 2:3: .* of pair 0$"):
             rol_report([rect_a[0], a0], [rect_a[0], b1])
+
+
+# stage -> (scale of a, scale of b, the operand or residual its failure names);
+# see TestRolReportBatch for why each scale fails at its stage
+PLANTED = {
+    "a @ b": (1e200, 1e200, "a @ b"),
+    "pinv(a)": (1e-310, 1.0, "pinv(a)"),
+    "pinv(b)": (1.0, 1e-310, "pinv(b)"),
+    "pinv(a @ b)": (1e-160, 1e-160, "pinv(a @ b)"),
+    "residual": (1e120, 1e120, None),
+}
+
+
+class TestStackedPair:
+    """``rol_report`` on two stacks of T pairs gives the T reports of those pairs."""
+
+    def pairs(self, split: str, count: int) -> tuple[list, list]:
+        rng = np.random.default_rng(17)
+        sa, sb = STACK_SPLITS[split]
+        return [golden.random_tensor(rng, sa) for _ in range(count)], [golden.random_tensor(rng, sb) for _ in range(count)]
+
+    @pytest.mark.parametrize("split", list(STACK_SPLITS))
+    def test_stacked_pair_equals_per_pair_reports_bit_for_bit(self, split):
+        as_, bs = self.pairs(split, 6)
+        reports = rol_report(_stack(as_), _stack(bs))
+        assert isinstance(reports, tuple) and len(reports) == 6
+        stacked = np.array([r._values for r in reports])
+        alone = np.array([rol_report(a, b)._values for a, b in zip(as_, bs)])
+        assert stacked.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("stage", list(PLANTED))
+    @pytest.mark.parametrize("split", list(STACK_SPLITS))
+    def test_a_failure_in_row_j_names_pair_j(self, split, stage):
+        j, (scale_a, scale_b, name) = 2, PLANTED[stage]
+        as_, bs = self.pairs(split, 4)
+        as_[j], bs[j] = scale_a * as_[j], scale_b * bs[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as single:
+                rol_report(as_[j], bs[j])
+            with pytest.raises(ValueError) as stacked:
+                rol_report(_stack(as_), _stack(bs))
+        message = str(single.value)
+        if name is None:  # the residual that overflowed first
+            name = re.fullmatch(r"non-finite residual in (\w+): an intermediate product overflowed", message)[1]
+        assert f"in {name}" in message and " of pair" not in message
+        assert str(stacked.value) == message.replace(f"in {name}", f"in {name} of pair {j}", 1)
 
 
 def scaled_pair(scale: float) -> tuple:
@@ -961,13 +1042,13 @@ class TestLockstepDraws:
     def test_block_equals_one_at_a_time_draws(self, shape):
         children = np.random.SeedSequence(11).spawn(3 * _FUZZ_BLOCK // 2)
         families = [self.families(shape)[t % len(self.families(shape))] for t in range(len(children))]
-        block = _draw_block([np.random.default_rng(c) for c in children], shape, families)
-        assert len(block) == len(children)
-        for child, family, (a, b) in zip(children, families, block):
+        sa, sb = _draw_block([np.random.default_rng(c) for c in children], shape, families)
+        assert len(sa._mat) == len(sb._mat) == len(children)
+        for child, family, a, b in zip(children, families, sa._mat, sb._mat):
             ref_a, ref_b = reference_draw_pair(np.random.default_rng(child), shape, family)
-            assert a.shape == ref_a.shape and b.shape == ref_b.shape
-            assert np.array_equal(a.entries, ref_a.entries), family
-            assert np.array_equal(b.entries, ref_b.entries), family
+            assert sa.shape == ref_a.shape and sb.shape == ref_b.shape
+            assert np.array_equal(a.reshape(-1), ref_a.entries), family
+            assert np.array_equal(b.reshape(-1), ref_b.entries), family
 
     @pytest.mark.parametrize("family", FUZZ_FAMILIES)
     def test_draw_pair_is_a_block_of_one(self, family):

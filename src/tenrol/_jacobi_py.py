@@ -1,8 +1,8 @@
 """The one-sided Jacobi rotation kernel, in numpy.
 
-``tenrol.unfold.matrix_svd`` calls :func:`jacobi_sweeps` on ``R^H`` from
-the QR of its prescaled matrix, or on a stack of such ``R^H`` of one
-shape, held slot-major.  A sweep visits the column pairs in the
+``tenrol.unfold.matrix_svd`` calls :func:`jacobi_sweeps` on ``R^H``, R the
+last triangular factor of its QR steps, or on a stack of such ``R^H`` of
+one shape, held slot-major.  A sweep visits the column pairs in the
 round-robin order of Brent and Luk (1985), so that each numpy call
 rotates many disjoint pairs at once, of every matrix in the stack.
 

@@ -19,11 +19,12 @@ numpy call rotates many pairs at once.  Before the kernel runs,
 ``matrix_svd`` scales the (tall) matrix ``m`` by an exact power of two so
 that its largest real or imaginary part lies in [0.5, 1), sorts its rows
 by decreasing largest part and factors it as ``P m = Q R`` with numpy's
-Householder QR (the preconditioning of Drmac and Veselic, 2008).  The
-kernel then orthogonalizes the columns of ``R^H``, which takes about half
-the sweeps of the columns of ``m`` when ``m`` is rank-deficient and one
-fewer at full rank.  The rotated columns of ``R^H`` have the singular
-values as their norms, and the kernel treats one whose squared norm is at
+Householder QR (the preconditioning of Drmac and Veselic, 2008).  From
+``PRESORT_COLS`` columns on, the same gather also sorts the columns and
+two more QR steps follow (Stewart's QLP step, 1999), which save sweeps;
+the presort keeps them accurate under two-sided grading.  The kernel then
+orthogonalizes the columns of the last ``R^H``, which come out with the
+singular values as their norms; it treats one whose squared norm is at
 most 1e-64 as null, so singular values at or below about
 ``1e-32 * max|entry|`` come out as exactly 0.  A matrix with a NaN or
 infinite entry is rejected with ``ValueError`` before any factorization.
@@ -56,6 +57,11 @@ JACOBI_EPS: float = 1e-14
 #: fewer) ran at 0.43-0.53, 0.72-0.76 and 0.82-0.98 of separate calls
 #: (quartiles, ``BENCH_23.json``).
 KERNEL_BUDGET: int = 2**14
+
+#: Columns from which ``matrix_svd`` presorts the columns and factors
+#: ``QR_STEPS`` times (an odd count) before the kernel; below, it factors once.
+PRESORT_COLS: int = 8
+QR_STEPS: int = 3
 
 __all__ = [
     "SvdConvergenceError",
@@ -98,15 +104,22 @@ def dematricize(mat: np.ndarray, shape: ModeShape) -> DenseTensor:
 
 
 def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD ``m = u @ diag(s) @ v.conj().T`` by one-sided Jacobi after a QR.
+    """Full SVD ``m = u @ diag(s) @ v.conj().T`` by one-sided Jacobi after QR steps.
 
     With the rows of the prescaled matrix sorted, ``P m = Q R``, the
     rotations give ``R^H V = W S``; then ``u`` is ``P^T Q`` with its
-    leading columns turned by ``V``, and ``v`` is ``W`` (for a wide
-    ``m``, the factors of ``m^H`` swapped).  A null column of ``W``, one
-    per zero singular value, is completed by the QR of ``W``.  The
+    leading columns turned by ``V``, and ``v`` is ``W``.  From
+    ``PRESORT_COLS`` columns on, the columns are sorted too, ``P m Π =
+    Q R``, then ``R^H = Q_2 R_2`` and ``R_2^H = Q_3 R_3``, and the
+    rotations give ``R_3^H V = W S``: ``u`` is ``P^T Q`` turned by
+    ``Q_3 V`` and ``v`` is ``Π Q_2 W`` (for a wide ``m``, the factors of
+    ``m^H`` swapped).  The extra steps cut the mean sweeps from 7.0 to 6.3
+    at flat 16 and from 8.0 to 7.0 at flat 32, but cost more than they
+    save below 8 columns: 1.02x the time at flat 6 and 1.23x on 64x4,
+    against 0.94x at flat 8 (``BENCH_26.json``).  A null column of ``W``,
+    one per zero singular value, is completed by the QR of ``W``.  The
     iteration thresholds are fixed (``JACOBI_EPS``, ``MAX_SWEEPS``) and no
-    rank truncation happens here.  The QR runs on the prescaled matrix,
+    rank truncation happens here.  The QRs run on the prescaled matrix,
     so the result is exactly equivariant under scaling by powers of two
     (see the module notes).
 
@@ -150,20 +163,35 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # kernel's squared norms and their products far from overflow and
     # underflow, and makes the result exactly scale-equivariant under powers
     # of two.
-    parts = np.ascontiguousarray(mat).view(np.float64)
-    big = np.abs(parts).max(axis=-1, initial=0.0)  # largest part of each row
+    mat = np.ascontiguousarray(mat)
+    parts = mat.view(np.float64)
+    mags = np.abs(parts)
+    big = mags.max(axis=-1, initial=0.0)  # largest part of each row
     top = big.max(axis=-1, keepdims=True, initial=0.0)[..., None]
     if not np.isfinite(top).all():
         raise ValueError("non-finite entry in the matrix to decompose")
     e = np.frexp(top)[1]
-    # P m = Q R, where P sorts the rows by decreasing largest part: without
+    # P m Π = Q R, where P sorts the rows by decreasing largest part: without
     # it, the QR loses the small singular values of a matrix whose rows
-    # grow downwards.  Row k of ``colrows`` holds column k of R^H.
-    rowsort = _rows(np.argsort(-big, axis=-1, kind="stable"))
-    q, r = np.linalg.qr(np.ldexp(parts[rowsort], -e).view(np.complex128), mode="complete")
+    # grow downwards.  From PRESORT_COLS columns on, Π sorts the columns
+    # the same way, in the same gather; below, Π is the identity.
+    order = np.argsort(-big, axis=-1, kind="stable")
+    rowsort = gather = _rows(order)
+    colsort, steps = None, 1
+    if cols >= PRESORT_COLS:
+        colsort = np.argsort(-mags.reshape(*big.shape, cols, 2).max(axis=(-3, -1)), axis=-1, kind="stable")
+        stack = (np.arange(len(colsort))[:, None, None],) if colsort.ndim == 2 else ()
+        gather, steps, turn = (*stack, order[..., None], colsort[..., None, :]), QR_STEPS, np.eye(cols)
+    q, r = np.linalg.qr(np.ldexp(mat[gather].view(np.float64), -e).view(np.complex128), mode="complete")
+    # Row k of ``colrows`` holds column k of R^H; each pair of steps goes on
+    # with R_3, Q_3 joining the kernel's ``vrows`` and Q_2 the ``turn`` of W.
     colrows = np.conjugate(r[..., :cols, :])
     vrows = np.zeros(colrows.shape, dtype=np.complex128)
     vrows.reshape(*vrows.shape[:-2], cols * cols)[..., :: cols + 1] = 1.0  # identity per matrix
+    for _ in range(steps // 2):
+        q2, r2 = np.linalg.qr(colrows.swapaxes(-1, -2))
+        q3, r3 = np.linalg.qr(r2.conj().swapaxes(-1, -2))
+        colrows, vrows, turn = np.conjugate(r3), q3.swapaxes(-1, -2) @ vrows, turn @ q2
     if colrows.ndim == 2 or colrows.size == 0:  # an empty stack: one call, no rotation
         chunks = [(colrows, vrows)]
     else:
@@ -196,6 +224,8 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         part = w[some]
         basis, _ = np.linalg.qr(part)
         w[some] = np.where(null[some][..., None, :], basis, part)
+    if colsort is not None:  # v = Π Q_2 W
+        w = (turn @ w)[_rows(np.argsort(colsort, axis=-1))]
     return u, np.ldexp(s, e[..., 0]), w
 
 

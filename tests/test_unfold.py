@@ -99,6 +99,33 @@ def sequential_sweeps(cols: np.ndarray, vrows: np.ndarray, eps: float, max_sweep
     return -1
 
 
+GRADED_FAMILIES = ("columns", "rows", "rows_growing", "two_sided")
+
+
+def graded_inputs(family: str, n: int, count: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``count`` Gaussian n x n matrices from seed 3, plain and graded as ``family`` says.
+
+    Columns or rows shrink by ``logspace(0, -14, n)``, rows grow by
+    ``logspace(-14, 0, n)``, or rows and columns are each scaled by a
+    shuffled ``logspace(0, -7, n)``.
+    """
+    rng = np.random.default_rng(3)
+    plain, graded = [], []
+    for _ in range(count):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        plain.append(m)
+        if family == "columns":
+            m = m * np.logspace(0, -14, n)
+        elif family == "rows":
+            m = np.logspace(0, -14, n)[:, None] * m
+        elif family == "rows_growing":
+            m = np.logspace(-14, 0, n)[:, None] * m
+        else:
+            m = rng.permutation(np.logspace(0, -7, n))[:, None] * m * rng.permutation(np.logspace(0, -7, n))
+        graded.append(m)
+    return plain, graded
+
+
 def graded_errors(graded: list[np.ndarray]) -> list[float]:
     """Largest relative error of ``matrix_svd``'s singular values, per matrix, against mpmath."""
     mpmath = pytest.importorskip("mpmath")
@@ -208,7 +235,7 @@ class TestMatrixSvd:
         assert_allclose(s, [2.0], atol=1e-15)
         assert_allclose((u * s) @ v.conj().T, [[-2.0j]], atol=1e-14)
 
-    @pytest.mark.parametrize("shape", [(4, 3), (3, 5), (4, 4), (6, 2)])
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 5), (4, 4), (6, 2), (8, 8), (16, 16), (20, 17), (17, 33)])
     def test_factor_invariants_random(self, rng, shape):
         for _ in range(5):
             m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -260,32 +287,32 @@ class TestMatrixSvd:
     def test_column_graded_singular_values_to_high_relative_accuracy(self):
         # Jacobi keeps every singular value of a column-graded matrix to a
         # few ulps of itself; on these inputs np.linalg.svd is off by 1e-14
-        rng = np.random.default_rng(3)
-        graded = [
-            (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) * np.logspace(0, -14, 8)
-            for _ in range(6)
-        ]
+        _, graded = graded_inputs("columns", 8, 6)
         assert max(graded_errors(graded)) <= 4e-15
 
     def test_row_graded_singular_values_to_high_relative_accuracy(self):
         # the row-graded companion of the test above: rows shrinking downwards
-        rng = np.random.default_rng(3)
-        graded = [
-            np.logspace(0, -14, 8)[:, None] * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-            for _ in range(6)
-        ]
+        _, graded = graded_inputs("rows", 8, 6)
         assert max(graded_errors(graded)) <= 4e-15
 
     def test_rows_growing_downwards_keep_relative_accuracy(self):
         # an unpivoted QR of these inputs loses the small singular values
         # (relative errors of 3e-4 to 4e-2); sorting the rows by size first
         # keeps them within about 40 ulps
-        rng = np.random.default_rng(3)
-        graded = [
-            np.logspace(-14, 0, 8)[:, None] * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-            for _ in range(6)
-        ]
+        _, graded = graded_inputs("rows_growing", 8, 6)
         assert max(graded_errors(graded)) <= 1e-14
+
+    @pytest.mark.parametrize("n, count", [(16, 3), (32, 2)], ids=["flat16", "flat32"])
+    @pytest.mark.parametrize("family", GRADED_FAMILIES)
+    def test_graded_families_within_twice_eps_times_cond(self, family, n, count):
+        # a graded m = D1 B D2 keeps its singular values to a modest multiple
+        # of eps * cond(B).  cond(B) runs from 16 to 341 on these inputs, so
+        # the bound is relative: the presorted route stays below 1.2 on every
+        # family, where a single QR of unsorted columns reaches 2.1 to 3.8 on
+        # the two-sided inputs at flat 16 (``BENCH_26.json``)
+        plain, graded = graded_inputs(family, n, count)
+        errors = np.array(graded_errors(graded))
+        assert np.all(errors <= 2 * np.finfo(float).eps * np.linalg.cond(np.array(plain)))
 
     def test_input_is_left_unchanged(self, rng):
         # a Fortran-ordered input once reached the kernel without a copy
@@ -323,7 +350,9 @@ class TestScaleAndNullColumns:
             scaled = pinv(as_tensor(m * 2.0**k, (2, 2), (2, 2))).array
             assert np.array_equal(scaled, base * 2.0**-k), f"k = {k}"
 
-    @pytest.mark.parametrize("shape", [(6, 5), (5, 6)], ids=["tall", "wide"])
+    @pytest.mark.parametrize(
+        "shape", [(6, 5), (5, 6), (20, 16), (16, 20)], ids=["tall", "wide", "tall_presorted", "wide_presorted"]
+    )
     def test_stack_is_exactly_scale_equivariant_under_powers_of_two(self, rng, shape):
         stack = rng.standard_normal((4, *shape)) + 1j * rng.standard_normal((4, *shape))
         stack[1] = golden.random_low_rank(rng, ModeShape(shape[:1], shape[1:]), rank=2).array
@@ -491,7 +520,7 @@ class TestStackedSvd:
             for got, want in zip((u[i], s[i], v[i]), matrix_svd(m)):
                 assert np.array_equal(got, want), i
 
-    @pytest.mark.parametrize("shape", [(6, 3), (3, 6), (4, 4), (16, 16), (12, 6)])
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 6), (4, 4), (16, 16), (12, 6), (9, 8), (7, 7)])
     def test_stack_matches_single_calls(self, rng, shape):
         stack = rng.standard_normal((7, *shape)) + 1j * rng.standard_normal((7, *shape))
         stack[1, :, -1] = stack[1, :, 0]  # rank-deficient
@@ -555,7 +584,7 @@ class TestSweepCap:
 
 
 class TestEmptySvd:
-    @pytest.mark.parametrize("shape", [(0, 4, 3), (0, 3, 4), (2, 3, 0), (2, 0, 3), (3, 0), (0, 3)])
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (0, 3, 4), (0, 9, 8), (2, 3, 0), (2, 0, 3), (3, 0), (0, 3)])
     def test_empty_factors_of_the_documented_shapes(self, shape):
         *stack, rows, cols = shape
         u, s, v = matrix_svd(np.zeros(shape))

@@ -1,18 +1,19 @@
 """The one-sided Jacobi rotation kernel, in numpy.
 
 ``tenrol.unfold.matrix_svd`` calls :func:`jacobi_sweeps` on ``R^H``, R the
-last triangular factor of its QR steps, or on a stack of such ``R^H`` of
-one shape, held slot-major.  A sweep visits the column pairs in the
-round-robin order of Brent and Luk (1985), so that each numpy call
-rotates many disjoint pairs at once, of every matrix in the stack.
+triangular factor of its QR, or on a stack of such ``R^H`` of one shape,
+held slot-major.  A sweep visits the column pairs in the round-robin
+order of Brent and Luk (1985), so that each numpy call rotates many
+disjoint pairs at once, of every matrix in the stack.
 
-A round costs numpy call overhead more than arithmetic: per round, 21 us
-for one matrix at n = 4 and 39 us at n = 16 and 32; 46 and 37 us for
-stacks of 3 at n = 2 and 16, 37 and 50 us for 20 and 60 at n = 4, where
-the matrix-major stack took 49, 45, 44 and 65 us (one BLAS thread, a
-shared 2-CPU Xeon, ``BENCH_21.json``).  The round performs the same
-floating-point operations in the same order as the plainer round it
-replaced, so its results are bit-identical to it;
+Below ``PRESORT_COLS`` (8) columns the kernel takes four to six sweeps.
+From 8 columns on, ``matrix_svd`` hands it ``R^H`` already turned by the
+eigenvectors of its Gram matrix, and the kernel mostly runs one sweep
+that rotates nothing: its pairwise test confirms the columns orthogonal,
+and it rotates only the pairs that the Gram eigenvectors left short of
+that test (about two sweeps at flat 64, ``BENCH_27.json``).  The round
+performs the same floating-point operations in the same order as the
+plainer round it replaced, so its results are bit-identical to it;
 ``tests/test_jacobi_reference.py`` keeps the plainer round as the
 reference.
 """

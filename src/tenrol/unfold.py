@@ -20,12 +20,14 @@ numpy call rotates many pairs at once.  Before the kernel runs,
 that its largest real or imaginary part lies in [0.5, 1), sorts its rows
 by decreasing largest part and factors it as ``P m = Q R`` with numpy's
 Householder QR (the preconditioning of Drmac and Veselic, 2008).  From
-``PRESORT_COLS`` columns on, the same gather also sorts the columns and
-two more QR steps follow (Stewart's QLP step, 1999), which save sweeps;
-the presort keeps them accurate under two-sided grading.  The kernel then
-orthogonalizes the columns of the last ``R^H``, which come out with the
-singular values as their norms; it treats one whose squared norm is at
-most 1e-64 as null, so singular values at or below about
+``PRESORT_COLS`` columns on, the same gather also sorts the columns, two
+more QR steps follow (Stewart's QLP step, 1999), and the rotations start
+from the eigenvectors of the Gram matrix of the last ``R^H``, which
+leaves the kernel one confirming sweep in place of six to eight; the
+presort keeps the route accurate under two-sided grading.  The kernel
+then orthogonalizes the columns of the last ``R^H``, which come out with
+the singular values as their norms; it treats one whose squared norm is
+at most 1e-64 as null, so singular values at or below about
 ``1e-32 * max|entry|`` come out as exactly 0.  A matrix with a NaN or
 infinite entry is rejected with ``ValueError`` before any factorization.
 
@@ -58,8 +60,8 @@ JACOBI_EPS: float = 1e-14
 #: (quartiles, ``BENCH_23.json``).
 KERNEL_BUDGET: int = 2**14
 
-#: Columns from which ``matrix_svd`` presorts the columns and factors
-#: ``QR_STEPS`` times (an odd count) before the kernel; below, it factors once.
+#: Columns from which ``matrix_svd`` presorts the columns, factors ``QR_STEPS``
+#: times (an odd count) and turns by the Gram eigenvectors; below, it factors once.
 PRESORT_COLS: int = 8
 QR_STEPS: int = 3
 
@@ -110,18 +112,24 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rotations give ``R^H V = W S``; then ``u`` is ``P^T Q`` with its
     leading columns turned by ``V``, and ``v`` is ``W``.  From
     ``PRESORT_COLS`` columns on, the columns are sorted too, ``P m Π =
-    Q R``, then ``R^H = Q_2 R_2`` and ``R_2^H = Q_3 R_3``, and the
-    rotations give ``R_3^H V = W S``: ``u`` is ``P^T Q`` turned by
-    ``Q_3 V`` and ``v`` is ``Π Q_2 W`` (for a wide ``m``, the factors of
-    ``m^H`` swapped).  The extra steps cut the mean sweeps from 7.0 to 6.3
-    at flat 16 and from 8.0 to 7.0 at flat 32, but cost more than they
-    save below 8 columns: 1.02x the time at flat 6 and 1.23x on 64x4,
-    against 0.94x at flat 8 (``BENCH_26.json``).  A null column of ``W``,
-    one per zero singular value, is completed by the QR of ``W``.  The
-    iteration thresholds are fixed (``JACOBI_EPS``, ``MAX_SWEEPS``) and no
-    rank truncation happens here.  The QRs run on the prescaled matrix,
-    so the result is exactly equivariant under scaling by powers of two
-    (see the module notes).
+    Q R``, then ``R^H = Q_2 R_2`` and ``R_2^H = Q_3 R_3``; the rotations
+    start from ``V_0``, the eigenvectors of the Gram matrix ``R_3 R_3^H``
+    in descending order, and give ``R_3^H V_0 V = W S``: ``u`` is ``P^T
+    Q`` turned by ``Q_3 V_0 V`` and ``v`` is ``Π Q_2 W`` (for a wide
+    ``m``, the factors of ``m^H`` swapped).  The kernel still decides
+    convergence by its own pairwise test, so ``V_0`` only moves where the
+    rotations start: ``Q_3 V_0 V`` stays a product of unitary factors,
+    the columns of ``W`` pass the same test, and a poor ``V_0`` costs
+    sweeps, not accuracy.  The mean sweeps fall from 6.3 to 1.0 at flat
+    16 and from 8.0 to 1.9 at flat 64, and ``matrix_svd`` takes 0.17 and
+    0.15 of its time with the QR steps alone (``BENCH_27.json``).  Below 8
+    columns the route would change the ``fuzz`` and CLI results and takes
+    1.48x the time on a 3x2x2 stack, so those sizes keep the single QR.  A
+    null column of ``W``, one per zero singular value, is completed by the
+    QR of ``W``.  The iteration thresholds are fixed (``JACOBI_EPS``,
+    ``MAX_SWEEPS``) and no rank truncation happens here.  The QRs run on
+    the prescaled matrix, so the result is exactly equivariant under
+    scaling by powers of two (see the module notes).
 
     A stack of matrices of one shape is decomposed matrix by matrix, but
     through shared kernel calls; ``matrix_svd(stack)[k][i]`` equals
@@ -192,6 +200,11 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q2, r2 = np.linalg.qr(colrows.swapaxes(-1, -2))
         q3, r3 = np.linalg.qr(r2.conj().swapaxes(-1, -2))
         colrows, vrows, turn = np.conjugate(r3), q3.swapaxes(-1, -2) @ vrows, turn @ q2
+    if colsort is not None:
+        # the rotations start from V_0, the eigenvectors of the Gram matrix
+        # R_3 R_3^H in descending order: V_0^T joins ``vrows`` in front
+        v0t = np.linalg.eigh(np.conjugate(colrows) @ colrows.swapaxes(-1, -2))[1][..., ::-1].swapaxes(-1, -2)
+        colrows, vrows = v0t @ colrows, v0t @ vrows
     if colrows.ndim == 2 or colrows.size == 0:  # an empty stack: one call, no rotation
         chunks = [(colrows, vrows)]
     else:

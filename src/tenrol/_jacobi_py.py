@@ -6,15 +6,19 @@ held slot-major.  A sweep visits the column pairs in the round-robin
 order of Brent and Luk (1985), so that each numpy call rotates many
 disjoint pairs at once, of every matrix in the stack.
 
-Below ``PRESORT_COLS`` (8) columns the kernel takes four to six sweeps.
+Below ``CONFIRM_COLS`` (8) columns the kernel takes four to six sweeps.
 From 8 columns on, ``matrix_svd`` hands it ``R^H`` already turned by the
-eigenvectors of its Gram matrix, and the kernel mostly runs one sweep
-that rotates nothing: its pairwise test confirms the columns orthogonal,
-and it rotates only the pairs that the Gram eigenvectors left short of
-that test (about two sweeps at flat 64, ``BENCH_27.json``).  The round
-performs the same floating-point operations in the same order as the
-plainer round it replaced, so its results are bit-identical to it;
-``tests/test_jacobi_reference.py`` keeps the plainer round as the
+eigenvectors of its Gram matrix, and most sweeps would rotate nothing.
+So before each sweep one all-pairs product confirms the columns
+orthogonal by the kernel's own pairwise test, and the rounds run only
+when some pair fails it: for 2 of the 64 calls on the benchmark's flat-32
+pool, none at flat 16, and 14 of 16 Gaussian calls at flat 64, which
+then take two sweeps (``BENCH_28.json``).  With two products by the
+identity dropped from ``matrix_svd``, that took it to 0.66, 0.68 and
+0.83 of its time at flat 16, 32 and 64.  The confirmation and the
+rounds perform the same floating-point operations in the same order as
+the plainer round they replaced, so the results are bit-identical to
+it; ``tests/test_jacobi_reference.py`` keeps the plainer round as the
 reference.
 """
 
@@ -27,6 +31,12 @@ import numpy as np
 #: Squared column norm at or below which a column counts as null: pairs
 #: with a null column are not rotated, and null columns are zeroed on exit.
 NULL_NORM2: float = 1e-64
+
+#: Columns from which every sweep is first confirmed in one all-pairs
+#: product (see :func:`jacobi_sweeps`).  ``unfold.PRESORT_COLS`` is this
+#: count: from it on, ``matrix_svd`` starts the kernel from the Gram
+#: eigenvectors, and most sweeps rotate nothing.
+CONFIRM_COLS: int = 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,6 +59,54 @@ def round_robin(n: int) -> np.ndarray:
     perm = np.array(circle[:h] + circle[: h - 1 : -1], dtype=np.intp)
     perm.setflags(write=False)  # cached and shared by every call
     return perm
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(low, high)`` columns that the rounds of a sweep pair, in order.
+
+    Round ``r`` pairs the column in slot ``k`` with the one in slot
+    ``h + k`` (see :func:`round_robin`), and ``low`` and ``high`` list
+    them round after round in that orientation.  The dummy column of an
+    odd ``n`` is dropped, so every two of the ``n`` columns appear exactly
+    once.
+    """
+    perm = round_robin(n)
+    h = perm.size // 2
+    slots, low, high = np.arange(perm.size), [], []
+    for _ in range(2 * h - 1):
+        low.append(slots[:h])
+        high.append(slots[h:])
+        slots = slots[perm]
+    low, high = np.concatenate(low), np.concatenate(high)
+    real = (low < n) & (high < n)
+    low, high = low[real], high[real]
+    low.setflags(write=False)  # cached and shared by every call
+    high.setflags(write=False)
+    return low, high
+
+
+def _still(g, app, aqq, eps, null):
+    """The pairs that a round leaves alone: orthogonal or null.
+
+    Written so that NaN makes a pair rotate: it must never pass as orthogonal.
+    """
+    return (g <= eps * np.sqrt(app * aqq)) | (np.minimum(app, aqq) <= null)
+
+
+def _calm(cw: np.ndarray, n: int, eps, null) -> bool:
+    """Whether a sweep would rotate no pair of the slot-major columns ``cw``.
+
+    Every pair gets the test of its round, from the same ``vecdot`` values,
+    so this holds exactly when the sweep would be calm; the rounds of a
+    calm sweep only permute the columns, and leave each in its own slot.
+    """
+    low, high = sweep_pairs(n)
+    cw = cw[:n]
+    norm2 = np.vecdot(cw, cw).real
+    apq = np.vecdot(cw[:, None], cw[None, :])[low, high]
+    still = _still(np.abs(apq), norm2[low], norm2[high], eps, null)
+    return np.count_nonzero(still) == still.size
 
 
 def jacobi_sweeps(
@@ -76,6 +134,17 @@ def jacobi_sweeps(
     up to the sign of zero entries.  A stack of one costs 1.14x, 1.09x
     and 1.07x a 2-D call at n = 4, 16 and 32 (``BENCH_23.json``), so
     ``matrix_svd`` hands a lone matrix over as 2-D.
+
+    From ``CONFIRM_COLS`` columns on, each sweep is first confirmed: one
+    broadcast ``vecdot`` gives the Gram entries of all pairs, and each
+    pair of :func:`sweep_pairs` gets the round's own test.  If every pair
+    of every matrix passes, the sweep would rotate nothing and leave every
+    column in its own slot, so the kernel counts it without running its
+    rounds.  The first sweep is confirmed on ``cols``, before the work
+    array is built, which took 0.95 and 0.96 of the time of confirming it
+    on the work array at flat 8 and 16.  Below 8 columns the kernel
+    starts cold, and confirming before every sweep there cost 1.02-1.20x
+    of ``matrix_svd`` (``BENCH_28.json``), so it is not done.
 
     Parameters
     ----------
@@ -106,12 +175,20 @@ def jacobi_sweeps(
     f64 = np.dtype(np.float64)
     zero, one = np.array(0.0), np.array(1.0)
     eps, null = np.array(eps, dtype=f64), np.array(NULL_NORM2)
+    confirm = n >= CONFIRM_COLS
+    if confirm and max_sweeps > 0 and _calm(cols.swapaxes(0, -2), n, eps, null):
+        # a calm first sweep, confirmed before ``work`` is even built
+        cols[np.vecdot(cols, cols).real <= NULL_NORM2] = 0.0
+        return 1
     # slot-major: work[k] holds slot k of every matrix, so the low and the
     # high slots, and each per-pair quantity, are contiguous blocks
     work = np.zeros((2 * h, *cols.shape[:-2], m + n), dtype=np.complex128)
     work[:n, ..., :m] = cols.swapaxes(0, -2)  # for a single matrix, swapaxes(0, 0)
     work[:n, ..., m:] = vrows.swapaxes(0, -2)
     for sweep in range(max_sweeps):
+        if confirm and sweep > 0 and _calm(work[..., :m], n, eps, null):
+            result = sweep + 1
+            break
         calm = True  # no rotation in this sweep, in any matrix
         for _ in range(2 * h - 1):
             cw = work[..., :m]
@@ -119,9 +196,7 @@ def jacobi_sweeps(
             app, aqq = norm2[:h], norm2[h:]
             apq = np.vecdot(cw[:h], cw[h:])
             g = np.abs(apq)
-            # a pair stays when orthogonal or null; written so that NaN
-            # makes it rotate: it must never pass as orthogonal
-            still = (g <= eps * np.sqrt(app * aqq)) | (np.minimum(app, aqq) <= null)
+            still = _still(g, app, aqq, eps, null)
             if np.count_nonzero(still) != still.size:
                 calm = False
                 g[still] = one

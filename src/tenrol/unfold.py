@@ -22,9 +22,10 @@ by decreasing largest part and factors it as ``P m = Q R`` with numpy's
 Householder QR (the preconditioning of Drmac and Veselic, 2008).  From
 ``PRESORT_COLS`` columns on, the same gather also sorts the columns, two
 more QR steps follow (Stewart's QLP step, 1999), and the rotations start
-from the eigenvectors of the Gram matrix of the last ``R^H``, which
-leaves the kernel one confirming sweep in place of six to eight; the
-presort keeps the route accurate under two-sided grading.  The kernel
+from the eigenvectors of the Gram matrix of the last ``R^H``.  That mostly
+leaves the kernel nothing to rotate: one all-pairs product confirms the
+columns orthogonal, in place of six to eight sweeps.  The presort keeps
+the route accurate under two-sided grading.  The kernel
 then orthogonalizes the columns of the last ``R^H``, which come out with
 the singular values as their norms; it treats one whose squared norm is
 at most 1e-64 as null, so singular values at or below about
@@ -60,10 +61,10 @@ JACOBI_EPS: float = 1e-14
 #: (quartiles, ``BENCH_23.json``).
 KERNEL_BUDGET: int = 2**14
 
-#: Columns from which ``matrix_svd`` presorts the columns, factors ``QR_STEPS``
-#: times (an odd count) and turns by the Gram eigenvectors; below, it factors once.
-PRESORT_COLS: int = 8
-QR_STEPS: int = 3
+#: Columns from which ``matrix_svd`` presorts the columns, factors three times
+#: and turns by the Gram eigenvectors; below, it factors once.  The kernel
+#: confirms its sweeps in one all-pairs product from the same count on.
+PRESORT_COLS: int = _kernel.CONFIRM_COLS
 
 __all__ = [
     "SvdConvergenceError",
@@ -122,7 +123,11 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the columns of ``W`` pass the same test, and a poor ``V_0`` costs
     sweeps, not accuracy.  The mean sweeps fall from 6.3 to 1.0 at flat
     16 and from 8.0 to 1.9 at flat 64, and ``matrix_svd`` takes 0.17 and
-    0.15 of its time with the QR steps alone (``BENCH_27.json``).  Below 8
+    0.15 of its time with the QR steps alone (``BENCH_27.json``).  A sweep
+    that would rotate nothing costs the kernel one all-pairs product, not
+    its rounds, and ``vrows`` starts as ``Q_3^T``, with no product by the
+    identity: together 0.66 and 0.83 of the time again at flat 16 and 64
+    (``BENCH_28.json``).  Below 8
     columns the route would change the ``fuzz`` and CLI results and takes
     1.48x the time on a 3x2x2 stack, so those sizes keep the single QR.  A
     null column of ``W``, one per zero singular value, is completed by the
@@ -185,26 +190,27 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the same way, in the same gather; below, Π is the identity.
     order = np.argsort(-big, axis=-1, kind="stable")
     rowsort = gather = _rows(order)
-    colsort, steps = None, 1
+    colsort = None
     if cols >= PRESORT_COLS:
         colsort = np.argsort(-mags.reshape(*big.shape, cols, 2).max(axis=(-3, -1)), axis=-1, kind="stable")
         stack = (np.arange(len(colsort))[:, None, None],) if colsort.ndim == 2 else ()
-        gather, steps, turn = (*stack, order[..., None], colsort[..., None, :]), QR_STEPS, np.eye(cols)
+        gather = (*stack, order[..., None], colsort[..., None, :])
     q, r = np.linalg.qr(np.ldexp(mat[gather].view(np.float64), -e).view(np.complex128), mode="complete")
-    # Row k of ``colrows`` holds column k of R^H; each pair of steps goes on
-    # with R_3, Q_3 joining the kernel's ``vrows`` and Q_2 the ``turn`` of W.
+    # Row k of ``colrows`` holds column k of R^H
     colrows = np.conjugate(r[..., :cols, :])
-    vrows = np.zeros(colrows.shape, dtype=np.complex128)
-    vrows.reshape(*vrows.shape[:-2], cols * cols)[..., :: cols + 1] = 1.0  # identity per matrix
-    for _ in range(steps // 2):
-        q2, r2 = np.linalg.qr(colrows.swapaxes(-1, -2))
+    if colsort is None:
+        vrows = np.zeros(colrows.shape, dtype=np.complex128)
+        vrows.reshape(*vrows.shape[:-2], cols * cols)[..., :: cols + 1] = 1.0  # identity per matrix
+    else:
+        # two more steps go on with R_3: Q_3^T starts the kernel's ``vrows``
+        # and Q_2 is the ``turn`` of W.  The rotations start from V_0, the
+        # eigenvectors of the Gram matrix R_3 R_3^H in descending order:
+        # V_0^T joins ``vrows`` in front
+        turn, r2 = np.linalg.qr(colrows.swapaxes(-1, -2))
         q3, r3 = np.linalg.qr(r2.conj().swapaxes(-1, -2))
-        colrows, vrows, turn = np.conjugate(r3), q3.swapaxes(-1, -2) @ vrows, turn @ q2
-    if colsort is not None:
-        # the rotations start from V_0, the eigenvectors of the Gram matrix
-        # R_3 R_3^H in descending order: V_0^T joins ``vrows`` in front
+        colrows = np.conjugate(r3)
         v0t = np.linalg.eigh(np.conjugate(colrows) @ colrows.swapaxes(-1, -2))[1][..., ::-1].swapaxes(-1, -2)
-        colrows, vrows = v0t @ colrows, v0t @ vrows
+        colrows, vrows = v0t @ colrows, v0t @ q3.swapaxes(-1, -2)
     if colrows.ndim == 2 or colrows.size == 0:  # an empty stack: one call, no rotation
         chunks = [(colrows, vrows)]
     else:

@@ -22,8 +22,9 @@ from tenrol import (
     rol_report,
     tsvd,
 )
+from tenrol import _jacobi_py
 from tenrol import unfold as unfold_mod
-from tenrol._jacobi_py import NULL_NORM2, jacobi_sweeps, round_robin
+from tenrol._jacobi_py import CONFIRM_COLS, NULL_NORM2, jacobi_sweeps, round_robin, sweep_pairs
 from tenrol.unfold import JACOBI_EPS, MAX_SWEEPS
 
 
@@ -228,6 +229,121 @@ class TestSlowLowRankInputs:
         assert len(seen) == 4
         assert max(seen) <= 10, seen  # full-rank 32x32 inputs take about 8
         assert min(raw) >= 15, raw
+
+
+def gram_started(monkeypatch, m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The kernel's inputs, ``cols`` and ``vrows``, in ``matrix_svd(m)``."""
+    seen = []
+
+    def spy(cols, vrows, eps, max_sweeps):
+        seen.append((cols.copy(), vrows.copy()))
+        return jacobi_sweeps(cols, vrows, eps, max_sweeps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(unfold_mod._kernel, "jacobi_sweeps", spy)
+        unfold_mod.matrix_svd(m)
+    return seen
+
+
+def confirmations(monkeypatch) -> list[bool]:
+    """Spy on the kernel's all-pairs confirmation: the list of its verdicts."""
+    verdicts = []
+    calm = _jacobi_py._calm
+
+    def spy(*args):
+        verdicts.append(calm(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(_jacobi_py, "_calm", spy)
+    return verdicts
+
+
+class TestConfirmation:
+    """From ``CONFIRM_COLS`` columns on, one all-pairs product confirms a calm sweep."""
+
+    def test_threshold_is_the_presort_threshold(self):
+        assert unfold_mod.PRESORT_COLS == CONFIRM_COLS == 8
+
+    @pytest.mark.parametrize("n", range(8, 34))
+    def test_pairs_follow_the_rounds(self, n):
+        # the rounds pair slot k with slot h + k, then move the slots by perm
+        perm = round_robin(n)
+        h = perm.size // 2
+        slots, low, high = np.arange(2 * h), [], []
+        for _ in range(2 * h - 1):
+            low += [p for p, q in zip(slots[:h], slots[h:]) if max(p, q) < n]
+            high += [q for p, q in zip(slots[:h], slots[h:]) if max(p, q) < n]
+            slots = slots[perm]
+        got_low, got_high = sweep_pairs(n)
+        assert got_low.tolist() == low and got_high.tolist() == high
+        pairs = {frozenset(pair) for pair in zip(low, high)}
+        assert len(low) == len(pairs) == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+    @pytest.mark.parametrize("part", [1, 1j], ids=["real", "imag"])
+    def test_cosine_ulps_around_eps(self, monkeypatch, ulps, part):
+        # columns 3 and 6 of an orthonormal set, with the cosine eps moved
+        # by a few ulps: both squared norms round to 1, so the test is
+        # exactly cosine <= eps
+        cosine = JACOBI_EPS
+        for _ in range(abs(ulps)):
+            cosine = np.nextafter(cosine, np.sign(ulps) * np.inf)
+        cols = np.eye(9, dtype=np.complex128)
+        cols[6, 3] = part * cosine
+        verdicts = confirmations(monkeypatch)
+        assert both_kernels(cols) == (1 if ulps <= 0 else 2)
+        assert verdicts == ([True] if ulps <= 0 else [False, True])
+
+    def test_null_column_pairs(self, rng, monkeypatch):
+        cols = np.diag(np.arange(1.0, 10.0)).astype(np.complex128)
+        cols[2] = 0.0
+        cols[5] = 1e-33 * (cols[7] + cols[4])  # null, and not orthogonal to 7 or 4
+        verdicts = confirmations(monkeypatch)
+        assert both_kernels(cols) == 1
+        assert verdicts == [True]
+        stack = np.stack([cols, complex_normal(rng, 9, 9) / 4])
+        stack[1, 5] = 0.0
+        assert both_kernels(stack) > 1
+
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_odd_columns(self, rng, monkeypatch, n):
+        for _ in range(3):
+            (cols, vrows), = gram_started(monkeypatch, complex_normal(rng, n, n))
+            assert both_kernels(cols, vrows) >= 1
+            assert both_kernels(complex_normal(rng, n, n + 2) / 4) > 1
+
+    def test_nan_is_never_confirmed(self):
+        cols = np.eye(8, dtype=np.complex128)
+        cols[4, 1] = np.nan
+        assert both_kernels(cols) == -1
+        stack = np.stack([np.eye(8, dtype=np.complex128), cols])
+        assert both_kernels(stack) == -1
+
+    def test_stack_with_one_matrix_not_calm(self, rng, monkeypatch):
+        mats = [gram_started(monkeypatch, complex_normal(rng, 16, 16))[0] for _ in range(3)]
+        assert [both_kernels(c, v) for c, v in mats] == [1, 1, 1]
+        cols = np.stack([c for c, _ in mats])
+        vrows = np.stack([v for _, v in mats])
+        assert both_kernels(cols, vrows) == 1
+        cols[1] = complex_normal(rng, 16, 16) / 4  # a cold start
+        alone = both_kernels(cols[1], vrows[1])
+        assert alone > 1
+        assert both_kernels(cols, vrows) == alone
+
+    def test_flat64_confirms_the_second_sweep(self, monkeypatch):
+        rng = np.random.default_rng([28, 64])
+        inputs = [gram_started(monkeypatch, complex_normal(rng, 64, 64))[0] for _ in range(3)]
+        verdicts = confirmations(monkeypatch)
+        sweeps = [both_kernels(cols, vrows) for cols, vrows in inputs]
+        assert 2 in sweeps, sweeps
+        assert verdicts == [v for s in sweeps for v in [False] * (s - 1) + [True]]
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_gram_started_calls_are_confirmed(self, rng, monkeypatch, n):
+        verdicts = confirmations(monkeypatch)
+        for _ in range(4):
+            unfold_mod.matrix_svd(complex_normal(rng, n, n))
+        assert verdicts.count(True) == 4
 
 
 class TestPipelineWithTheReference:

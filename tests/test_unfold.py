@@ -587,6 +587,14 @@ class TestSweepCap:
         with pytest.raises(SvdConvergenceError, match="did not converge within 1 sweeps"):
             pinv(as_tensor(self.gaussian(rng, 6, 6), (2, 3), (3, 2)))
 
+    def test_confirmed_sweep_counts_against_the_cap(self, rng, monkeypatch):
+        # a Gram-started 16x16 needs one sweep, confirmed without a rotation
+        m = self.gaussian(rng, 16, 16)
+        matrix_svd(m)
+        monkeypatch.setattr(unfold_mod, "MAX_SWEEPS", 0)
+        with pytest.raises(SvdConvergenceError, match="did not converge within 0 sweeps"):
+            matrix_svd(m)
+
 
 class TestGramStart:
     """From ``PRESORT_COLS`` columns on, the rotations start from the Gram eigenvectors of ``R^H``."""

@@ -6,9 +6,12 @@ held slot-major.  A sweep visits the column pairs in the round-robin
 order of Brent and Luk (1985), so that each numpy call rotates many
 disjoint pairs at once, of every matrix in the stack.
 
-Below ``CONFIRM_COLS`` (8) columns the kernel takes four to six sweeps.
-From 8 columns on, ``matrix_svd`` hands it ``R^H`` already turned by the
-eigenvectors of its Gram matrix, and most sweeps would rotate nothing.
+Below ``CONFIRM_COLS`` (5) columns the kernel starts cold, with 4.6 mean
+sweeps on Gaussian 4x4 inputs.  From 5 columns on, ``matrix_svd`` hands
+it ``R^H`` already turned by the eigenvectors of its Gram matrix, and
+most sweeps would rotate nothing: Gaussian inputs at flat 5, 6 and 7
+take one sweep, where the cold start took 5.3, 5.9 and 6.1
+(``BENCH_29.json``).
 So before each sweep one all-pairs product confirms the columns
 orthogonal by the kernel's own pairwise test, and the rounds run only
 when some pair fails it: for 2 of the 64 calls on the benchmark's flat-32
@@ -35,8 +38,10 @@ NULL_NORM2: float = 1e-64
 #: Columns from which every sweep is first confirmed in one all-pairs
 #: product (see :func:`jacobi_sweeps`).  ``unfold.PRESORT_COLS`` is this
 #: count: from it on, ``matrix_svd`` starts the kernel from the Gram
-#: eigenvectors, and most sweeps rotate nothing.
-CONFIRM_COLS: int = 8
+#: eigenvectors, and most sweeps rotate nothing.  At 4 columns that route
+#: took 0.43-0.45 of the time on one matrix but 1.13-1.25x on the
+#: 192-matrix stacks that ``tenrol fuzz`` decomposes (``BENCH_29.json``).
+CONFIRM_COLS: int = 5
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,7 +147,7 @@ def jacobi_sweeps(
     column in its own slot, so the kernel counts it without running its
     rounds.  The first sweep is confirmed on ``cols``, before the work
     array is built, which took 0.95 and 0.96 of the time of confirming it
-    on the work array at flat 8 and 16.  Below 8 columns the kernel
+    on the work array at flat 8 and 16.  Below 5 columns the kernel
     starts cold, and confirming before every sweep there cost 1.02-1.20x
     of ``matrix_svd`` (``BENCH_28.json``), so it is not done.
 

@@ -407,7 +407,12 @@ def conj_transpose(a: DenseTensor) -> DenseTensor:
     An involution, and an anti-homomorphism for the Einstein product:
     ``(A @ B).H == B.H @ A.H``.
     """
-    return DenseTensor._from_owned(a.shape.transposed, np.conjugate(a._mat.swapaxes(-1, -2), order="C"))
+    return DenseTensor._from_owned(a.shape.transposed, _adjoint(a._mat))
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix of a stack, as a fresh C-ordered array."""
+    return np.conjugate(m.swapaxes(-1, -2), order="C")
 
 
 def add_scale(alpha: complex, a: DenseTensor, beta: complex, b: DenseTensor) -> DenseTensor:

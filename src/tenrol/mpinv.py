@@ -231,11 +231,16 @@ def _named_pinv(ts: tuple, names: tuple, policy: NumericPolicy, pairs: Sequence[
 def _pinv_matrix(mat: np.ndarray, rank_tol: float) -> np.ndarray:
     """Pseudoinverse of a matrix or of each matrix in a stack.
 
+    The columns of V that belong to zero singular values meet zero
+    reciprocals, so ``matrix_svd`` leaves them zero, with no QR to complete
+    them; every entry keeps its value, and only the sign of an exact zero
+    can differ from the completed product.
+
     Raises ``_PinvOverflow`` with the stack index (0 for a matrix) of the
     first matrix whose smallest kept singular value has no finite
     reciprocal.
     """
-    u, s, v = matrix_svd(mat)
+    u, s, v = matrix_svd(mat, complete=False)  # the null columns of v meet zero reciprocals
     k = s.shape[-1]
     sinv = np.zeros(s.shape, dtype=np.complex128)
     if k:

@@ -28,9 +28,12 @@ equivalent; ``commute`` is only implied by them, not conversely.
 report per pair.  One loop evaluates every input as groups of pairs: a
 lone pair, the pairs of a sequence that share their factor shapes as
 stacked tensors (see the ``DenseTensor`` notes in :mod:`tenrol.core`), or
-the two stacks of a block that :func:`fuzz_search` draws.  Stacks run
-through the same core primitives in the same product order as a lone
-pair, so each report equals the one for its pair alone bit for bit.
+the two stacks of a block that :func:`fuzz_search` draws.  A group's
+residual pass multiplies the stored matrices with ``@``, in the same
+product order for a stack as for a lone pair, and hands the nine compared
+pairs to :func:`tenrol.core.rel_residual` stacked by matrix shape: one
+call at 2x2:2x2, three at 2:3.  Each report equals the one for its pair
+alone bit for bit, and a lone pair's report is built from its nine floats.
 
 :func:`fuzz_search` draws trial ``t`` from child ``t`` of
 ``SeedSequence(seed)``, the stream of ``np.random.default_rng(child)`` bit
@@ -55,6 +58,7 @@ from .core import (
     _chain,
     _Record,
     _ResidualReport,
+    _adjoint,
     _stack,
     _unitary_residual,
     _zero_residual,
@@ -153,7 +157,8 @@ def rol_report(
     One loop takes every input as groups: a lone pair, a sequence's pairs
     stacked by their factor shapes, or the two stacks.  A group costs one
     ``a @ b`` and its finiteness check, one :func:`tenrol.mpinv.pinv` call
-    on ``a``, ``b`` and ``a @ b``, and one residual evaluation, and each
+    on ``a``, ``b`` and ``a @ b``, and one residual pass (one
+    :func:`tenrol.core.rel_residual` call per residual shape), and each
     report equals the one for its pair alone, bit for bit.
 
     Raises
@@ -203,8 +208,11 @@ def rol_report(
         except _PinvOverflow as e:
             failures.append(((1, e.kind, e.index), e))
             continue
-        group_rows = np.atleast_2d(np.array(_residuals(sa, sb, *inverses)).T)
-        rows.update(zip(range(1) if pairs is None else pairs, group_rows.tolist()))
+        residuals = _residuals(sa, sb, *inverses)
+        if pairs is None:  # a lone pair, the only group: its report from its nine floats
+            return RolReport(*residuals.tolist(), policy.eq_tol)._checked()
+        group_rows = residuals.T
+        rows.update(zip(pairs, group_rows.tolist()))
         if not (finite := np.isfinite(group_rows)).all():
             pair, where = _first_failing(finite, pairs)
             try:
@@ -213,8 +221,7 @@ def rol_report(
                 failures.append(((2, pair), e))
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    reports = tuple(RolReport(*row, policy.eq_tol) for _, row in sorted(rows.items()))
-    return reports[0] if single and a._mat.ndim == 2 else reports
+    return tuple(RolReport(*row, policy.eq_tol) for _, row in sorted(rows.items()))
 
 
 #: The operands whose pseudoinverses ``rol_report`` takes, in the order it passes them.
@@ -229,32 +236,44 @@ def _first_failing(finite: np.ndarray, pairs: Sequence[int] | None) -> tuple[int
 
 def _residuals(
     a: DenseTensor, b: DenseTensor, ap: DenseTensor, bp: DenseTensor, abp: DenseTensor
-) -> tuple:
+) -> np.ndarray:
     """The nine ``RolReport`` residuals, in field order, from ``pinv(a)``, ``pinv(b)`` and ``pinv(a @ b)``.
 
-    Floats for one pair; ``(T,)`` arrays when the five operands are stacks
-    of T pairs.
+    A ``(9,)`` array for one pair, ``(9, T)`` when the five operands are
+    stacks of T pairs.  The products run on the stored matrices, and the
+    nine compared pairs go to :func:`tenrol.core.rel_residual` stacked by
+    their matrix shape, one call per shape; each residual equals the one
+    of its pair alone, bit for bit.
     """
-    ah = conj_transpose(a)
-    bh = conj_transpose(b)
-    p = einstein_product(ap, a)  # pinv(A) @ A
-    q = einstein_product(b, bp)  # B @ pinv(B)
-    bbh = einstein_product(b, bh)
-    aha = einstein_product(ah, a)
-    t_left = einstein_product(p, bbh)
-    t_right = einstein_product(aha, q)
-
-    return (
-        rel_residual(abp, einstein_product(bp, ap)),  # direct
-        rel_residual(_chain(t_left, ah), _chain(bbh, ah)),  # absorb_left
-        rel_residual(_chain(q, aha, b), _chain(aha, b)),  # absorb_right
-        rel_residual(t_left, conj_transpose(t_left)),  # herm_left
-        rel_residual(t_right, conj_transpose(t_right)),  # herm_right
-        rel_residual(_chain(t_left, t_right), _chain(bbh, aha)),  # paired_product
-        rel_residual(_chain(p, b), _chain(b, abp, a, b)),  # factor_left
-        rel_residual(_chain(q, ah), _chain(aha, b, abp)),  # factor_right
-        rel_residual(_chain(p, q), _chain(q, p)),  # commute
+    ah, bh = conj_transpose(a)._mat, conj_transpose(b)._mat
+    a, b, ap, bp, abp = a._mat, b._mat, ap._mat, bp._mat, abp._mat
+    p = ap @ a  # pinv(A) @ A
+    q = b @ bp  # B @ pinv(B)
+    bbh = b @ bh
+    aha = ah @ a
+    ahab = aha @ b
+    t_left = p @ bbh
+    t_right = aha @ q
+    compared = (
+        (abp, bp @ ap),  # direct
+        (t_left @ ah, bbh @ ah),  # absorb_left
+        (q @ aha @ b, ahab),  # absorb_right
+        (t_left, _adjoint(t_left)),  # herm_left
+        (t_right, _adjoint(t_right)),  # herm_right
+        (t_left @ t_right, bbh @ aha),  # paired_product
+        (p @ b, b @ abp @ a @ b),  # factor_left
+        (q @ ah, ahab @ abp),  # factor_right
+        (p @ q, q @ p),  # commute
     )
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for field, (x, _) in enumerate(compared):
+        by_shape.setdefault(x.shape[-2:], []).append(field)
+    out = np.empty((len(compared), *a.shape[:-2]))
+    for (rows, cols), fields in by_shape.items():
+        xy = np.stack([compared[f][side] for side in (0, 1) for f in fields]).reshape(2, -1, rows, cols)
+        x, y = (DenseTensor._from_owned(ModeShape._of((rows,), (cols,)), half) for half in xy)
+        out[fields] = rel_residual(x, y).reshape(len(fields), *a.shape[:-2])
+    return out
 
 
 def unitary_rol(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None) -> DenseTensor:
@@ -595,19 +614,26 @@ def _draw_block(
     rngs: Iterable[np.random.Generator], shape: ModeShape, families: Sequence[str]
 ) -> tuple[DenseTensor, DenseTensor]:
     """The stacks of ``a`` and ``b``, a pair per generator and family; a trial draws all it needs before the next."""
+    n = len(families)
     gauss: dict[int, list[np.ndarray]] = {}
     slots: dict[tuple, list[int]] = {}
-    raw: list = []
-    for rng, family in zip(rngs, families):
-        for key, numbers in _pair_draw(rng, shape, family, gauss):
-            slots.setdefault(key, []).append(len(raw))
-            raw.append(numbers)
-    unitaries = {n: _orthonormalize((z := np.array(zs))[:, 0] + 1j * z[:, 1]) for n, zs in gauss.items()}
-    stacks = [np.empty((len(raw) // 2, s.row_count, s.col_count), np.complex128) for s in (shape, shape.transposed)]
-    for key, idx in slots.items():
-        for i, mat in zip(idx, _build(key, [raw[i] for i in idx], unitaries)):
-            stacks[i % 2][i // 2] = mat  # factor 2t is a of trial t, factor 2t + 1 its b
-    return DenseTensor._from_owned(shape, stacks[0]), DenseTensor._from_owned(shape.transposed, stacks[1])
+    raw: list = [None] * (2 * n)  # factor side * n + t: a (side 0) or b (side 1) of trial t
+    for t, (rng, family) in enumerate(zip(rngs, families)):
+        for side, (key, numbers) in enumerate(_pair_draw(rng, shape, family, gauss)):
+            slots.setdefault(key, []).append(side * n + t)
+            raw[side * n + t] = numbers
+    unitaries = {k: _orthonormalize((z := np.array(zs))[:, 0] + 1j * z[:, 1]) for k, zs in gauss.items()}
+    # a and b have rows * cols entries each, so one buffer holds both stacks, and
+    # one write puts every key's build in place (a key of a square split builds both sides)
+    rows, cols = shape.row_count, shape.col_count
+    both = np.empty((2 * n, rows * cols), np.complex128)
+    both[[i for idx in slots.values() for i in idx]] = np.concatenate(
+        [_build(key, [raw[i] for i in idx], unitaries).reshape(len(idx), -1) for key, idx in slots.items()]
+    )
+    return (
+        DenseTensor._from_owned(shape, both[:n].reshape(n, rows, cols)),
+        DenseTensor._from_owned(shape.transposed, both[n:].reshape(n, cols, rows)),
+    )
 
 
 def _integer(name: str, value) -> int:

@@ -106,7 +106,7 @@ def dematricize(mat: np.ndarray, shape: ModeShape) -> DenseTensor:
     return DenseTensor(shape, arr)
 
 
-def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``m = u @ diag(s) @ v.conj().T`` by one-sided Jacobi after QR steps.
 
     With the rows of the prescaled matrix sorted, ``P m = Q R``, the
@@ -127,11 +127,16 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     that would rotate nothing costs the kernel one all-pairs product, not
     its rounds, and ``vrows`` starts as ``Q_3^T``, with no product by the
     identity: together 0.66 and 0.83 of the time again at flat 16 and 64
-    (``BENCH_28.json``).  Below 8
-    columns the route would change the ``fuzz`` and CLI results and takes
-    1.48x the time on a 3x2x2 stack, so those sizes keep the single QR.  A
-    null column of ``W``, one per zero singular value, is completed by the
-    QR of ``W``.  The iteration thresholds are fixed (``JACOBI_EPS``,
+    (``BENCH_28.json``).  From 5 to 7 columns the route takes 0.17 to 0.27
+    of the single QR's time on one matrix and 0.40 to 0.78 on stacks of 60
+    and 192, and keeps 30 two-sided graded inputs each within 0.62 of ``2
+    eps cond``, where the single QR reached 11.0 (``BENCH_29.json``).
+    Below 5 columns it would change the ``fuzz`` and CLI results and takes
+    1.48x the time on a 3x2x2 stack and 1.13-1.25x on a 192x4x4 one,
+    so those sizes keep the single QR.  A null column of ``W``, one per
+    zero singular value, is completed by the QR of ``W`` unless
+    ``complete`` is false; ``pinv`` multiplies those columns by zero
+    reciprocals, so it skips that QR.  The iteration thresholds are fixed (``JACOBI_EPS``,
     ``MAX_SWEEPS``) and no rank truncation happens here.  The QRs run on
     the prescaled matrix, so the result is exactly equivariant under
     scaling by powers of two (see the module notes).
@@ -144,6 +149,10 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ----------
     m : (rows, cols) or (T, rows, cols) array_like of complex
         Matrix, or stack of matrices, to decompose.
+    complete : bool, optional
+        If false, the columns of ``v`` (for a wide ``m``, of ``u``) that
+        belong to a zero singular value are left as zeros instead of
+        completing a unitary factor.
 
     Returns
     -------
@@ -152,7 +161,7 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s : (..., min(rows, cols)) ndarray
         Nonincreasing nonnegative singular values.
     v : (..., cols, cols) ndarray
-        Unitary right factor.
+        Unitary right factor (see ``complete``).
 
     Raises
     ------
@@ -168,7 +177,7 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows, cols = mat.shape[-2:]
     if rows < cols:
         # orthogonalize the smaller column set and swap the factors back
-        u, s, v = matrix_svd(mat.conj().swapaxes(-1, -2))
+        u, s, v = matrix_svd(mat.conj().swapaxes(-1, -2), complete)
         return v, s, u
 
     # Scale each matrix by the power of two 2**-e that brings its largest
@@ -236,7 +245,7 @@ def matrix_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # for it: run on every matrix, it made a 60x4x4 stack 10% slower.
     null = s == 0.0
     w = (colrows / np.where(null, 1.0, s)[..., None]).swapaxes(-1, -2)
-    if null.any():
+    if complete and null.any():
         # s is sorted, so a matrix with a zero singular value ends in one;
         # for a lone matrix ``some`` is 0-d and w[some] is a stack of one
         some = null[..., -1]

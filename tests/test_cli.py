@@ -1093,7 +1093,7 @@ class TestExitPaths:
     def test_pinv_at_the_sweep_cap_exits_four(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(4)
         src, out = tmp_path / "g.json", tmp_path / "x.json"
-        write_tensor_file(src, as_tensor(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), (2, 3), (3, 2)))
+        write_tensor_file(src, as_tensor(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), (2, 2), (2, 2)))
         monkeypatch.setattr(unfold_mod, "MAX_SWEEPS", 1)
         assert run_command(["pinv", "--in", str(src), "--out", str(out)]) == 4
         assert "did not converge" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 import golden
 from tenrol import (
     DEFAULT_POLICY,
+    FUZZ_FAMILIES,
     DenseTensor,
     ModeShape,
     NotIdempotentError,
@@ -40,6 +41,7 @@ from tenrol import (
 )
 from tenrol import mpinv
 from tenrol.core import _stack
+from tenrol.unfold import matrix_svd
 
 SHAPES = [
     ModeShape((2,), (3,)),
@@ -382,6 +384,64 @@ class TestInvertibleFactorAbsorption:
         lhs = trace(ap @ b @ a)
         rhs = trace(b)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs), a.norm * ap.norm * b.norm)
+
+
+class TestPinvWithoutCompletion:
+    """``pinv`` skips the QR that completes the null columns of V, which meet zero reciprocals."""
+
+    @staticmethod
+    def completed_pinv(m: np.ndarray) -> np.ndarray:
+        """``V pinv(S) U^H`` from ``matrix_svd``'s completed factors, as ``pinv`` takes it."""
+        u, s, v = matrix_svd(m)
+        k = s.shape[-1]
+        keep = (s >= DEFAULT_POLICY.rank_tol * s[..., :1]) & (s > 0.0)
+        sinv = np.zeros(s.shape, dtype=np.complex128)
+        sinv[keep] = 1.0 / s[keep]
+        return (v[..., :k] * sinv[..., None, :]) @ u[..., :k].conj().swapaxes(-1, -2)
+
+    @staticmethod
+    def operands() -> list:
+        """a, b and a @ b of 12 drawn pairs of every fuzz family, at 2x2:2x2 and 2:3."""
+        out = []
+        for shape in (golden.SQ22, ModeShape((2,), (3,))):
+            rng = np.random.default_rng(29)
+            for family in FUZZ_FAMILIES:
+                if family == "unitary_factor" and shape.row_count != shape.col_count:
+                    continue
+                for _ in range(12):
+                    a, b = golden.fuzz_pair(rng, shape, family)
+                    out += [(family, t) for t in (a, b, a @ b)]
+        return out
+
+    def test_pinv_equals_the_completed_formula(self, monkeypatch):
+        qrs = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: qrs.append(1) or qr(*args, **kw))
+        null_families = set()
+        for family, t in self.operands():
+            m = matricize(t)
+            qrs.clear()
+            want = self.completed_pinv(m)
+            completions = len(qrs) - 1  # the QR of P m is the first
+            qrs.clear()
+            got = pinv(t)._mat
+            assert len(qrs) == 1  # the QR of P m, and no completion
+            assert np.array_equal(got, want)
+            if completions:
+                null_families.add(family)
+        # the completed formula did complete null columns, on the families that give exact zeros
+        assert null_families >= {"rank_deficient", "diagonal", "orthogonal_sum"}
+
+    def test_stacked_pinv_runs_no_completion(self, monkeypatch):
+        ts = [t for _, t in self.operands()]
+        want = [pinv(t)._mat for t in ts]
+        shapes = {(t.shape.row_count, t.shape.col_count) for t in ts}
+        qrs = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: qrs.append(1) or qr(*args, **kw))
+        got = pinv(ts)
+        assert len(qrs) == len(shapes)  # one QR of P m per stacked shape group
+        assert all(np.array_equal(x._mat, w) for x, w in zip(got, want))
 
 
 class TestPinvSequence:

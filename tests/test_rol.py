@@ -769,6 +769,66 @@ class TestStackedPair:
         assert str(stacked.value) == message.replace(f"in {name}", f"in {name} of pair {j}", 1)
 
 
+class TestGroupedResiduals:
+    """The nine residuals, stacked by matrix shape, equal ``rel_residual`` of the tensor chains bit for bit."""
+
+    @staticmethod
+    def chain_residuals(a, b) -> np.ndarray:
+        """The residuals of the characterization list, one ``rel_residual`` of two tensor chains each."""
+        ap, bp, abp = pinv((a, b, a @ b))
+        ah, bh = conj_transpose(a), conj_transpose(b)
+        p, q = ap @ a, b @ bp
+        bbh, aha = b @ bh, ah @ a
+        t_left, t_right = p @ bbh, aha @ q
+        return np.array([
+            rel_residual(abp, bp @ ap),
+            rel_residual(t_left @ ah, bbh @ ah),
+            rel_residual(q @ aha @ b, aha @ b),
+            rel_residual(t_left, conj_transpose(t_left)),
+            rel_residual(t_right, conj_transpose(t_right)),
+            rel_residual(t_left @ t_right, bbh @ aha),
+            rel_residual(p @ b, b @ abp @ a @ b),
+            rel_residual(q @ ah, aha @ b @ abp),
+            rel_residual(p @ q, q @ p),
+        ])
+
+    @staticmethod
+    def pairs(shape: ModeShape, count: int) -> tuple[list, list]:
+        families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
+        rng = np.random.default_rng(23)
+        pairs = [golden.fuzz_pair(rng, shape, families[k % len(families)]) for k in range(count)]
+        return [a for a, _ in pairs], [b for _, b in pairs]
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls = []
+        monkeypatch.setattr(rol, "rel_residual", lambda x, y: calls.append(x._mat.shape) or rel_residual(x, y))
+        return calls
+
+    @pytest.mark.parametrize("name, groups", [("2:3", 3), ("4:2x2", 1), ("2x2:2x2", 1)])
+    def test_lone_pairs(self, monkeypatch, name, groups):
+        # at 2:3 the residuals are 2x2 (direct), 3x2 (four of them) and 3x3 (four)
+        as_, bs = self.pairs(FUZZ_SHAPES[name], 8)
+        calls = self.counted(monkeypatch)
+        for a, b in zip(as_, bs):
+            calls.clear()
+            got = np.array(list(rol_report(a, b).residuals.values()))
+            assert len(calls) == groups
+            assert got.tobytes() == self.chain_residuals(a, b).tobytes()
+
+    @pytest.mark.parametrize("name, groups", [("2:3", 3), ("4:2x2", 1), ("2x2:2x2", 1)])
+    def test_a_stack_of_five(self, monkeypatch, name, groups):
+        as_, bs = self.pairs(FUZZ_SHAPES[name], 5)
+        sa, sb = _stack(as_), _stack(bs)
+        calls = self.counted(monkeypatch)
+        got = np.array([list(r.residuals.values()) for r in rol_report(sa, sb)])
+        assert len(calls) == groups and all(len(shape) == 3 for shape in calls)
+        want = self.chain_residuals(sa, sb).T
+        assert got.tobytes() == want.tobytes()
+        alone = np.array([self.chain_residuals(a, b) for a, b in zip(as_, bs)])
+        assert got.tobytes() == alone.tobytes()
+
+
 def scaled_pair(scale: float) -> tuple:
     """Two random complex 2x2:2x2 factors of magnitude about ``scale``."""
     rng = np.random.default_rng(3)

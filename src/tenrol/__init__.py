@@ -9,7 +9,16 @@ known equivalent characterization cross-checked.
 
 The SVD is a one-sided Jacobi whose rotation kernel is written in numpy;
 ``KERNEL_BACKEND`` names it and is always ``"python"``.
+
+``import tenrol`` loads the tensor layer, the SVD and the pseudoinverse.
+The reverse-order-law diagnostics (:mod:`tenrol.rol`) and the randomized
+search (:mod:`tenrol.fuzz`) load on the first access to one of their
+names, through a module-level ``__getattr__`` (PEP 562), so a process
+that never runs them never compiles them.  ``__all__`` and ``dir()`` list
+those names all the same.
 """
+
+import importlib
 
 from .core import (
     DEFAULT_POLICY,
@@ -46,19 +55,6 @@ from .mpinv import (
     pinv,
     pinv_sum,
     tsvd,
-)
-from .rol import (
-    FUZZ_FAMILIES,
-    FuzzSummary,
-    ProjectorCommuteReport,
-    RolReport,
-    ZeroEquivalenceReport,
-    fuzz_search,
-    projector_commute_report,
-    rol_report,
-    sandwich_pinv,
-    unitary_rol,
-    zero_equivalence,
 )
 from .unfold import (
     KERNEL_BACKEND,
@@ -121,3 +117,30 @@ __all__ = [
     "matrix_svd",
     "__version__",
 ]
+
+#: The names loaded on first access, each with the module that defines it.
+_LAZY = dict.fromkeys(
+    (
+        "ProjectorCommuteReport",
+        "RolReport",
+        "ZeroEquivalenceReport",
+        "projector_commute_report",
+        "rol_report",
+        "sandwich_pinv",
+        "unitary_rol",
+        "zero_equivalence",
+    ),
+    "rol",
+) | dict.fromkeys(("FUZZ_FAMILIES", "FuzzSummary", "fuzz_search"), "fuzz")
+
+
+def __getattr__(name: str):
+    # not cached in this module's namespace: the benchmark's tracer rebinds
+    # a traced function in its home module, and a lookup here then finds it
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_LAZY])

@@ -55,7 +55,6 @@ import numpy as np
 
 from .core import DEFAULT_POLICY, DenseTensor, ModeShape, NumericPolicy, trace
 from .mpinv import identity_suite, min_norm_solve, pinv, tsvd
-from .rol import fuzz_search, rol_report
 from .unfold import SvdConvergenceError
 
 __all__ = [
@@ -365,6 +364,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_rol(args: argparse.Namespace) -> int:
+    from .rol import rol_report  # compiled only by the commands that run it
+
     policy = DEFAULT_POLICY if args.tol is None else NumericPolicy(eq_tol=args.tol)
     report = rol_report(parse_tensor_file(args.a), parse_tensor_file(args.b), policy)
     if args.report:
@@ -386,6 +387,8 @@ def _cmd_rol(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from .fuzz import fuzz_search
+
     summary = fuzz_search(args.shape, args.trials, args.seed)
     print(
         f"trials {summary.trials}  direct-true {summary.direct_true}  "

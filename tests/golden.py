@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from tenrol import FUZZ_FAMILIES, DenseTensor, ModeShape, RolReport, as_tensor, rol_report
-from tenrol.rol import _draw_block
+from tenrol.fuzz import _draw_block
 
 SQ22 = ModeShape((2, 2), (2, 2))
 

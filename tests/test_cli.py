@@ -544,26 +544,46 @@ class TestOrjsonRoute:
         assert proc.stdout.strip() == "False"
 
     def test_tenrol_rol_loads_the_package_and_the_modules_of_what_it_uses(self, data_dir):
-        # -X importtime names every module a process imports; one compiled
-        # into the interpreter (gc) reads no file, so it does not count
-        def imported(*argv: str) -> tuple[int, set[str]]:
-            proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=120)
-            names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
-            return proc.returncode, names - {"imported package"} - set(sys.builtin_module_names)
-
-        code, by_rol = imported(
+        code, by_rol = imported_modules(
             "-m", "tenrol.cli", "rol",
             "--a", str(data_dir / "rol_counterexample_a.json"), "--b", str(data_dir / "rol_counterexample_b.json"),
         )
         assert code == 3  # the law fails on the counterexample
         # what `python -m` loads, numpy, and argparse (parsing), json and orjson in use
-        code, baseline = imported(
+        code, baseline = imported_modules(
             "-c", "import runpy, numpy, json, orjson, argparse; argparse.ArgumentParser().parse_args([])"
         )
         assert code == 0
         package = {"tenrol", "tenrol._jacobi_py", "tenrol.core", "tenrol.mpinv", "tenrol.rol", "tenrol.unfold"}
         # __future__ is what the modules' `from __future__ import annotations` loads
         assert by_rol - baseline == package | {"__future__"}
+
+    @pytest.mark.parametrize("command", ["import", "trace", "pinv"])
+    def test_loading_the_cli_or_running_trace_or_pinv_loads_neither_rol_nor_fuzz(self, command, data_dir, tmp_path):
+        tensor = str(data_dir / "nonnormal_invertible.json")
+        argv = {
+            "import": ["-c", "import tenrol.cli"],
+            "trace": ["-m", "tenrol.cli", "trace", "--in", tensor],
+            "pinv": ["-m", "tenrol.cli", "pinv", "--in", tensor, "--out", str(tmp_path / "pinv.json")],
+        }[command]
+        code, names = imported_modules(*argv)
+        assert code == 0
+        assert {"tenrol", "tenrol.core", "tenrol.mpinv", "tenrol.unfold"} <= names
+        assert not names & {"tenrol.rol", "tenrol.fuzz"}
+
+    def test_tenrol_fuzz_loads_rol_and_fuzz(self):
+        code, names = imported_modules("-m", "tenrol.cli", "fuzz", "--shape", "2x2:2x2", "--trials", "5")
+        assert code == 0
+        assert {"tenrol.rol", "tenrol.fuzz"} <= names
+
+
+def imported_modules(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of ``python -X importtime *argv`` and the modules it loaded from files."""
+    # -X importtime names every module a process imports; one compiled
+    # into the interpreter (gc) reads no file, so it does not count
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=120)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.returncode, names - {"imported package"} - set(sys.builtin_module_names)
 
 
 def parse_outcome(source) -> tuple:

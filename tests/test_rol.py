@@ -40,9 +40,9 @@ from tenrol import (
     zero_equivalence,
     zeros,
 )
-from tenrol import core, mpinv, rol
+from tenrol import core, fuzz, mpinv, rol
 from tenrol.core import _ResidualReport, _stack
-from tenrol.rol import _FUZZ_BLOCK, _draw_block
+from tenrol.fuzz import _FUZZ_BLOCK, _draw_block
 from tenrol.unfold import dematricize
 from test_core import STACK_SPLITS
 
@@ -326,14 +326,14 @@ class TestFuzzSearch:
         "seed, error", [(-1, ValueError), (1.5, TypeError), ("3", TypeError), ([1, 2], TypeError)]
     )
     def test_refuses_a_seed_that_is_not_a_nonnegative_integer(self, seed, error, monkeypatch):
-        monkeypatch.setattr(rol, "_draw_block", lambda *args: pytest.fail("drew before checking the seed"))
+        monkeypatch.setattr(fuzz, "_draw_block", lambda *args: pytest.fail("drew before checking the seed"))
         with pytest.raises(error, match="seed"):
             fuzz_search(SQ22, 5, seed)
 
     @pytest.mark.parametrize("trials", [2.5, 2.0, "3", None])
     def test_refuses_trials_that_are_not_integers(self, trials, monkeypatch):
         # refused before any draw, by a message that names the argument
-        monkeypatch.setattr(rol, "_draw_block", lambda *args: pytest.fail("drew before checking trials"))
+        monkeypatch.setattr(fuzz, "_draw_block", lambda *args: pytest.fail("drew before checking trials"))
         with pytest.raises(TypeError, match=f"^trials must be an integer, got {type(trials).__name__}$"):
             fuzz_search(SQ22, trials, 1)
 
@@ -353,7 +353,7 @@ class TestFuzzSearch:
             seen.extend(reports)
             return reports
 
-        monkeypatch.setattr(rol, "rol_report", capture)
+        monkeypatch.setattr(fuzz, "rol_report", capture)
         fuzz_search(SQ22, trials, seed)
         want = golden.fuzz_trial_reports(SQ22, trials, seed)
         assert [r.as_dict() for r in seen] == [r.as_dict() for _, r in want]
@@ -481,7 +481,7 @@ class TestBlockSeeding:
         gen = np.random.default_rng(99)
         first = 0
         for n in (_FUZZ_BLOCK, _FUZZ_BLOCK, 7):  # three blocks: successive spawns continue one child sequence
-            for child, rng in zip(root.spawn(n), rol._streams(gen, root, first, n), strict=True):
+            for child, rng in zip(root.spawn(n), fuzz._streams(gen, root, first, n), strict=True):
                 assert rng is gen
                 ref = np.random.PCG64(child)
                 assert rng.bit_generator.state == ref.state
@@ -491,7 +491,7 @@ class TestBlockSeeding:
     def test_a_stream_starts_afresh_after_a_half_used_word(self):
         # integers() on a small range draws 32 bits and buffers the other half
         gen = np.random.default_rng(0)
-        for child, rng in zip(np.random.SeedSequence(4).spawn(3), rol._streams(gen, np.random.SeedSequence(4), 0, 3)):
+        for child, rng in zip(np.random.SeedSequence(4).spawn(3), fuzz._streams(gen, np.random.SeedSequence(4), 0, 3)):
             ref = np.random.default_rng(child)
             assert rng.integers(1, 5) == ref.integers(1, 5)
             assert rng.bit_generator.state == ref.bit_generator.state
@@ -1126,13 +1126,13 @@ class TestLockstepDraws:
         # 4:2 asks for unitaries of order 4 and 2; a block orthonormalizes all
         # unitaries of one order in one call
         calls = []
-        original = rol._orthonormalize
+        original = fuzz._orthonormalize
 
         def counted(z):
             calls.append(z.shape)
             return original(z)
 
-        monkeypatch.setattr(rol, "_orthonormalize", counted)
+        monkeypatch.setattr(fuzz, "_orthonormalize", counted)
         shape = DRAW_SHAPES["4:2"]
         fuzz_search(shape, 40, 2)
         assert len(calls) == 2

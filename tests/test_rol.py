@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 import golden
 from tenrol import (
     FUZZ_FAMILIES,
+    DenseTensor,
     FuzzSummary,
     IdentitySuiteReport,
     ModeShape,
@@ -42,6 +44,7 @@ from tenrol import (
 )
 from tenrol import core, fuzz, mpinv, rol
 from tenrol.core import _ResidualReport, _stack
+from tenrol.cli import parse_tensor_file
 from tenrol.fuzz import _FUZZ_BLOCK, _draw_block
 from tenrol.unfold import dematricize
 from test_core import STACK_SPLITS
@@ -1017,6 +1020,74 @@ class TestFuzzBaseline:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+class TestMetamorphicRelations:
+    """Exact symmetries of the characterizations, checked without a tolerance of their own.
+
+    Every default ``fuzz`` family draws singular values in [0.3, 3], so its
+    booleans sit far from ``eq_tol`` and must survive a change of bases.
+    """
+
+    #: each ``_left`` check and its ``_right`` twin; the other three are their own
+    MIRROR = {
+        "direct": "direct",
+        "absorb_left": "absorb_right",
+        "absorb_right": "absorb_left",
+        "herm_left": "herm_right",
+        "herm_right": "herm_left",
+        "paired_product": "paired_product",
+        "factor_left": "factor_right",
+        "factor_right": "factor_left",
+        "commute": "commute",
+    }
+
+    @staticmethod
+    def pairs() -> list[tuple[DenseTensor, DenseTensor]]:
+        """60 default ``fuzz`` pairs at 2x2:2x2 (seed 11), then the two stored pairs."""
+        families = list(FUZZ_FAMILIES)
+        children = np.random.SeedSequence(11).spawn(60)
+        out = [golden.fuzz_pair(np.random.default_rng(c), SQ22, families[t % len(families)]) for t, c in enumerate(children)]
+        data = Path(__file__).parent / "data"
+        stored = [("rol_counterexample_a", "rol_counterexample_b"), ("identity_2x2", "nonnormal_invertible")]
+        return out + [tuple(parse_tensor_file(data / f"{name}.json") for name in pair) for pair in stored]
+
+    def test_unitary_equivalence(self):
+        # (U A V, V^H B W) has the same booleans for unitary U, V and W
+        rng = np.random.default_rng(31)
+        for a, b in self.pairs():
+            m, k = a._mat.shape
+            n = b._mat.shape[1]
+            u, v, w = (golden.random_unitary_matrix(rng, size) for size in (m, k, n))
+            turned = rol_report(DenseTensor(a.shape, u @ a._mat @ v), DenseTensor(b.shape, v.conj().T @ b._mat @ w))
+            assert turned.booleans == rol_report(a, b).booleans
+
+    def test_adjoint_swap(self):
+        # (B^H, A^H) has the same booleans, each _left check traded for its _right twin
+        for a, b in self.pairs():
+            want = rol_report(a, b).booleans
+            swapped = rol_report(conj_transpose(b), conj_transpose(a)).booleans
+            assert {self.MIRROR[name]: ok for name, ok in swapped.items()} == want
+
+    @pytest.mark.parametrize(
+        "splits",
+        [
+            pytest.param([((2, 2), (2, 2), (2, 2)), ((4,), (4,), (4,)), ((2, 2), (4,), (2, 2))], id="4x4"),
+            pytest.param([((2,), (2,), (2,)), ((2, 1), (1, 2), (2, 1)), ((1, 2), (2,), (2, 1))], id="2x2"),
+        ],
+    )
+    def test_mode_split(self, splits):
+        # the same matrices read under another mode split give bit-identical residuals
+        rows = int(np.prod(splits[0][0]))
+        for a, b in self.pairs():
+            if a._mat.shape[0] != rows:
+                continue
+            seen = set()
+            for r, k, c in splits:
+                x = DenseTensor(ModeShape(r, k), a._mat)
+                y = DenseTensor(ModeShape(k, c), b._mat)
+                seen.add(np.array(list(rol_report(x, y).residuals.values())).tobytes())
+            assert len(seen) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,16 @@ held slot-major.  A sweep visits the column pairs in the round-robin
 order of Brent and Luk (1985), so that each numpy call rotates many
 disjoint pairs at once, of every matrix in the stack.
 
-Below ``CONFIRM_COLS`` (5) columns the kernel starts cold, with 4.6 mean
-sweeps on Gaussian 4x4 inputs.  From 5 columns on, ``matrix_svd`` hands
-it ``R^H`` already turned by the eigenvectors of its Gram matrix, and
-most sweeps would rotate nothing: Gaussian inputs at flat 5, 6 and 7
-take one sweep, where the cold start took 5.3, 5.9 and 6.1
-(``BENCH_29.json``).
-So before each sweep one all-pairs product confirms the columns
-orthogonal by the kernel's own pairwise test, and the rounds run only
-when some pair fails it: for 2 of the 64 calls on the benchmark's flat-32
-pool, none at flat 16, and 14 of 16 Gaussian calls at flat 64, which
-then take two sweeps (``BENCH_28.json``).  With two products by the
-identity dropped from ``matrix_svd``, that took it to 0.66, 0.68 and
-0.83 of its time at flat 16, 32 and 64.  The confirmation and the
-rounds perform the same floating-point operations in the same order as
-the plainer round they replaced, so the results are bit-identical to
-it; ``tests/test_jacobi_reference.py`` keeps the plainer round as the
-reference.
+From ``CONFIRM_COLS`` columns on, ``matrix_svd`` hands the kernel ``R^H``
+already turned by the eigenvectors of its Gram matrix, so most sweeps
+would rotate nothing.  Before each sweep, one all-pairs product then
+confirms the columns orthogonal by the kernel's own pairwise test, and
+the rounds run only when some pair fails it; on a stack, the first
+sweep's rounds run only on the matrices that failed.  The confirmation
+and the rounds perform the same floating-point operations in the same
+order as the plainer round they replaced, so the results are
+bit-identical to it; ``tests/test_jacobi_reference.py`` keeps the
+plainer round as the reference.
 """
 
 from __future__ import annotations
@@ -35,13 +28,13 @@ import numpy as np
 #: with a null column are not rotated, and null columns are zeroed on exit.
 NULL_NORM2: float = 1e-64
 
+_F64 = np.dtype(np.float64)  # made once: numpy converts a dtype name again on every call
+
 #: Columns from which every sweep is first confirmed in one all-pairs
-#: product (see :func:`jacobi_sweeps`).  ``unfold.PRESORT_COLS`` is this
-#: count: from it on, ``matrix_svd`` starts the kernel from the Gram
-#: eigenvectors, and most sweeps rotate nothing.  At 4 columns that route
-#: took 0.43-0.45 of the time on one matrix but 1.13-1.25x on the
-#: 192-matrix stacks that ``tenrol fuzz`` decomposes (``BENCH_29.json``).
-CONFIRM_COLS: int = 5
+#: product (see :func:`jacobi_sweeps`); ``unfold.PRESORT_COLS`` is this
+#: count.  Two columns make one pair, so a sweep is one rotation, and the
+#: kernel starts them cold.
+CONFIRM_COLS: int = 3
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,19 +92,20 @@ def _still(g, app, aqq, eps, null):
     return (g <= eps * np.sqrt(app * aqq)) | (np.minimum(app, aqq) <= null)
 
 
-def _calm(cw: np.ndarray, n: int, eps, null) -> bool:
+def _calm(cw: np.ndarray, n: int, eps, null, each: bool = False):
     """Whether a sweep would rotate no pair of the slot-major columns ``cw``.
 
     Every pair gets the test of its round, from the same ``vecdot`` values,
     so this holds exactly when the sweep would be calm; the rounds of a
     calm sweep only permute the columns, and leave each in its own slot.
+    With ``each``, the verdicts of the matrices of a stack, as an array.
     """
     low, high = sweep_pairs(n)
     cw = cw[:n]
     norm2 = np.vecdot(cw, cw).real
     apq = np.vecdot(cw[:, None], cw[None, :])[low, high]
     still = _still(np.abs(apq), norm2[low], norm2[high], eps, null)
-    return np.count_nonzero(still) == still.size
+    return still.all(axis=0) if each else np.count_nonzero(still) == still.size
 
 
 def jacobi_sweeps(
@@ -136,20 +130,16 @@ def jacobi_sweeps(
     round gets the exact identity rotation (c = 1, s = 0), also once its
     own sweeps are rotation-free, until a sweep rotates no pair of any
     matrix; so each matrix comes out as it would from a call of its own,
-    up to the sign of zero entries.  A stack of one costs 1.14x, 1.09x
-    and 1.07x a 2-D call at n = 4, 16 and 32 (``BENCH_23.json``), so
-    ``matrix_svd`` hands a lone matrix over as 2-D.
+    up to the sign of zero entries.
 
     From ``CONFIRM_COLS`` columns on, each sweep is first confirmed: one
     broadcast ``vecdot`` gives the Gram entries of all pairs, and each
-    pair of :func:`sweep_pairs` gets the round's own test.  If every pair
-    of every matrix passes, the sweep would rotate nothing and leave every
+    pair of :func:`sweep_pairs` gets the round's own test.  A sweep that
+    every pair of every matrix passes would rotate nothing and leave every
     column in its own slot, so the kernel counts it without running its
-    rounds.  The first sweep is confirmed on ``cols``, before the work
-    array is built, which took 0.95 and 0.96 of the time of confirming it
-    on the work array at flat 8 and 16.  Below 5 columns the kernel
-    starts cold, and confirming before every sweep there cost 1.02-1.20x
-    of ``matrix_svd`` (``BENCH_28.json``), so it is not done.
+    rounds.  The first sweep is confirmed on ``cols``, matrix by matrix:
+    the matrices it confirms are left as they are, and only the others go
+    on to the rounds.
 
     Parameters
     ----------
@@ -170,28 +160,45 @@ def jacobi_sweeps(
         Sweeps performed until every matrix had a rotation-free sweep, or
         -1 if some matrix reached the cap first.
     """
-    n, m = cols.shape[-2:]
+    n = cols.shape[-2]
     if n < 2 or cols.size == 0:
         return 0
+    # 0-d operands, made once: numpy converts a Python float on every call
+    eps, null = np.array(eps, dtype=_F64), np.array(NULL_NORM2)
+    if n < CONFIRM_COLS or max_sweeps < 1:
+        result = _rotate(cols, vrows, eps, null, max_sweeps)
+    elif cols.ndim == 2:  # a calm first sweep is confirmed before any work array is built
+        result = 1 if _calm(cols, n, eps, null) else _rotate(cols, vrows, eps, null, max_sweeps)
+    else:  # on a stack, the rounds run on the matrices the check rejects alone, a lone one as 2-D
+        busy = np.flatnonzero(~_calm(cols.swapaxes(0, 1), n, eps, null, True))  # each matrix
+        result = 1
+        if busy.size:
+            pick = busy[0] if busy.size == 1 else busy
+            c, v = cols[pick], vrows[pick]
+            result = _rotate(c, v, eps, null, max_sweeps)
+            cols[pick], vrows[pick] = c, v
+    cols[np.vecdot(cols, cols).real <= NULL_NORM2] = 0.0
+    return result
+
+
+def _rotate(cols: np.ndarray, vrows: np.ndarray, eps, null, max_sweeps: int) -> int:
+    """The sweeps of :func:`jacobi_sweeps`, the first one's rounds always run.
+
+    From ``CONFIRM_COLS`` columns on, every later sweep is confirmed first.
+    Writes the rotated ``cols`` and ``vrows`` back and returns the sweep
+    count, or -1.
+    """
+    n, m = cols.shape[-2:]
     perm = round_robin(n)
     h = perm.size // 2
-    # 0-d operands and a dtype object, made once: numpy converts a Python
-    # float or a dtype name again on every call that gets one
-    f64 = np.dtype(np.float64)
     zero, one = np.array(0.0), np.array(1.0)
-    eps, null = np.array(eps, dtype=f64), np.array(NULL_NORM2)
-    confirm = n >= CONFIRM_COLS
-    if confirm and max_sweeps > 0 and _calm(cols.swapaxes(0, -2), n, eps, null):
-        # a calm first sweep, confirmed before ``work`` is even built
-        cols[np.vecdot(cols, cols).real <= NULL_NORM2] = 0.0
-        return 1
     # slot-major: work[k] holds slot k of every matrix, so the low and the
     # high slots, and each per-pair quantity, are contiguous blocks
     work = np.zeros((2 * h, *cols.shape[:-2], m + n), dtype=np.complex128)
     work[:n, ..., :m] = cols.swapaxes(0, -2)  # for a single matrix, swapaxes(0, 0)
     work[:n, ..., m:] = vrows.swapaxes(0, -2)
     for sweep in range(max_sweeps):
-        if confirm and sweep > 0 and _calm(work[..., :m], n, eps, null):
+        if sweep > 0 and n >= CONFIRM_COLS and _calm(work[..., :m], n, eps, null):
             result = sweep + 1
             break
         calm = True  # no rotation in this sweep, in any matrix
@@ -215,10 +222,10 @@ def jacobi_sweeps(
                 dc /= g
                 dc[still] = one
                 # the halves become c*x - s*(dc*y) and s*x + c*(dc*y)
-                x = work[:h].view(f64)
-                y = (dc[..., None] * work[h:]).view(f64)
+                x = work[:h].view(_F64)
+                y = (dc[..., None] * work[h:]).view(_F64)
                 work = np.empty_like(work)
-                rot = work.view(f64)
+                rot = work.view(_F64)
                 top, bot = rot[:h], rot[h:]
                 np.multiply(s, y, out=bot)
                 np.multiply(c, x, out=top)
@@ -234,5 +241,4 @@ def jacobi_sweeps(
         result = -1
     cols[...] = work[:n, ..., :m].swapaxes(0, -2)
     vrows[...] = work[:n, ..., m:].swapaxes(0, -2)
-    cols[np.vecdot(cols, cols).real <= NULL_NORM2] = 0.0
     return result

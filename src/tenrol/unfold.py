@@ -20,12 +20,11 @@ numpy call rotates many pairs at once.  Before the kernel runs,
 that its largest real or imaginary part lies in [0.5, 1), sorts its rows
 by decreasing largest part and factors it as ``P m = Q R`` with numpy's
 Householder QR (the preconditioning of Drmac and Veselic, 2008).  From
-``PRESORT_COLS`` columns on, the same gather also sorts the columns, two
-more QR steps follow (Stewart's QLP step, 1999), and the rotations start
-from the eigenvectors of the Gram matrix of the last ``R^H``.  That mostly
-leaves the kernel nothing to rotate: one all-pairs product confirms the
-columns orthogonal, in place of six to eight sweeps.  The presort keeps
-the route accurate under two-sided grading.  The kernel
+``PRESORT_COLS`` columns on, the same gather also sorts the columns, and
+the rotations start from the eigenvectors of the Gram matrix of ``R^H``;
+from ``QLP_COLS`` columns on, two more QR steps come first (Stewart's QLP
+step, 1999).  That mostly leaves the kernel nothing to rotate, and the
+presort keeps the route accurate under two-sided grading.  The kernel
 then orthogonalizes the columns of the last ``R^H``, which come out with
 the singular values as their norms; it treats one whose squared norm is
 at most 1e-64 as null, so singular values at or below about
@@ -61,10 +60,14 @@ JACOBI_EPS: float = 1e-14
 #: (quartiles, ``BENCH_23.json``).
 KERNEL_BUDGET: int = 2**14
 
-#: Columns from which ``matrix_svd`` presorts the columns, factors three times
-#: and turns by the Gram eigenvectors; below, it factors once.  The kernel
-#: confirms its sweeps in one all-pairs product from the same count on.
+#: Columns from which ``matrix_svd`` presorts the columns and turns by the
+#: Gram eigenvectors: the count from which the kernel confirms its sweeps.
 PRESORT_COLS: int = _kernel.CONFIRM_COLS
+
+#: Columns from which two more QR steps precede the Gram start.  Below, the
+#: Gram start alone already converges in one sweep, and the steps cost more
+#: than they save on the stacks that ``tenrol fuzz`` decomposes.
+QLP_COLS: int = 5
 
 __all__ = [
     "SvdConvergenceError",
@@ -113,33 +116,23 @@ def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.nda
     rotations give ``R^H V = W S``; then ``u`` is ``P^T Q`` with its
     leading columns turned by ``V``, and ``v`` is ``W``.  From
     ``PRESORT_COLS`` columns on, the columns are sorted too, ``P m Π =
-    Q R``, then ``R^H = Q_2 R_2`` and ``R_2^H = Q_3 R_3``; the rotations
-    start from ``V_0``, the eigenvectors of the Gram matrix ``R_3 R_3^H``
-    in descending order, and give ``R_3^H V_0 V = W S``: ``u`` is ``P^T
-    Q`` turned by ``Q_3 V_0 V`` and ``v`` is ``Π Q_2 W`` (for a wide
-    ``m``, the factors of ``m^H`` swapped).  The kernel still decides
-    convergence by its own pairwise test, so ``V_0`` only moves where the
-    rotations start: ``Q_3 V_0 V`` stays a product of unitary factors,
-    the columns of ``W`` pass the same test, and a poor ``V_0`` costs
-    sweeps, not accuracy.  The mean sweeps fall from 6.3 to 1.0 at flat
-    16 and from 8.0 to 1.9 at flat 64, and ``matrix_svd`` takes 0.17 and
-    0.15 of its time with the QR steps alone (``BENCH_27.json``).  A sweep
-    that would rotate nothing costs the kernel one all-pairs product, not
-    its rounds, and ``vrows`` starts as ``Q_3^T``, with no product by the
-    identity: together 0.66 and 0.83 of the time again at flat 16 and 64
-    (``BENCH_28.json``).  From 5 to 7 columns the route takes 0.17 to 0.27
-    of the single QR's time on one matrix and 0.40 to 0.78 on stacks of 60
-    and 192, and keeps 30 two-sided graded inputs each within 0.62 of ``2
-    eps cond``, where the single QR reached 11.0 (``BENCH_29.json``).
-    Below 5 columns it would change the ``fuzz`` and CLI results and takes
-    1.48x the time on a 3x2x2 stack and 1.13-1.25x on a 192x4x4 one,
-    so those sizes keep the single QR.  A null column of ``W``, one per
-    zero singular value, is completed by the QR of ``W`` unless
-    ``complete`` is false; ``pinv`` multiplies those columns by zero
-    reciprocals, so it skips that QR.  The iteration thresholds are fixed (``JACOBI_EPS``,
-    ``MAX_SWEEPS``) and no rank truncation happens here.  The QRs run on
-    the prescaled matrix, so the result is exactly equivariant under
-    scaling by powers of two (see the module notes).
+    Q R``, and the rotations start from ``V_0``, the eigenvectors of the
+    Gram matrix ``R R^H`` in descending order: ``R^H V_0 V = W S`` gives
+    ``u`` as ``P^T Q`` turned by ``V_0 V`` and ``v`` as ``Π W``.  From
+    ``QLP_COLS`` columns on, ``R^H = Q_2 R_2`` and ``R_2^H = Q_3 R_3``
+    come first, and ``R_3`` takes the place of R: ``u`` is ``P^T Q``
+    turned by ``Q_3 V_0 V`` and ``v`` is ``Π Q_2 W`` (for a wide ``m``,
+    the factors of ``m^H`` swapped).  The kernel still decides convergence
+    by its own pairwise test, so ``V_0`` only moves where the rotations
+    start: the turn stays a product of unitary factors, the columns of
+    ``W`` pass the same test, and a poor ``V_0`` costs sweeps, not
+    accuracy.  A null column of ``W``, one per zero singular value, is
+    completed by the QR of ``W`` unless ``complete`` is false; ``pinv``
+    multiplies those columns by zero reciprocals, so it skips that QR.
+    The iteration thresholds are fixed (``JACOBI_EPS``, ``MAX_SWEEPS``)
+    and no rank truncation happens here.  The QRs run on the prescaled
+    matrix, so the result is exactly equivariant under scaling by powers
+    of two (see the module notes).
 
     A stack of matrices of one shape is decomposed matrix by matrix, but
     through shared kernel calls; ``matrix_svd(stack)[k][i]`` equals
@@ -199,27 +192,27 @@ def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.nda
     # the same way, in the same gather; below, Π is the identity.
     order = np.argsort(-big, axis=-1, kind="stable")
     rowsort = gather = _rows(order)
-    colsort = None
-    if cols >= PRESORT_COLS:
+    gram = cols >= PRESORT_COLS
+    if gram:
         colsort = np.argsort(-mags.reshape(*big.shape, cols, 2).max(axis=(-3, -1)), axis=-1, kind="stable")
         stack = (np.arange(len(colsort))[:, None, None],) if colsort.ndim == 2 else ()
         gather = (*stack, order[..., None], colsort[..., None, :])
     q, r = np.linalg.qr(np.ldexp(mat[gather].view(np.float64), -e).view(np.complex128), mode="complete")
     # Row k of ``colrows`` holds column k of R^H
     colrows = np.conjugate(r[..., :cols, :])
-    if colsort is None:
+    if not gram:
         vrows = np.zeros(colrows.shape, dtype=np.complex128)
         vrows.reshape(*vrows.shape[:-2], cols * cols)[..., :: cols + 1] = 1.0  # identity per matrix
     else:
-        # two more steps go on with R_3: Q_3^T starts the kernel's ``vrows``
-        # and Q_2 is the ``turn`` of W.  The rotations start from V_0, the
-        # eigenvectors of the Gram matrix R_3 R_3^H in descending order:
-        # V_0^T joins ``vrows`` in front
-        turn, r2 = np.linalg.qr(colrows.swapaxes(-1, -2))
-        q3, r3 = np.linalg.qr(r2.conj().swapaxes(-1, -2))
-        colrows = np.conjugate(r3)
+        qlp = cols >= QLP_COLS
+        if qlp:  # two more steps go on with R_3; Q_2 is the ``turn`` of W
+            turn, r2 = np.linalg.qr(colrows.swapaxes(-1, -2))
+            q3, r3 = np.linalg.qr(r2.conj().swapaxes(-1, -2))
+            colrows = np.conjugate(r3)
+        # V_0, the eigenvectors of the Gram matrix R R^H in descending order,
+        # starts the kernel's ``vrows`` as V_0^T (after Q_3^T, when taken)
         v0t = np.linalg.eigh(np.conjugate(colrows) @ colrows.swapaxes(-1, -2))[1][..., ::-1].swapaxes(-1, -2)
-        colrows, vrows = v0t @ colrows, v0t @ q3.swapaxes(-1, -2)
+        colrows, vrows = v0t @ colrows, v0t @ q3.swapaxes(-1, -2) if qlp else v0t
     if colrows.ndim == 2 or colrows.size == 0:  # an empty stack: one call, no rotation
         chunks = [(colrows, vrows)]
     else:
@@ -252,8 +245,8 @@ def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.nda
         part = w[some]
         basis, _ = np.linalg.qr(part)
         w[some] = np.where(null[some][..., None, :], basis, part)
-    if colsort is not None:  # v = Π Q_2 W
-        w = (turn @ w)[_rows(np.argsort(colsort, axis=-1))]
+    if gram:  # v = Π W, or Π Q_2 W
+        w = (turn @ w if qlp else w)[_rows(np.argsort(colsort, axis=-1))]
     return u, np.ldexp(s, e[..., 0]), w
 
 

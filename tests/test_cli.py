@@ -1113,7 +1113,10 @@ class TestExitPaths:
     def test_pinv_at_the_sweep_cap_exits_four(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(4)
         src, out = tmp_path / "g.json", tmp_path / "x.json"
-        write_tensor_file(src, as_tensor(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), (2, 2), (2, 2)))
+        # two columns start cold, and their first sweep rotates, so a second one must confirm it
+        write_tensor_file(src, as_tensor(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)), (2, 2), (2,)))
+        monkeypatch.setattr(unfold_mod, "MAX_SWEEPS", 2)
+        assert run_command(["pinv", "--in", str(src), "--out", str(tmp_path / "two_sweeps.json")]) == 0
         monkeypatch.setattr(unfold_mod, "MAX_SWEEPS", 1)
         assert run_command(["pinv", "--in", str(src), "--out", str(out)]) == 4
         assert "did not converge" in capsys.readouterr().err

@@ -262,7 +262,8 @@ class TestConfirmation:
     """From ``CONFIRM_COLS`` columns on, one all-pairs product confirms a calm sweep."""
 
     def test_threshold_is_the_presort_threshold(self):
-        assert unfold_mod.PRESORT_COLS == CONFIRM_COLS == 5
+        assert unfold_mod.PRESORT_COLS == CONFIRM_COLS == 3
+        assert unfold_mod.QLP_COLS == 5
 
     @pytest.mark.parametrize("n", range(8, 34))
     def test_pairs_follow_the_rounds(self, n):
@@ -329,6 +330,29 @@ class TestConfirmation:
         alone = both_kernels(cols[1], vrows[1])
         assert alone > 1
         assert both_kernels(cols, vrows) == alone
+
+    @pytest.mark.parametrize("cold", [[5], [0, 3, 7]], ids=["one", "three"])
+    def test_only_the_rejected_matrices_are_rotated(self, rng, monkeypatch, cold):
+        # Gram-started 4x4 inputs are calm; cold starts are not.  The rounds
+        # run on the rejected matrices alone (a lone one as 2-D), the calm
+        # ones are not touched, and every matrix comes out as from a call of
+        # its own, up to the sign of zero entries
+        mats = [gram_started(monkeypatch, complex_normal(rng, 4, 4))[0] for _ in range(8)]
+        for k in cold:
+            mats[k] = (complex_normal(rng, 4, 4) / 4, np.eye(4, dtype=np.complex128))
+        cols, vrows = np.stack([c for c, _ in mats]), np.stack([v for _, v in mats])
+        alone = [(c.copy(), v.copy()) for c, v in mats]
+        sweeps = [jacobi_sweeps(c, v, JACOBI_EPS, MAX_SWEEPS) for c, v in alone]
+        assert [k for k, n in enumerate(sweeps) if n > 1] == cold
+        rotated = []
+        rotate = _jacobi_py._rotate
+        monkeypatch.setattr(_jacobi_py, "_rotate", lambda c, *rest: rotated.append(c.shape) or rotate(c, *rest))
+        assert jacobi_sweeps(cols, vrows, JACOBI_EPS, MAX_SWEEPS) == max(sweeps)
+        assert rotated == [(4, 4) if len(cold) == 1 else (len(cold), 4, 4)]
+        for k, (c, v) in enumerate(alone):
+            assert np.array_equal(cols[k], c) and np.array_equal(vrows[k], v), k
+            if k not in cold:
+                assert same_bits(cols[k], c) and same_bits(vrows[k], v), k
 
     def test_flat64_confirms_the_second_sweep(self, monkeypatch):
         rng = np.random.default_rng([28, 64])

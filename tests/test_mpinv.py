@@ -39,7 +39,7 @@ from tenrol import (
     tsvd,
     zeros,
 )
-from tenrol import mpinv
+from tenrol import mpinv, unfold
 from tenrol.core import _stack
 from tenrol.unfold import matrix_svd
 
@@ -413,24 +413,47 @@ class TestPinvWithoutCompletion:
                     out += [(family, t) for t in (a, b, a @ b)]
         return out
 
+    @staticmethod
+    def zero_columns() -> list:
+        """Gaussian matrices at 3, 4 and 6 columns, each with one exact zero column.
+
+        Below 5 columns only ``diagonal`` of the fuzz families still gives
+        exact-zero singular values; an exact zero column gives one on every
+        route.
+        """
+        rng = np.random.default_rng(29)
+        out = []
+        for shape in (ModeShape((3,), (3,)), golden.SQ22, ModeShape((2, 3), (2, 3))):
+            for k in range(shape.col_count):
+                m = golden.random_tensor(rng, shape)._mat.copy()
+                m[:, k] = 0.0
+                out.append(("zero_column", DenseTensor(shape, m)))
+        return out
+
     def test_pinv_equals_the_completed_formula(self, monkeypatch):
         qrs = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: qrs.append(1) or qr(*args, **kw))
-        null_families = set()
-        for family, t in self.operands():
+        completed = set()
+        for family, t in self.operands() + self.zero_columns():
             m = matricize(t)
+            cols = min(m.shape)
+            steps = 3 if cols >= unfold.QLP_COLS else 1  # the QR of P m, then the two QLP steps
             qrs.clear()
             want = self.completed_pinv(m)
-            completions = len(qrs) - 1  # the QR of P m is the first
+            completions = len(qrs) - steps
             qrs.clear()
             got = pinv(t)._mat
-            assert len(qrs) == 1  # the QR of P m, and no completion
+            assert len(qrs) == steps  # the QR steps of the route, and no completion
             assert np.array_equal(got, want)
             if completions:
-                null_families.add(family)
-        # the completed formula did complete null columns, on the families that give exact zeros
-        assert null_families >= {"rank_deficient", "diagonal", "orthogonal_sum"}
+                completed.add((family, cols))
+        # the completed formula did complete null columns, wherever the inputs give exact zeros:
+        # on the cold route at 2 columns and on the Gram-started routes below and from QLP_COLS on
+        assert completed >= {
+            ("rank_deficient", 2), ("diagonal", 2), ("orthogonal_sum", 2), ("diagonal", 4),
+            ("zero_column", 3), ("zero_column", 4), ("zero_column", 6),
+        }
 
     def test_stacked_pinv_runs_no_completion(self, monkeypatch):
         ts = [t for _, t in self.operands()]

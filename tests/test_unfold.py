@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -310,7 +311,8 @@ class TestMatrixSvd:
     @pytest.mark.parametrize(
         "family, n, count",
         [pytest.param(f, n, count, id=f"{f}-flat{n}") for f in GRADED_FAMILIES for n, count in ((16, 3), (32, 2))]
-        + [pytest.param("two_sided", n, 30, id=f"two_sided-flat{n}") for n in (5, 6, 7)],
+        + [pytest.param("two_sided", n, 30, id=f"two_sided-flat{n}") for n in (5, 6, 7)]
+        + [pytest.param(f, n, 30, id=f"{f}-flat{n}") for f in GRADED_FAMILIES for n in (2, 3, 4)],
     )
     def test_graded_families_within_twice_eps_times_cond(self, family, n, count):
         # a graded m = D1 B D2 keeps its singular values to a modest multiple
@@ -318,8 +320,8 @@ class TestMatrixSvd:
         # inputs, so the bound is relative: the presorted route stays below
         # 1.2 on every family, where a single QR of unsorted columns reaches
         # 2.1 to 3.8 on the two-sided inputs at flat 16 (``BENCH_26.json``),
-        # and 2.4, 3.4 and 11.0 on the 30 two-sided inputs at flat 5, 6 and 7
-        # (``BENCH_29.json``)
+        # 2.4, 3.4 and 11.0 on the 30 two-sided inputs at flat 5, 6 and 7
+        # (``BENCH_29.json``), and 1.11 on those at flat 4 (``BENCH_31.json``)
         plain, graded = graded_inputs(family, n, count)
         errors = np.array(graded_errors(graded))
         assert np.all(errors <= 2 * np.finfo(float).eps * np.linalg.cond(np.array(plain)))
@@ -545,6 +547,22 @@ class TestStackedSvd:
         for n in (3, 4, 5):
             self.check(np.stack([m for m in family_pool(n) if m.shape == (n, n)]))
 
+    def test_calm_and_rejected_matrices_in_one_kernel_call(self, monkeypatch):
+        # a fuzz-shaped stack whose Gram start the first confirmation rejects
+        # on only some matrices: one kernel call rotates those alone, and
+        # each matrix still equals its lone call
+        rng = np.random.default_rng(3)
+        pairs = [golden.fuzz_pair(rng, golden.SQ22, FUZZ_FAMILIES[k % len(FUZZ_FAMILIES)]) for k in range(20)]
+        stack = np.stack([matricize(t) for a, b in pairs for t in (a, b, a @ b)])
+        calls, rotated = [], []
+        kernel, rotate = _jacobi_py.jacobi_sweeps, _jacobi_py._rotate
+        monkeypatch.setattr(_jacobi_py, "jacobi_sweeps", lambda c, *rest: calls.append(c.shape) or kernel(c, *rest))
+        monkeypatch.setattr(_jacobi_py, "_rotate", lambda c, *rest: rotated.append(c.shape) or rotate(c, *rest))
+        matrix_svd(stack)
+        assert calls == [(60, 4, 4)]
+        assert len(rotated) == 1 and 1 < rotated[0][0] < 60, rotated
+        self.check(stack)
+
     def test_stack_split_over_kernel_calls(self, rng, monkeypatch):
         # a budget of two matrices per call leaves a lone matrix at the end
         monkeypatch.setattr(unfold_mod, "KERNEL_BUDGET", 2 * 6 * 11)
@@ -567,7 +585,12 @@ class TestStackedSvd:
 
 
 class TestSweepCap:
-    """The real non-convergence path, reached by lowering ``MAX_SWEEPS`` to one sweep."""
+    """The real non-convergence path, reached by lowering ``MAX_SWEEPS`` to one sweep.
+
+    Gaussian inputs from ``PRESORT_COLS`` columns on converge in the one
+    sweep that confirms their Gram start.  Two columns keep the cold start,
+    whose first sweep rotates the one pair, so a second sweep must confirm it.
+    """
 
     @pytest.fixture(autouse=True)
     def one_sweep(self, monkeypatch):
@@ -577,20 +600,37 @@ class TestSweepCap:
     def gaussian(rng, *shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
+    @classmethod
+    def mixed_stack(cls, rng):
+        stack = cls.gaussian(rng, 3, 4, 2)
+        stack[1] = np.eye(4, 2) * cls.gaussian(rng, 2)  # converges in one sweep on its own
+        return stack
+
+    def test_the_inputs_take_two_sweeps(self, rng, monkeypatch):
+        # the inputs of the tests below, each drawn as its test draws it, under the real cap
+        monkeypatch.setattr(unfold_mod, "MAX_SWEEPS", 30)
+        sweeps = []
+        kernel = _jacobi_py.jacobi_sweeps
+        monkeypatch.setattr(_jacobi_py, "jacobi_sweeps", lambda *args: sweeps.append(kernel(*args)) or sweeps[-1])
+        matrix_svd(self.gaussian(copy.deepcopy(rng), 4, 2))  # test_matrix and test_pinv
+        stack = self.mixed_stack(copy.deepcopy(rng))
+        matrix_svd(stack)
+        matrix_svd(stack[1])
+        assert sweeps == [2, 2, 1]
+
     def test_matrix(self, rng):
         with pytest.raises(SvdConvergenceError, match="did not converge within 1 sweeps"):
-            matrix_svd(self.gaussian(rng, 4, 4))
+            matrix_svd(self.gaussian(rng, 4, 2))
 
     def test_stack(self, rng):
-        stack = self.gaussian(rng, 3, 4, 4)
-        stack[1] = np.diag(self.gaussian(rng, 4))  # converges in one sweep on its own
+        stack = self.mixed_stack(rng)
         matrix_svd(stack[1])
         with pytest.raises(SvdConvergenceError, match="did not converge within 1 sweeps"):
             matrix_svd(stack)
 
     def test_pinv(self, rng):
         with pytest.raises(SvdConvergenceError, match="did not converge within 1 sweeps"):
-            pinv(as_tensor(self.gaussian(rng, 4, 4), (2, 2), (2, 2)))
+            pinv(as_tensor(self.gaussian(rng, 4, 2), (2, 2), (2,)))
 
     def test_confirmed_sweep_counts_against_the_cap(self, rng, monkeypatch):
         # a Gram-started 16x16 needs one sweep, confirmed without a rotation

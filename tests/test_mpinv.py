@@ -242,6 +242,12 @@ class TestPenroseResiduals:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             penrose_residuals(zeros((2,), (3,)), zeros((2,), (3,)))
+        # a @ x conforms, x @ a does not
+        with pytest.raises(ShapeMismatchError):
+            penrose_residuals(zeros((2,), (3,)), zeros((3,), (4,)))
+        # the matrices conform, the mode splits do not
+        with pytest.raises(ShapeMismatchError):
+            penrose_residuals(zeros((2, 2), (4,)), zeros((2, 2), (2, 2)))
 
 
 class TestIdentitySuite:

@@ -96,11 +96,7 @@ class _Record:
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
-        if kwargs and tuple(kwargs) == fields[len(args) :]:
-            # keywords in field order after the positional arguments, as the
-            # report builders pass them, are the field values as they stand
-            args = (*args, *kwargs.values())
-        elif kwargs or len(args) != len(fields):
+        if kwargs or len(args) != len(fields):
             try:
                 bound = self._signature.bind(*args, **kwargs)
             except TypeError as e:
@@ -240,13 +236,14 @@ class DenseTensor:
 
     Privately, :func:`_stack` builds a tensor whose matrix is a
     ``(T, row_count, col_count)`` stack of T tensors of one shape.
-    ``einstein_product``, ``_chain``, ``conj_transpose`` and
+    ``einstein_product``, ``conj_transpose`` and
     :func:`tenrol.mpinv.pinv` act on it matrix by matrix, and
     ``frobenius_norm`` and ``rel_residual`` return a ``(T,)`` float64
     array, each entry equal bit for bit to the result for that matrix
-    alone.  A stack is a batching device of :mod:`tenrol.rol`, made by
-    ``rol_report`` or by ``fuzz_search``'s draws and evaluated by
-    ``rol_report``; the other methods and functions assume one matrix.
+    alone, and so does :func:`_compare` on pairs of stacks.  A stack is a
+    batching device of :mod:`tenrol.rol`, made by ``rol_report`` or by
+    ``fuzz_search``'s draws and evaluated by ``rol_report``; the other
+    methods and functions assume one matrix.
     """
 
     __slots__ = ("shape", "_mat")
@@ -396,11 +393,6 @@ def einstein_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     return DenseTensor._from_owned(ModeShape._of(a.shape.row_dims, b.shape.col_dims), a._mat @ b._mat)
 
 
-def _chain(*ts: DenseTensor) -> DenseTensor:
-    """Einstein product of ``ts`` taken left to right."""
-    return functools.reduce(einstein_product, ts)
-
-
 def conj_transpose(a: DenseTensor) -> DenseTensor:
     """Conjugate transpose: swaps the row and column mode blocks and conjugates.
 
@@ -487,23 +479,40 @@ def rel_residual(a: DenseTensor, b: DenseTensor) -> float:
     return _norm(a._mat - b._mat) / max(1.0, frobenius_norm(a), frobenius_norm(b))
 
 
-def _zero_residual(x: DenseTensor, scale: float) -> float:
-    """``||x|| / max(1, scale)``: the residual of ``x == 0`` under the caller's scale."""
-    return frobenius_norm(x) / max(1.0, scale)
+def _compare(compared: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The :func:`rel_residual` of each ``(x, y)`` pair of matrices, in order.
 
-
-def _unitary_residual(t: DenseTensor, grams: tuple[DenseTensor, DenseTensor] | None = None) -> float:
-    """The larger residual of ``t @ t.H == I`` and ``t.H @ t == I``; inf unless ``t`` is square.
-
-    A caller that holds them passes ``grams = (t @ t.H, t.H @ t)``.
+    Every report's residuals come from here.  The pairs go to
+    ``rel_residual`` stacked by matrix shape, one call per shape, and each
+    residual equals the one of its pair alone, bit for bit.  The matrices
+    may also be ``(T, r, c)`` stacks of T pairs, all with the same T (see
+    the ``DenseTensor`` notes); the result is then ``(len(compared), T)``.
     """
+    batch = compared[0][0].shape[:-2]
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, (x, _) in enumerate(compared):
+        by_shape.setdefault(x.shape[-2:], []).append(i)
+    out = np.empty((len(compared), *batch))
+    for (rows, cols), which in by_shape.items():
+        xy = np.stack([compared[i][side] for side in (0, 1) for i in which]).reshape(2, -1, rows, cols)
+        x, y = (DenseTensor._from_owned(ModeShape._of((rows,), (cols,)), half) for half in xy)
+        out[which] = rel_residual(x, y).reshape(len(which), *batch)
+    return out
+
+
+def _zero_residual(x: np.ndarray, scale: float) -> float:
+    """``||x|| / max(1, scale)`` of a matrix: the residual of ``x == 0`` under the caller's scale."""
+    return _norm(x) / max(1.0, scale)
+
+
+def _unitary_residual(t: DenseTensor) -> float:
+    """The larger residual of ``t @ t.H == I`` and ``t.H @ t == I``; inf unless ``t`` is square."""
     if not t.shape.is_square:
         return math.inf
-    if grams is None:
-        th = conj_transpose(t)
-        grams = (einstein_product(t, th), einstein_product(th, t))
-    eye = identity(t.shape.row_dims)
-    return max(rel_residual(grams[0], eye), rel_residual(grams[1], eye))
+    m = t._mat
+    mh = _adjoint(m)
+    eye = np.eye(len(m), dtype=np.complex128)
+    return max(_compare(((m @ mh, eye), (mh @ m, eye))).tolist())
 
 
 def _refuse_non_finite(residuals: dict[str, float | None], where: str = "") -> None:
@@ -520,14 +529,15 @@ class _ResidualReport(_Record):
     """Base of every residual report of the package.
 
     Every field of a report before ``tol`` is a residual under the shared
-    relative rule of :func:`rel_residual`; ``residuals`` lists them in field
-    order and ``booleans`` thresholds them at ``tol``.  Residual magnitudes
-    legitimately differ across conditions, so equivalence is judged on
-    booleans, never on residual values.  A NaN or infinite residual would
-    read as a failed check, so every builder refuses one through
-    ``_checked``, and ``max_residual`` never sees a NaN.  ``as_dict`` gives
-    ``tol``, ``residuals`` and ``booleans``, then the properties a report
-    class names in ``_derived``.
+    relative rule of :func:`rel_residual`, computed by :func:`_compare`, or
+    under the rule of :func:`_zero_residual` for a check of ``x == 0``;
+    ``residuals`` lists them in field order and ``booleans`` thresholds
+    them at ``tol``.  Residual magnitudes legitimately differ across
+    conditions, so equivalence is judged on booleans, never on residual
+    values.  A NaN or infinite residual would read as a failed check, so
+    every builder refuses one through ``_checked``, and ``max_residual``
+    never sees a NaN.  ``as_dict`` gives ``tol``, ``residuals`` and
+    ``booleans``, then the properties a report class names in ``_derived``.
     """
 
     _residual_names = ()  # unannotated, so not a field; each report sets its own
@@ -596,25 +606,22 @@ def classify(a: DenseTensor, policy: NumericPolicy | None = None) -> StructuralF
     diagonal = _norm(a._mat[~mask]) / max(1.0, _norm(a._mat))
     if not a.shape.is_square:
         _refuse_non_finite({"diagonal": diagonal})
-        return StructuralFlags(
-            hermitian=False,
-            skew_hermitian=False,
-            unitary=False,
-            idempotent=False,
-            diagonal=diagonal <= tol,
-            normal=False,
-            note="square-only flags unset: row and column dims differ",
-        )
-    ah = conj_transpose(a)
-    gram = einstein_product(a, ah)
-    cogram = einstein_product(ah, a)
+        note = "square-only flags unset: row and column dims differ"
+        return StructuralFlags(False, False, False, False, diagonal <= tol, False, note)
+    m = a._mat
+    mh = _adjoint(m)
+    gram, cogram = m @ mh, mh @ m
+    eye = np.eye(len(m), dtype=np.complex128)
+    hermitian, skew, unitary_left, unitary_right, idempotent, normal = _compare(
+        ((m, mh), (m, -mh), (gram, eye), (cogram, eye), (m @ m, m), (gram, cogram))
+    ).tolist()
     residuals = {
-        "hermitian": rel_residual(a, ah),
-        "skew_hermitian": rel_residual(a, -ah),
-        "unitary": _unitary_residual(a, (gram, cogram)),
-        "idempotent": rel_residual(einstein_product(a, a), a),
+        "hermitian": hermitian,
+        "skew_hermitian": skew,
+        "unitary": max(unitary_left, unitary_right),
+        "idempotent": idempotent,
         "diagonal": diagonal,
-        "normal": rel_residual(gram, cogram),
+        "normal": normal,
     }
     _refuse_non_finite(residuals)
-    return StructuralFlags(**{name: r <= tol for name, r in residuals.items()})
+    return StructuralFlags(*(r <= tol for r in residuals.values()), None)

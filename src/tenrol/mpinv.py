@@ -21,7 +21,8 @@ from .core import (
     ModeShape,
     NumericPolicy,
     ShapeMismatchError,
-    _chain,
+    _adjoint,
+    _compare,
     _refuse_non_finite,
     _Record,
     _ResidualReport,
@@ -120,9 +121,9 @@ def tsvd(a: DenseTensor) -> SvdFactors:
     d = np.zeros((rows, cols), dtype=np.complex128)
     d[np.arange(s.size), np.arange(s.size)] = s
     return SvdFactors(
-        u=dematricize(u, ModeShape(a.shape.row_dims, a.shape.row_dims)),
-        d=dematricize(d, a.shape),
-        v=dematricize(v, ModeShape(a.shape.col_dims, a.shape.col_dims)),
+        dematricize(u, ModeShape(a.shape.row_dims, a.shape.row_dims)),
+        dematricize(d, a.shape),
+        dematricize(v, ModeShape(a.shape.col_dims, a.shape.col_dims)),
     )
 
 
@@ -257,18 +258,16 @@ def _pinv_matrix(mat: np.ndarray, rank_tol: float) -> np.ndarray:
 def penrose_residuals(a: DenseTensor, x: DenseTensor) -> PenroseResiduals:
     """Relative residuals of the four Penrose equations for the pair (a, x).
 
-    Raises ``ValueError`` naming the first non-finite residual if an
+    Raises ``ShapeMismatchError`` unless ``x`` has the split of ``a.H``,
+    and ``ValueError`` naming the first non-finite residual if an
     intermediate product overflowed.
     """
-    ax = einstein_product(a, x)
-    xa = einstein_product(x, a)
-    return PenroseResiduals(
-        axa=rel_residual(einstein_product(ax, a), a),
-        xax=rel_residual(einstein_product(xa, x), x),
-        ax_herm=rel_residual(ax, conj_transpose(ax)),
-        xa_herm=rel_residual(xa, conj_transpose(xa)),
-        tol=DEFAULT_POLICY.eq_tol,
-    )._checked()
+    if x.shape != a.shape.transposed:
+        raise ShapeMismatchError(f"cannot pair {a.shape} with {x.shape}: pinv has split {a.shape.transposed}")
+    a, x = a._mat, x._mat
+    ax, xa = a @ x, x @ a
+    residuals = _compare(((ax @ a, a), (xa @ x, x), (ax, _adjoint(ax)), (xa, _adjoint(xa))))
+    return PenroseResiduals(*residuals.tolist(), DEFAULT_POLICY.eq_tol)._checked()
 
 
 class IdentitySuiteReport(_ResidualReport):
@@ -335,26 +334,30 @@ def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> Ident
     ah = conj_transpose(a)
     gram = einstein_product(ah, a)  # A* A, split J x J
     cogram = einstein_product(a, ah)  # A A*, split I x I
-    ap, gram_p, cogram_p = _named_pinv((a, gram, cogram), ("a", "A.H @ A", "A @ A.H"), policy)
-    ahp = conj_transpose(ap)
-    ap_a = einstein_product(ap, a)
-    return IdentitySuiteReport(
-        star_via_pinv_left=rel_residual(_chain(ap, a, ah), ah),
-        star_via_pinv_right=rel_residual(_chain(ah, a, ap), ah),
-        recover_right=rel_residual(_chain(a, ah, ahp), a),
-        recover_left=rel_residual(_chain(ahp, ah, a), a),
-        pinv_via_gram=rel_residual(_chain(gram_p, ah), ap),
-        pinv_via_cogram=rel_residual(_chain(ah, cogram_p), ap),
-        gram_pinv_split=rel_residual(gram_p, _chain(ap, ahp)),
-        cogram_pinv_split=rel_residual(cogram_p, _chain(ahp, ap)),
-        gram_sandwich_left=rel_residual(gram_p, _chain(ap, cogram_p, a)),
-        gram_sandwich_right=rel_residual(gram_p, _chain(ah, cogram_p, ahp)),
-        row_projector_right=rel_residual(ap_a, _chain(gram, gram_p)),
-        row_projector_left=rel_residual(ap_a, _chain(gram_p, gram)),
-        tol=policy.eq_tol,
-        normal_residual=rel_residual(cogram, gram) if a.shape.is_square else None,
-        ep_residual=rel_residual(einstein_product(a, ap), ap_a) if a.shape.is_square else None,
-    )._checked()
+    inverses = _named_pinv((a, gram, cogram), ("a", "A.H @ A", "A @ A.H"), policy)
+    square = a.shape.is_square
+    a, ah, gram, cogram, ap, gram_p, cogram_p = (t._mat for t in (a, ah, gram, cogram, *inverses))
+    ahp = _adjoint(ap)
+    ap_a = ap @ a
+    compared = [
+        (ap @ a @ ah, ah),  # star_via_pinv_left
+        (ah @ a @ ap, ah),  # star_via_pinv_right
+        (a @ ah @ ahp, a),  # recover_right
+        (ahp @ ah @ a, a),  # recover_left
+        (gram_p @ ah, ap),  # pinv_via_gram
+        (ah @ cogram_p, ap),  # pinv_via_cogram
+        (gram_p, ap @ ahp),  # gram_pinv_split
+        (cogram_p, ahp @ ap),  # cogram_pinv_split
+        (gram_p, ap @ cogram_p @ a),  # gram_sandwich_left
+        (gram_p, ah @ cogram_p @ ahp),  # gram_sandwich_right
+        (ap_a, gram @ gram_p),  # row_projector_right
+        (ap_a, gram_p @ gram),  # row_projector_left
+    ]
+    if square:  # normal and ep
+        compared += [(cogram, gram), (a @ ap, ap_a)]
+    residuals = _compare(compared).tolist()
+    normal, ep = residuals[12:] if square else (None, None)
+    return IdentitySuiteReport(*residuals[:12], policy.eq_tol, normal, ep)._checked()
 
 
 def pinv_sum(tensors: Sequence[DenseTensor], policy: NumericPolicy | None = None) -> DenseTensor:
@@ -382,11 +385,9 @@ def pinv_sum(tensors: Sequence[DenseTensor], policy: NumericPolicy | None = None
             raise ShapeMismatchError(f"tensor {i} has shape {t.shape}, expected {shape}")
     for i in range(len(ts)):
         for j in range(i + 1, len(ts)):
+            x, y = ts[i]._mat, ts[j]._mat
             scale = frobenius_norm(ts[i]) * frobenius_norm(ts[j])
-            r = max(
-                _zero_residual(einstein_product(ts[i], conj_transpose(ts[j])), scale),
-                _zero_residual(einstein_product(conj_transpose(ts[i]), ts[j]), scale),
-            )
+            r = max(_zero_residual(x @ _adjoint(y), scale), _zero_residual(_adjoint(x) @ y, scale))
             if not r <= policy.eq_tol:  # a NaN from an overflow fails too
                 raise OrthogonalityError((i, j), r)
     parts = pinv(ts, policy)

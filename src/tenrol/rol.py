@@ -31,9 +31,12 @@ stacked tensors (see the ``DenseTensor`` notes in :mod:`tenrol.core`), or
 the two stacks of a block that :func:`tenrol.fuzz.fuzz_search` draws.  A group's
 residual pass multiplies the stored matrices with ``@``, in the same
 product order for a stack as for a lone pair, and hands the nine compared
-pairs to :func:`tenrol.core.rel_residual` stacked by matrix shape: one
-call at 2x2:2x2, three at 2:3.  Each report equals the one for its pair
-alone bit for bit, and a lone pair's report is built from its nine floats.
+pairs to :func:`tenrol.core._compare`, which calls ``rel_residual`` once
+per matrix shape: once at 2x2:2x2, three times at 2:3.  Each report
+equals the one for its pair alone bit for bit, and a lone pair's report
+is built from its nine floats.  The other reports list their compared
+pairs for ``_compare`` the same way, and their ``x == 0`` checks go
+through ``_zero_residual``.
 
 ``fuzz_search``, ``FuzzSummary`` and ``FUZZ_FAMILIES`` are still
 attributes of this module: a module-level ``__getattr__`` (PEP 562) loads
@@ -53,17 +56,15 @@ from .core import (
     ModeShape,
     NumericPolicy,
     ShapeMismatchError,
-    _chain,
     _ResidualReport,
     _adjoint,
+    _compare,
+    _norm,
     _stack,
     _unitary_residual,
     _zero_residual,
     conj_transpose,
     einstein_product,
-    frobenius_norm,
-    identity,
-    rel_residual,
 )
 from .mpinv import _named_pinv, _PinvOverflow, pinv
 
@@ -245,9 +246,8 @@ def _residuals(
 
     A ``(9,)`` array for one pair, ``(9, T)`` when the five operands are
     stacks of T pairs.  The products run on the stored matrices, and the
-    nine compared pairs go to :func:`tenrol.core.rel_residual` stacked by
-    their matrix shape, one call per shape; each residual equals the one
-    of its pair alone, bit for bit.
+    nine compared pairs go to :func:`tenrol.core._compare`; each residual
+    equals the one of its pair alone, bit for bit.
     """
     ah, bh = conj_transpose(a)._mat, conj_transpose(b)._mat
     a, b, ap, bp, abp = a._mat, b._mat, ap._mat, bp._mat, abp._mat
@@ -269,15 +269,7 @@ def _residuals(
         (q @ ah, ahab @ abp),  # factor_right
         (p @ q, q @ p),  # commute
     )
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for field, (x, _) in enumerate(compared):
-        by_shape.setdefault(x.shape[-2:], []).append(field)
-    out = np.empty((len(compared), *a.shape[:-2]))
-    for (rows, cols), fields in by_shape.items():
-        xy = np.stack([compared[f][side] for side in (0, 1) for f in fields]).reshape(2, -1, rows, cols)
-        x, y = (DenseTensor._from_owned(ModeShape._of((rows,), (cols,)), half) for half in xy)
-        out[fields] = rel_residual(x, y).reshape(len(fields), *a.shape[:-2])
-    return out
+    return _compare(compared)
 
 
 def unitary_rol(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None) -> DenseTensor:
@@ -317,7 +309,7 @@ def sandwich_pinv(
         raise ValueError("left factor is not unitary at the given tolerance")
     if _unitary_residual(c) > policy.eq_tol:
         raise ValueError("right factor is not unitary at the given tolerance")
-    return _chain(conj_transpose(c), pinv(a, policy), conj_transpose(b))
+    return conj_transpose(c) @ pinv(a, policy) @ conj_transpose(b)
 
 
 class ZeroEquivalenceReport(_ResidualReport):
@@ -358,14 +350,15 @@ def zero_equivalence(
             f"column dims of {b.shape} must match column dims of {a.shape}"
         )
     (ap,) = _named_pinv((a,), ("a",), policy)
-    ah = conj_transpose(a)
-    proj = einstein_product(ap, a)
-    bn = frobenius_norm(b)
+    b, a, ap = b._mat, a._mat, ap._mat
+    ah = _adjoint(a)
+    proj = ap @ a
+    bn = _norm(b)
     return ZeroEquivalenceReport(
-        via_pinv=_zero_residual(einstein_product(b, ap), bn * frobenius_norm(ap)),
-        via_star=_zero_residual(einstein_product(b, ah), bn * frobenius_norm(ah)),
-        via_projector=_zero_residual(einstein_product(b, proj), bn * frobenius_norm(proj)),
-        tol=policy.eq_tol,
+        _zero_residual(b @ ap, bn * _norm(ap)),
+        _zero_residual(b @ ah, bn * _norm(ah)),
+        _zero_residual(b @ proj, bn * _norm(proj)),
+        policy.eq_tol,
     )._checked()
 
 
@@ -445,28 +438,26 @@ def projector_commute_report(
         raise ShapeMismatchError(
             f"projector identities need splits I x J and J x I, got {a.shape} and {b.shape}"
         )
-    ah = conj_transpose(a)
-    bh = conj_transpose(b)
     ap, bp = _named_pinv((a, b), ("a", "b"), policy)
-    p = einstein_product(ap, a)  # J x J
-    q = einstein_product(b, bp)  # J x J
-    r = einstein_product(a, ap)  # I x I
-    pb = einstein_product(bp, b)  # I x I
-    bbh = einstein_product(b, bh)
-    aha = einstein_product(ah, a)
-    eye_j = identity(p.shape.row_dims)
+    a, b, ap, bp = a._mat, b._mat, ap._mat, bp._mat
+    ah, bh = _adjoint(a), _adjoint(b)
+    p = ap @ a  # J x J
+    q = b @ bp  # J x J
+    r = a @ ap  # I x I
+    pb = bp @ b  # I x I
+    bbh = b @ bh
+    aha = ah @ a
+    eye_j = np.eye(len(p), dtype=np.complex128)
+    residuals = _compare((  # in field order, less the two cross_null checks
+        (p @ q @ ah, q @ ah),  # absorb_proj_left
+        (pb @ r @ bh, r @ bh),  # absorb_proj_right
+        (p @ q, q @ p),  # commute
+        (pb @ r, r @ pb),  # commute_mirror
+        (p @ bbh @ ah, bbh @ ah),  # absorb_gram_left
+        (q @ aha @ b, aha @ b),  # absorb_gram_right
+    )).tolist()
+    cross_null_left = _zero_residual((eye_j - p) @ bbh @ p, _norm(bbh) * _norm(p))
+    cross_null_right = _zero_residual((eye_j - q) @ aha @ q, _norm(aha) * _norm(q))
     return ProjectorCommuteReport(
-        absorb_proj_left=rel_residual(_chain(p, q, ah), _chain(q, ah)),
-        absorb_proj_right=rel_residual(_chain(pb, r, bh), _chain(r, bh)),
-        commute=rel_residual(_chain(p, q), _chain(q, p)),
-        commute_mirror=rel_residual(_chain(pb, r), _chain(r, pb)),
-        absorb_gram_left=rel_residual(_chain(p, bbh, ah), _chain(bbh, ah)),
-        cross_null_left=_zero_residual(
-            _chain(eye_j - p, bbh, p), frobenius_norm(bbh) * frobenius_norm(p)
-        ),
-        absorb_gram_right=rel_residual(_chain(q, aha, b), _chain(aha, b)),
-        cross_null_right=_zero_residual(
-            _chain(eye_j - q, aha, q), frobenius_norm(aha) * frobenius_norm(q)
-        ),
-        tol=policy.eq_tol,
+        *residuals[:5], cross_null_left, residuals[5], cross_null_right, policy.eq_tol
     )._checked()

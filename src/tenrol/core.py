@@ -242,8 +242,8 @@ class DenseTensor:
     array, each entry equal bit for bit to the result for that matrix
     alone, and so does :func:`_compare` on pairs of stacks.  A stack is a
     batching device of :mod:`tenrol.rol`, made by ``rol_report`` or by
-    ``fuzz_search``'s draws and evaluated by ``rol_report``; the other
-    methods and functions assume one matrix.
+    ``fuzz_search``'s draws and evaluated by ``rol_report`` into ``(9, T)``
+    residuals, not T reports; the other methods and functions assume one matrix.
     """
 
     __slots__ = ("shape", "_mat")
@@ -501,7 +501,7 @@ def _compare(compared: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 
 
 def _zero_residual(x: np.ndarray, scale: float) -> float:
-    """``||x|| / max(1, scale)`` of a matrix: the residual of ``x == 0`` under the caller's scale."""
+    """``||x|| / max(1, scale)`` of an array of entries: the residual of ``x == 0`` under the caller's scale."""
     return _norm(x) / max(1.0, scale)
 
 
@@ -564,9 +564,9 @@ class _ResidualReport(_Record):
         derived = {name: getattr(self, name) for name in self._derived}
         return {"tol": self.tol, "residuals": self.residuals, "booleans": self.booleans, **derived}
 
-    def _checked(self: _Report, where: str = "") -> _Report:
+    def _checked(self: _Report) -> _Report:
         """``self``, or ``ValueError`` naming the first non-finite residual."""
-        _refuse_non_finite(self.residuals, where)
+        _refuse_non_finite(self.residuals)
         return self
 
 
@@ -603,7 +603,7 @@ def classify(a: DenseTensor, policy: NumericPolicy | None = None) -> StructuralF
     policy = policy or DEFAULT_POLICY
     tol = policy.eq_tol
     mask = np.eye(a.shape.row_count, a.shape.col_count, dtype=bool)
-    diagonal = _norm(a._mat[~mask]) / max(1.0, _norm(a._mat))
+    diagonal = _zero_residual(a._mat[~mask], _norm(a._mat))
     if not a.shape.is_square:
         _refuse_non_finite({"diagonal": diagonal})
         note = "square-only flags unset: row and column dims differ"

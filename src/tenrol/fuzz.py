@@ -13,7 +13,7 @@ of ``np.random.default_rng(child)`` bit for bit for ``t < 2**32``
 (``TestBlockSeeding`` in ``tests/test_rol.py`` pins this), hashing a
 block's PCG64 states at once, and builds the block's factors with one
 batched expression per kind of factor and shape.  One ``rol_report`` call
-evaluates a block as two stacks.
+evaluates a block as two stacks into the residuals its verdicts come from.
 """
 
 from __future__ import annotations  # evaluated, the np.random.Generator annotations would import numpy.random
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import DEFAULT_POLICY, DenseTensor, ModeShape, NumericPolicy, _Record
-from .rol import rol_report
+from .rol import RolReport, rol_report
 from .unfold import dematricize
 
 __all__ = ["FuzzSummary", "fuzz_search", "FUZZ_FAMILIES"]
@@ -225,7 +225,8 @@ def fuzz_search(
     would give trial 2**32 and later a key of two words.  A block's raw
     numbers are drawn in program order, its factors are built into a stack
     of ``a`` and a stack of ``b``, and one :func:`tenrol.rol.rol_report` call
-    evaluates the two stacks.
+    evaluates them into ``(9, T)`` residuals, whose verdicts
+    ``RolReport._verdicts`` counts; only a first violation becomes a report.
 
     Returns
     -------
@@ -249,19 +250,19 @@ def fuzz_search(
     root = np.random.SeedSequence(seed)
     gen = np.random.default_rng(root)
     direct_true = violations = 0
-    family_counts = {f: 0 for f in families}
     first_violation: dict | None = None
     for start in range(0, trials, _FUZZ_BLOCK):
         block = range(start, min(start + _FUZZ_BLOCK, trials))
         # trial t always draws from child t, whatever the block size
         sa, sb = _draw_block(_streams(gen, root, start, len(block)), shape, [families[t % len(families)] for t in block])
-        reports = rol_report(sa, sb, policy)
-        for t, report in zip(block, reports):
-            family = families[t % len(families)]
-            family_counts[family] += 1
-            direct_true += report.holds
-            if not (report.consistent and report.implication_ok):
-                violations += 1
-                if first_violation is None:
-                    first_violation = {"trial": t, "family": family, "report": report.as_dict()}
+        residuals = rol_report(sa, sb, policy)
+        groups, consistent, implication_ok = RolReport._verdicts(residuals, policy.eq_tol)
+        direct_true += int(np.count_nonzero(groups["direct"]))
+        failed = np.flatnonzero(~(consistent & implication_ok))
+        violations += len(failed)
+        if first_violation is None and len(failed):
+            t = block[failed[0]]
+            report = RolReport(*residuals[:, failed[0]].tolist(), policy.eq_tol)
+            first_violation = {"trial": t, "family": families[t % len(families)], "report": report.as_dict()}
+    family_counts = {f: len(range(k, trials, len(families))) for k, f in enumerate(families)}
     return FuzzSummary(trials, direct_true, trials - direct_true, family_counts, violations, first_violation)

@@ -305,8 +305,8 @@ class IdentitySuiteReport(_ResidualReport):
         """True when ``A @ pinv(A) == pinv(A) @ A`` at ``tol``."""
         return self.ep_residual is not None and self.ep_residual <= self.tol
 
-    def _checked(self, where: str = "") -> "IdentitySuiteReport":
-        _refuse_non_finite({**self.residuals, "normal": self.normal_residual, "ep": self.ep_residual}, where)
+    def _checked(self) -> "IdentitySuiteReport":
+        _refuse_non_finite({**self.residuals, "normal": self.normal_residual, "ep": self.ep_residual})
         return self
 
 

@@ -23,6 +23,7 @@ J x K; ``P = pinv(A) @ A`` and ``Q = B @ pinv(B)`` are the projectors):
 ``direct``, ``absorb_left AND absorb_right``, ``herm_left AND
 herm_right``, ``paired_product`` and ``factor_left AND factor_right`` are
 equivalent; ``commute`` is only implied by them, not conversely.
+``RolReport._verdicts`` states these verdicts once, for one pair or T.
 
 :func:`rol_report` also takes two sequences of factors and returns one
 report per pair.  One loop evaluates every input as groups of pairs: a
@@ -32,11 +33,11 @@ the two stacks of a block that :func:`tenrol.fuzz.fuzz_search` draws.  A group's
 residual pass multiplies the stored matrices with ``@``, in the same
 product order for a stack as for a lone pair, and hands the nine compared
 pairs to :func:`tenrol.core._compare`, which calls ``rel_residual`` once
-per matrix shape: once at 2x2:2x2, three times at 2:3.  Each report
-equals the one for its pair alone bit for bit, and a lone pair's report
-is built from its nine floats.  The other reports list their compared
-pairs for ``_compare`` the same way, and their ``x == 0`` checks go
-through ``_zero_residual``.
+per matrix shape: once at 2x2:2x2, three times at 2:3.  The groups
+write one ``(9, N)`` array, bit for bit the residuals of each pair alone:
+two stacks get it back, the other forms reports of its columns.  The
+other reports list their compared pairs for ``_compare`` the same way,
+and their ``x == 0`` checks go through ``_zero_residual``.
 
 ``fuzz_search``, ``FuzzSummary`` and ``FUZZ_FAMILIES`` are still
 attributes of this module: a module-level ``__getattr__`` (PEP 562) loads
@@ -60,6 +61,7 @@ from .core import (
     _adjoint,
     _compare,
     _norm,
+    _refuse_non_finite,
     _stack,
     _unitary_residual,
     _zero_residual,
@@ -107,17 +109,25 @@ class RolReport(_ResidualReport):
     commute: float
     tol: float
 
+    @staticmethod
+    def _verdicts(residuals, tol: float) -> tuple[dict, np.ndarray | bool, np.ndarray | bool]:
+        """``(groups, consistent, implication_ok)`` of the nine residual rows in field order.
+
+        The one statement of the verdicts.  Float rows (a report's fields or
+        a ``(9,)`` array) give booleans, and the ``(T,)`` rows of a ``(9, T)``
+        array bool arrays, one entry per pair.  A residual over ``tol`` fails, and so does NaN.
+        """
+        ok = [row <= tol for row in residuals]
+        direct, paired = ok[0], ok[5]
+        absorb, hermitian, factor = ok[1] & ok[2], ok[3] & ok[4], ok[6] & ok[7]
+        groups = {"direct": direct, "absorb": absorb, "hermitian": hermitian, "paired": paired, "factor": factor}
+        consistent = (absorb == direct) & (hermitian == direct) & (paired == direct) & (factor == direct)
+        return groups, consistent, direct <= ok[8]  # on booleans, <= is "implies"
+
     @property
     def groups(self) -> dict[str, bool]:
         """The five equivalent characterization groups as booleans."""
-        ok = self.booleans
-        return {
-            "direct": ok["direct"],
-            "absorb": ok["absorb_left"] and ok["absorb_right"],
-            "hermitian": ok["herm_left"] and ok["herm_right"],
-            "paired": ok["paired_product"],
-            "factor": ok["factor_left"] and ok["factor_right"],
-        }
+        return {name: bool(ok) for name, ok in self._verdicts(self._values[:-1], self.tol)[0].items()}
 
     @property
     def holds(self) -> bool:
@@ -126,45 +136,35 @@ class RolReport(_ResidualReport):
 
     @property
     def consistent(self) -> bool:
-        """True when all five characterization groups agree.
-
-        Read on every ``fuzz_search`` trial, so it thresholds the fields
-        directly instead of building ``groups``; it equals
-        ``len(set(self.groups.values())) == 1``.
-        """
-        tol = self.tol
-        direct = self.direct <= tol
-        return bool(
-            (self.absorb_left <= tol and self.absorb_right <= tol) == direct
-            and (self.herm_left <= tol and self.herm_right <= tol) == direct
-            and (self.paired_product <= tol) == direct
-            and (self.factor_left <= tol and self.factor_right <= tol) == direct
-        )
+        """True when all five characterization groups agree."""
+        return bool(self._verdicts(self._values[:-1], self.tol)[1])
 
     @property
     def implication_ok(self) -> bool:
         """True unless the one-way implication direct => commute is violated."""
-        return (not self.holds) or self.commute <= self.tol
+        return bool(self._verdicts(self._values[:-1], self.tol)[2])
 
 
 def rol_report(
     a: DenseTensor | Sequence[DenseTensor],
     b: DenseTensor | Sequence[DenseTensor],
     policy: NumericPolicy | None = None,
-) -> RolReport | tuple[RolReport, ...]:
+) -> RolReport | tuple[RolReport, ...] | np.ndarray:
     """Evaluate every reverse-order-law characterization on the pair (a, b).
 
     Exactly three pseudoinverses are computed per pair: ``pinv(a)``,
     ``pinv(b)`` and ``pinv(a @ b)``; everything else is products.  ``a``
     and ``b`` may also be equal-length sequences, evaluated into a tuple of
     reports, one per pair, or privately two stacks of T pairs (see the
-    ``DenseTensor`` notes in :mod:`tenrol.core`), evaluated into T reports.
-    One loop takes every input as groups: a lone pair, a sequence's pairs
-    stacked by their factor shapes, or the two stacks.  A group costs one
+    ``DenseTensor`` notes in :mod:`tenrol.core`), evaluated into their
+    ``(9, T)`` residuals, pair t's in field order in column t.  One loop
+    takes every input as groups: a lone pair, a sequence's pairs stacked
+    by their factor shapes, or the two stacks.  A group costs one
     ``a @ b`` and its finiteness check, one :func:`tenrol.mpinv.pinv` call
     on ``a``, ``b`` and ``a @ b``, and one residual pass (one
-    :func:`tenrol.core.rel_residual` call per residual shape), and each
-    report equals the one for its pair alone, bit for bit.
+    :func:`tenrol.core.rel_residual` call per residual shape) into its
+    pairs' columns of one ``(9, N)`` array, checked for finiteness after
+    the loop; each residual equals the one for its pair alone, bit for bit.
 
     Raises
     ------
@@ -185,8 +185,10 @@ def rol_report(
     single = isinstance(a, DenseTensor)
     if single != isinstance(b, DenseTensor):
         raise TypeError("rol_report takes two tensors or two sequences of tensors")
+    lone = single and a._mat.ndim == 2
     if single:  # a pair, or privately two stacks of T pairs
-        groups = [(a, b, None if a._mat.ndim == 2 else range(len(a._mat)))]
+        count = 1 if lone else len(a._mat)
+        groups = [(a, b, None if lone else range(count))]
     else:
         as_, bs = tuple(a), tuple(b)
         if len(as_) != len(bs):
@@ -200,7 +202,8 @@ def rol_report(
                 )
             by_shape.setdefault((x.shape, y.shape), []).append(i)
         groups = [(_stack([as_[i] for i in idx]), _stack([bs[i] for i in idx]), idx) for idx in by_shape.values()]
-    rows: dict[int, list] = {}  # by pair
+        count = len(as_)
+    residuals = np.zeros((len(RolReport._residual_names), count))  # column i: pair i; a failed group's stay 0
     failures: list = []  # (stage, ..., pair) and the error; the least is raised
     for sa, sb, pairs in groups:
         sab = einstein_product(sa, sb)
@@ -213,20 +216,15 @@ def rol_report(
         except _PinvOverflow as e:
             failures.append(((1, e.kind, e.index), e))
             continue
-        residuals = _residuals(sa, sb, *inverses)
-        if pairs is None:  # a lone pair, the only group: its report from its nine floats
-            return RolReport(*residuals.tolist(), policy.eq_tol)._checked()
-        group_rows = residuals.T
-        rows.update(zip(pairs, group_rows.tolist()))
-        if not (finite := np.isfinite(group_rows)).all():
-            pair, where = _first_failing(finite, pairs)
-            try:
-                RolReport(*rows[pair], policy.eq_tol)._checked(where)
-            except ValueError as e:
-                failures.append(((2, pair), e))
+        residuals[:, 0 if pairs is None else pairs] = _residuals(sa, sb, *inverses)
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return tuple(RolReport(*row, policy.eq_tol) for _, row in sorted(rows.items()))
+    if not (finite := np.isfinite(residuals)).all():  # the lowest pair that a product overflowed in
+        pair, where = _first_failing(finite.T, None if lone else range(count))
+        _refuse_non_finite(dict(zip(RolReport._residual_names, residuals[:, pair].tolist())), where)
+    if not single:
+        return tuple(RolReport(*row, policy.eq_tol) for row in residuals.T.tolist())
+    return RolReport(*residuals[:, 0].tolist(), policy.eq_tol) if lone else residuals
 
 
 #: The operands whose pseudoinverses ``rol_report`` takes, in the order it passes them.

@@ -55,9 +55,9 @@ JACOBI_EPS: float = 1e-14
 
 #: Complex entries of the kernel's work array above which a stack is split
 #: over several kernel calls; a matrix over it alone gets a call of its own.
-#: 8 matrices at flat 32, 3 at flat 48 and 2 at flat 64 (16k entries or
-#: fewer) ran at 0.43-0.53, 0.72-0.76 and 0.82-0.98 of separate calls
-#: (quartiles, ``BENCH_23.json``).
+#: A call turns every matrix, by identity rotations once converged, until
+#: its slowest one converges, and its work array grows with the stack, so
+#: bounded calls keep a large stack's sweeps short and its work in cache.
 KERNEL_BUDGET: int = 2**14
 
 #: Columns from which ``matrix_svd`` presorts the columns and turns by the

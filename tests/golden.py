@@ -173,10 +173,19 @@ def fuzz_trial_reports(shape: ModeShape, trials: int, seed: int) -> list[tuple[s
 
 
 def force_violations(monkeypatch, reports: list[RolReport], trials) -> None:
-    """Make ``RolReport.implication_ok`` False on the reports of ``trials`` and True elsewhere.
+    """Make the rule ``RolReport._verdicts`` give ``implication_ok`` False on the pairs of ``trials``, True elsewhere.
 
-    A report is recognized by its ``direct`` and ``commute`` residuals, so
-    a stacked evaluation of the same pair is recognized too.
+    A pair is recognized by its ``direct`` and ``commute`` residuals, so a
+    column of a stacked evaluation of the same pair is recognized too, and
+    so is the report built from it.
     """
     keys = {(reports[t].direct, reports[t].commute) for t in trials}
-    monkeypatch.setattr(RolReport, "implication_ok", property(lambda r: (r.direct, r.commute) not in keys))
+    rule = RolReport._verdicts
+
+    def forced(residuals, tol):
+        groups, consistent, _ = rule(residuals, tol)
+        r = np.asarray(residuals)
+        pairs = zip(np.ravel(r[0]).tolist(), np.ravel(r[8]).tolist())
+        return groups, consistent, np.array([pair not in keys for pair in pairs]).reshape(r.shape[1:])
+
+    monkeypatch.setattr(RolReport, "_verdicts", staticmethod(forced))

@@ -163,6 +163,31 @@ class TestRolReport:
             rep = RolReport(**values, tol=1e-10)
             assert rep.consistent is (len(set(rep.groups.values())) == 1), values
 
+    @pytest.mark.parametrize("passing, failing", [
+        (0.0, 1.0),
+        (1e-10, np.nextafter(1e-10, 1.0)),
+        (0.0, float("nan")),
+    ])
+    def test_the_rule_on_every_pattern_at_once_gives_each_reports_verdicts(self, passing, failing):
+        # the 512 patterns as the columns of one (9, 512) array, through the rule once
+        patterns = np.arange(2 ** 9)
+        residuals = np.where(patterns >> np.arange(9)[:, None] & 1, failing, passing)
+        groups, consistent, implication_ok = RolReport._verdicts(residuals, 1e-10)
+        for verdict in (*groups.values(), consistent, implication_ok):
+            assert verdict.dtype == bool and verdict.shape == (512,)
+        for j in patterns:
+            rep = RolReport(*residuals[:, j].tolist(), tol=1e-10)
+            ok = rep.booleans
+            assert {name: bool(group[j]) for name, group in groups.items()} == rep.groups == {
+                "direct": ok["direct"],
+                "absorb": ok["absorb_left"] and ok["absorb_right"],
+                "hermitian": ok["herm_left"] and ok["herm_right"],
+                "paired": ok["paired_product"],
+                "factor": ok["factor_left"] and ok["factor_right"],
+            }
+            assert consistent[j] == rep.consistent and implication_ok[j] == rep.implication_ok
+            assert rep.implication_ok is (not rep.holds or ok["commute"])
+
 
 class TestUnitaryShortcuts:
     def test_identity_right_factor_gives_plain_pinv(self, rng):
@@ -352,14 +377,16 @@ class TestFuzzSearch:
         trials, seen, report = _FUZZ_BLOCK + 6, [], rol.rol_report
 
         def capture(a, b, policy=None):
-            reports = report(a, b, policy)
-            seen.extend(reports)
-            return reports
+            residuals = report(a, b, policy)
+            seen.append(residuals)
+            return residuals
 
         monkeypatch.setattr(fuzz, "rol_report", capture)
         fuzz_search(SQ22, trials, seed)
+        assert [r.shape for r in seen] == [(9, _FUZZ_BLOCK), (9, 6)]
         want = golden.fuzz_trial_reports(SQ22, trials, seed)
-        assert [r.as_dict() for r in seen] == [r.as_dict() for _, r in want]
+        alone = np.array([list(r.residuals.values()) for _, r in want])
+        assert np.hstack(seen).T.tobytes() == alone.tobytes()
 
     def test_deterministic_for_a_seed(self):
         s1 = fuzz_search(SQ22, 20, 123)
@@ -748,11 +775,10 @@ class TestStackedPair:
     @pytest.mark.parametrize("split", list(STACK_SPLITS))
     def test_stacked_pair_equals_per_pair_reports_bit_for_bit(self, split):
         as_, bs = self.pairs(split, 6)
-        reports = rol_report(_stack(as_), _stack(bs))
-        assert isinstance(reports, tuple) and len(reports) == 6
-        stacked = np.array([r._values for r in reports])
-        alone = np.array([rol_report(a, b)._values for a, b in zip(as_, bs)])
-        assert stacked.tobytes() == alone.tobytes()
+        residuals = rol_report(_stack(as_), _stack(bs))
+        assert isinstance(residuals, np.ndarray) and residuals.shape == (9, 6) and residuals.dtype == np.float64
+        alone = np.array([list(rol_report(a, b).residuals.values()) for a, b in zip(as_, bs)])
+        assert residuals.T.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("stage", list(PLANTED))
     @pytest.mark.parametrize("split", list(STACK_SPLITS))
@@ -824,12 +850,12 @@ class TestGroupedResiduals:
         as_, bs = self.pairs(FUZZ_SHAPES[name], 5)
         sa, sb = _stack(as_), _stack(bs)
         calls = self.counted(monkeypatch)
-        got = np.array([list(r.residuals.values()) for r in rol_report(sa, sb)])
+        got = rol_report(sa, sb)
         assert len(calls) == groups and all(len(shape) == 3 for shape in calls)
-        want = self.chain_residuals(sa, sb).T
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == (9, 5)
+        assert got.tobytes() == self.chain_residuals(sa, sb).tobytes()
         alone = np.array([self.chain_residuals(a, b) for a, b in zip(as_, bs)])
-        assert got.tobytes() == alone.tobytes()
+        assert got.T.tobytes() == alone.tobytes()
 
 
 def scaled_pair(scale: float) -> tuple:
@@ -1240,3 +1266,14 @@ class TestFuzzViolations:
         family, report = per_pair[failing[0]]
         assert summary.first_violation == {"trial": failing[0], "family": family, "report": report.as_dict()}
         assert summary.first_violation["report"]["implication_ok"] is False
+
+    def test_only_the_first_violation_builds_a_report(self, monkeypatch):
+        built = []
+        init = RolReport.__init__
+        monkeypatch.setattr(RolReport, "__init__", lambda rep, *args, **kwargs: built.append(args) or init(rep, *args, **kwargs))
+        assert fuzz_search(SQ22, 200, 3).violations == 0
+        assert built == []
+        # at a tolerance below rounding, many pairs break the equivalences
+        summary = fuzz_search(SQ22, 200, 3, NumericPolicy(eq_tol=1e-15))
+        assert summary.violations > 1 and len(built) == 1
+        assert summary.first_violation["report"] == RolReport(*built[0]).as_dict()

@@ -120,10 +120,12 @@ def tsvd(a: DenseTensor) -> SvdFactors:
     rows, cols = a.shape.row_count, a.shape.col_count
     d = np.zeros((rows, cols), dtype=np.complex128)
     d[np.arange(s.size), np.arange(s.size)] = s
+    # u and v are fresh and unitary, so finite; dematricize(d) refuses an
+    # overflowed singular value
     return SvdFactors(
-        dematricize(u, ModeShape(a.shape.row_dims, a.shape.row_dims)),
+        DenseTensor._from_owned(ModeShape(a.shape.row_dims, a.shape.row_dims), np.ascontiguousarray(u)),
         dematricize(d, a.shape),
-        dematricize(v, ModeShape(a.shape.col_dims, a.shape.col_dims)),
+        DenseTensor._from_owned(ModeShape(a.shape.col_dims, a.shape.col_dims), np.ascontiguousarray(v)),
     )
 
 
@@ -134,7 +136,8 @@ def pinv(
 
     Singular values below ``rank_tol * sigma_max`` are treated as zero;
     the threshold itself is kept (ties count toward the rank).  A kept
-    value whose reciprocal overflows raises ``ValueError``; for a sequence
+    value whose reciprocal overflows, or a largest value beyond the float
+    range, raises ``ValueError``; for a sequence
     the message names the lowest such tensor ("in tensor i").  Otherwise a
     result entry that overflows raises ``ValueError`` naming its flat
     index, and for a sequence the lowest such tensor.  Every shape group
@@ -198,16 +201,21 @@ def pinv(
 class _PinvOverflow(ValueError):
     """The pseudoinverse of matrix ``index`` of a stack, named ``operand``, overflowed.
 
-    Of ``kind`` 0, its kept singular value ``value`` has no finite reciprocal;
-    of ``kind`` 1, its entry at flat index ``value`` is not finite.  Failures
+    Of ``kind`` 0, its kept singular value ``value`` has no finite reciprocal,
+    or, if ``value`` is ``inf``, its largest singular value overflowed; of
+    ``kind`` 1, its entry at flat index ``value`` is not finite.  Failures
     are raised in ``(kind, index)`` order.
     """
 
     def __init__(self, value, index, operand: str = "", kind: int = 0):
         self.value, self.index, self.kind = value, index, kind
         where = f" in {operand}" if operand else ""
-        what = f"non-finite entry at flat index {value}" if kind else (
-            f"pinv overflows: smallest kept singular value {value:.3e} has no finite reciprocal")
+        if kind:
+            what = f"non-finite entry at flat index {value}"
+        elif value == np.inf:
+            what = "pinv overflows: the largest singular value exceeds the float range"
+        else:
+            what = f"pinv overflows: smallest kept singular value {value:.3e} has no finite reciprocal"
         super().__init__(what + where)
 
 
@@ -239,19 +247,22 @@ def _pinv_matrix(mat: np.ndarray, rank_tol: float) -> np.ndarray:
 
     Raises ``_PinvOverflow`` with the stack index (0 for a matrix) of the
     first matrix whose smallest kept singular value has no finite
-    reciprocal.
+    reciprocal, or whose largest singular value overflowed to ``inf``
+    (its reciprocal 0 would make the result zero).
     """
     u, s, v = matrix_svd(mat, complete=False)  # the null columns of v meet zero reciprocals
     k = s.shape[-1]
-    sinv = np.zeros(s.shape, dtype=np.complex128)
+    sinv = np.zeros(s.shape)  # real; the product with v casts it to complex, as x + 0j
     if k:
         # s > 0: when rank_tol * sigma_max underflows to 0, exact zeros are not kept
         keep = (s >= rank_tol * s[..., :1]) & (s > 0.0)
         with np.errstate(over="ignore"):
-            sinv[keep] = 1.0 / s[keep]
-        if not np.isfinite(sinv).all():
-            index = int(np.flatnonzero(~np.isfinite(sinv))[0]) // k
-            raise _PinvOverflow(float(s.reshape(-1, k)[index][keep.reshape(-1, k)[index]].min()), index)
+            np.divide(1.0, s, out=sinv, where=keep)
+        bad = ~np.isfinite(sinv).all(axis=-1) | np.isinf(s[..., 0])
+        if bad.any():
+            index = int(np.flatnonzero(bad)[0])
+            kept = s.reshape(-1, k)[index][keep.reshape(-1, k)[index]]
+            raise _PinvOverflow(float(kept.min()), index)
     return (v[..., :k] * sinv[..., None, :]) @ u[..., :k].conj().swapaxes(-1, -2)
 
 
@@ -338,18 +349,19 @@ def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> Ident
     square = a.shape.is_square
     a, ah, gram, cogram, ap, gram_p, cogram_p = (t._mat for t in (a, ah, gram, cogram, *inverses))
     ahp = _adjoint(ap)
-    ap_a = ap @ a
+    # a chain of @ runs left to right, so its leading product is reused as is
+    ap_a, ah_cogram_p = ap @ a, ah @ cogram_p
     compared = [
-        (ap @ a @ ah, ah),  # star_via_pinv_left
-        (ah @ a @ ap, ah),  # star_via_pinv_right
-        (a @ ah @ ahp, a),  # recover_right
+        (ap_a @ ah, ah),  # star_via_pinv_left
+        (gram @ ap, ah),  # star_via_pinv_right
+        (cogram @ ahp, a),  # recover_right
         (ahp @ ah @ a, a),  # recover_left
         (gram_p @ ah, ap),  # pinv_via_gram
-        (ah @ cogram_p, ap),  # pinv_via_cogram
+        (ah_cogram_p, ap),  # pinv_via_cogram
         (gram_p, ap @ ahp),  # gram_pinv_split
         (cogram_p, ahp @ ap),  # cogram_pinv_split
         (gram_p, ap @ cogram_p @ a),  # gram_sandwich_left
-        (gram_p, ah @ cogram_p @ ahp),  # gram_sandwich_right
+        (gram_p, ah_cogram_p @ ahp),  # gram_sandwich_right
         (ap_a, gram @ gram_p),  # row_projector_right
         (ap_a, gram_p @ gram),  # row_projector_left
     ]

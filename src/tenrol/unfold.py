@@ -152,7 +152,8 @@ def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.nda
     u : (..., rows, rows) ndarray
         Unitary left factor.
     s : (..., min(rows, cols)) ndarray
-        Nonincreasing nonnegative singular values.
+        Nonincreasing nonnegative singular values; one above the float
+        range, of a matrix with entries near it, is ``inf``, silently.
     v : (..., cols, cols) ndarray
         Unitary right factor (see ``complete``).
 
@@ -179,9 +180,9 @@ def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.nda
     # underflow, and makes the result exactly scale-equivariant under powers
     # of two.
     mat = np.ascontiguousarray(mat)
-    parts = mat.view(np.float64)
-    mags = np.abs(parts)
-    big = mags.max(axis=-1, initial=0.0)  # largest part of each row
+    mags = np.abs(mat.view(np.float64))
+    larger = np.maximum(mags[..., 0::2], mags[..., 1::2])  # largest part of each entry
+    big = larger.max(axis=-1, initial=0.0)  # largest part of each row
     top = big.max(axis=-1, keepdims=True, initial=0.0)[..., None]
     if not np.isfinite(top).all():
         raise ValueError("non-finite entry in the matrix to decompose")
@@ -189,12 +190,13 @@ def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.nda
     # P m Π = Q R, where P sorts the rows by decreasing largest part: without
     # it, the QR loses the small singular values of a matrix whose rows
     # grow downwards.  From PRESORT_COLS columns on, Π sorts the columns
-    # the same way, in the same gather; below, Π is the identity.
+    # the same way, by the column maxima of the same ``larger``, in the
+    # same gather; below, Π is the identity.
     order = np.argsort(-big, axis=-1, kind="stable")
     rowsort = gather = _rows(order)
     gram = cols >= PRESORT_COLS
     if gram:
-        colsort = np.argsort(-mags.reshape(*big.shape, cols, 2).max(axis=(-3, -1)), axis=-1, kind="stable")
+        colsort = np.argsort(-larger.max(axis=-2), axis=-1, kind="stable")
         stack = (np.arange(len(colsort))[:, None, None],) if colsort.ndim == 2 else ()
         gather = (*stack, order[..., None], colsort[..., None, :])
     q, r = np.linalg.qr(np.ldexp(mat[gather].view(np.float64), -e).view(np.complex128), mode="complete")
@@ -247,7 +249,9 @@ def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.nda
         w[some] = np.where(null[some][..., None, :], basis, part)
     if gram:  # v = Π W, or Π Q_2 W
         w = (turn @ w if qlp else w)[_rows(np.argsort(colsort, axis=-1))]
-    return u, np.ldexp(s, e[..., 0]), w
+    with np.errstate(over="ignore"):  # a singular value above the float range is inf
+        s = np.ldexp(s, e[..., 0])
+    return u, s, w
 
 
 def _rows(order: np.ndarray):

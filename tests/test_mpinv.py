@@ -99,6 +99,24 @@ class TestTsvd:
         assert np.all(s >= 0.0)
         assert np.all(np.diff(s) <= 1e-13)
 
+    @pytest.mark.parametrize(
+        "shape", [ModeShape((3,), (2,)), ModeShape((2,), (3, 2)), ModeShape((8, 8), (2, 2))], ids=["2col", "wide", "64x4"]
+    )
+    def test_factors_are_read_only_c_contiguous_and_unshared(self, rng, shape):
+        # matrix_svd's v of a 2-column matrix is a transposed view; the
+        # factors must still be C-ordered matrices that no other array holds
+        f = tsvd(golden.random_tensor(rng, shape))
+        mats = [f.u._mat, f.d._mat, f.v._mat]
+        for m in mats:
+            assert m.flags.c_contiguous and not m.flags.writeable
+        for i, x in enumerate(mats):
+            for y in mats[i + 1 :]:
+                assert not np.shares_memory(x, y)
+
+    def test_an_overflowing_singular_value_is_refused(self):
+        with pytest.raises(ValueError, match="^non-finite entry at flat index 0$"):
+            tsvd(as_tensor(np.full((2, 2), 1.5e308), (2,), (2,)))
+
     def test_golden_tensor_has_full_rank(self):
         s = tsvd(golden.golden_a()).singular_values
         assert s.shape == (4,)
@@ -195,6 +213,19 @@ class TestPinv:
             pinv(diagonal_from((2,), (2,), [1e-320, 0.0]))
         # reciprocals near 1e300 are still finite
         assert_allclose(pinv([m, 1e-300 * m])[1].entries * 1e-300, pinv(m).entries, rtol=1e-10)
+
+    def test_an_overflowing_largest_singular_value_is_refused(self, rng):
+        # sigma_max of a 2x2 matrix of 1.5e308 is 3e308: it once overflowed to
+        # inf, its reciprocal 0 passed, and pinv returned the zero tensor
+        big = as_tensor(np.full((2, 2), 1.5e308 + 0j), (2,), (2,))
+        message = "pinv overflows: the largest singular value exceeds the float range"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pinv(big)
+        m = golden.random_tensor(rng, ModeShape((2,), (2,)))
+        with pytest.raises(ValueError, match=f"^{message} in tensor 1$"):
+            pinv([m, big, 1e-310 * m])
+        # at half the size sigma_max is finite, and so are the reciprocals
+        assert_allclose(pinv(0.5 * big).entries, np.full(4, 1 / 1.5e308 / 2), rtol=1e-12)  # subnormal entries
 
     def test_rank_tol_filters_noise_modes(self, rng):
         u = golden.random_unitary_matrix(rng, 4)

@@ -605,6 +605,16 @@ class TestRolReportBatch:
         with pytest.raises(ValueError, match=f"in {re.escape(operand)} of pair 0$"):
             rol_report([x], [y])
 
+    def test_an_overflowing_largest_singular_value_names_its_operand_and_pair(self):
+        # pinv(b) of 1.5e308 everywhere once came out as zeros; a @ b stays finite
+        a = as_tensor(1e-10 * np.eye(2), (2,), (2,))
+        b = as_tensor(np.full((2, 2), 1.5e308), (2,), (2,))
+        message = r"^pinv overflows: the largest singular value exceeds the float range in pinv\(b\)"
+        with pytest.raises(ValueError, match=message + "$"):
+            rol_report(a, b)
+        with pytest.raises(ValueError, match=message + " of pair 1$"):
+            rol_report([a, a, a], [a, b, a])
+
     def test_the_lowest_overflowing_pinv_is_named_whatever_its_group(self):
         # pinv groups the 4x4 matricizations (pairs 0 and 2) before the 2x3 one (pair 1)
         rng = np.random.default_rng(0)

@@ -258,9 +258,8 @@ def _pinv_matrix(mat: np.ndarray, rank_tol: float) -> np.ndarray:
         keep = (s >= rank_tol * s[..., :1]) & (s > 0.0)
         with np.errstate(over="ignore"):
             np.divide(1.0, s, out=sinv, where=keep)
-        bad = ~np.isfinite(sinv).all(axis=-1) | np.isinf(s[..., 0])
-        if bad.any():
-            index = int(np.flatnonzero(bad)[0])
+        if not (np.isfinite(sinv).all() and np.isfinite(s[..., 0]).all()):
+            index = int(np.flatnonzero(~np.isfinite(sinv).all(axis=-1) | np.isinf(s[..., 0]))[0])
             kept = s.reshape(-1, k)[index][keep.reshape(-1, k)[index]]
             raise _PinvOverflow(float(kept.min()), index)
     return (v[..., :k] * sinv[..., None, :]) @ u[..., :k].conj().swapaxes(-1, -2)

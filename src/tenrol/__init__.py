@@ -5,10 +5,13 @@ contracts the facing mode blocks and is, through the row-major
 matricization, exactly matrix multiplication.  On top of that sit the
 tensor SVD, the Moore-Penrose inverse, an identity suite, and diagnostics
 for the reverse-order law ``pinv(A @ B) == pinv(B) @ pinv(A)`` with every
-known equivalent characterization cross-checked.
-
-The SVD is a one-sided Jacobi whose rotation kernel is written in numpy;
-``KERNEL_BACKEND`` names it and is always ``"python"``.
+known equivalent characterization cross-checked.  The docstring of each
+layer's entry point states its contract: :class:`tenrol.core.DenseTensor`
+for tensors, :func:`tenrol.unfold.matrix_svd` for the SVD,
+:func:`tenrol.mpinv.pinv` for the pseudoinverse,
+:func:`tenrol.rol.rol_report` for the diagnostics and
+:func:`tenrol.fuzz.fuzz_search` for the search.  ``KERNEL_BACKEND`` names
+the SVD's rotation kernel, written in numpy, and is always ``"python"``.
 
 ``import tenrol`` loads the tensor layer, the SVD and the pseudoinverse.
 The reverse-order-law diagnostics (:mod:`tenrol.rol`) and the randomized

@@ -1,21 +1,13 @@
 """The one-sided Jacobi rotation kernel, in numpy.
 
 ``tenrol.unfold.matrix_svd`` calls :func:`jacobi_sweeps` on ``R^H``, R the
-triangular factor of its QR, or on a stack of such ``R^H`` of one shape,
-held slot-major.  A sweep visits the column pairs in the round-robin
-order of Brent and Luk (1985), so that each numpy call rotates many
-disjoint pairs at once, of every matrix in the stack.
-
-From ``CONFIRM_COLS`` columns on, ``matrix_svd`` hands the kernel ``R^H``
-already turned by the eigenvectors of its Gram matrix, so most sweeps
-would rotate nothing.  Before each sweep, one all-pairs product then
-confirms the columns orthogonal by the kernel's own pairwise test, and
-the rounds run only when some pair fails it; on a stack, the first
-sweep's rounds run only on the matrices that failed.  The confirmation
-and the rounds perform the same floating-point operations in the same
-order as the plainer round they replaced, so the results are
-bit-identical to it; ``tests/test_jacobi_reference.py`` keeps the
-plainer round as the reference.
+triangular factor of its QR, or on a stack of such ``R^H`` of one shape.
+A sweep visits the column pairs in the round-robin order of Brent and Luk
+(1985), so that each numpy call rotates many disjoint pairs at once, of
+every matrix in the stack.  The docstring of :func:`jacobi_sweeps` states
+the contract, the confirmation of calm sweeps included;
+``tests/test_jacobi_reference.py`` keeps a reference round whose results
+the kernel's equal bit for bit.
 """
 
 from __future__ import annotations
@@ -31,9 +23,10 @@ NULL_NORM2: float = 1e-64
 _F64 = np.dtype(np.float64)  # made once: numpy converts a dtype name again on every call
 
 #: Columns from which every sweep is first confirmed in one all-pairs
-#: product (see :func:`jacobi_sweeps`); ``unfold.PRESORT_COLS`` is this
-#: count.  Two columns make one pair, so a sweep is one rotation, and the
-#: kernel starts them cold.
+#: product (see :func:`jacobi_sweeps`), and from which ``matrix_svd``
+#: presorts the columns and starts the rotations from the Gram eigenvectors.
+#: Two columns make one pair, so a sweep is one rotation, and the kernel
+#: starts them cold.
 CONFIRM_COLS: int = 3
 
 
@@ -92,20 +85,20 @@ def _still(g, app, aqq, eps, null):
     return (g <= eps * np.sqrt(app * aqq)) | (np.minimum(app, aqq) <= null)
 
 
-def _calm(cw: np.ndarray, n: int, eps, null, each: bool = False):
-    """Whether a sweep would rotate no pair of the slot-major columns ``cw``.
+def _calm(cw: np.ndarray, n: int, eps, null) -> np.ndarray:
+    """Whether a sweep would rotate no pair of the slot-major columns ``cw``, matrix by matrix.
 
     Every pair gets the test of its round, from the same ``vecdot`` values,
-    so this holds exactly when the sweep would be calm; the rounds of a
-    calm sweep only permute the columns, and leave each in its own slot.
-    With ``each``, the verdicts of the matrices of a stack, as an array.
+    so a verdict holds exactly when the sweep would be calm on its matrix;
+    the rounds of a calm sweep only permute the columns, and leave each in
+    its own slot.  A 0-d verdict for one matrix, a ``(T,)`` array for a stack.
     """
     low, high = sweep_pairs(n)
     cw = cw[:n]
     norm2 = np.vecdot(cw, cw).real
     apq = np.vecdot(cw[:, None], cw[None, :])[low, high]
     still = _still(np.abs(apq), norm2[low], norm2[high], eps, null)
-    return still.all(axis=0) if each else np.count_nonzero(still) == still.size
+    return still.all(axis=0)
 
 
 def jacobi_sweeps(
@@ -170,7 +163,7 @@ def jacobi_sweeps(
     elif cols.ndim == 2:  # a calm first sweep is confirmed before any work array is built
         result = 1 if _calm(cols, n, eps, null) else _rotate(cols, vrows, eps, null, max_sweeps)
     else:  # on a stack, the rounds run on the matrices the check rejects alone, a lone one as 2-D
-        busy = np.flatnonzero(~_calm(cols.swapaxes(0, 1), n, eps, null, True))  # each matrix
+        busy = np.flatnonzero(~_calm(cols.swapaxes(0, 1), n, eps, null))
         result = 1
         if busy.size:
             pick = busy[0] if busy.size == 1 else busy
@@ -198,7 +191,7 @@ def _rotate(cols: np.ndarray, vrows: np.ndarray, eps, null, max_sweeps: int) -> 
     work[:n, ..., :m] = cols.swapaxes(0, -2)  # for a single matrix, swapaxes(0, 0)
     work[:n, ..., m:] = vrows.swapaxes(0, -2)
     for sweep in range(max_sweeps):
-        if sweep > 0 and n >= CONFIRM_COLS and _calm(work[..., :m], n, eps, null):
+        if sweep > 0 and n >= CONFIRM_COLS and _calm(work[..., :m], n, eps, null).all():
             result = sweep + 1
             break
         calm = True  # no rotation in this sweep, in any matrix

@@ -206,9 +206,13 @@ def _json_document(text: str) -> Any:
 def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
     """Parse a tensor document from a file path or raw JSON text.
 
-    The document is parsed with orjson.  If orjson refuses it or it fails
-    any check, it is parsed again with the standard ``json`` module, which
-    decides the outcome and builds the error.
+    An ``os.PathLike`` is always read as a file.  A ``str`` is read as a
+    file if it names an existing one, and as JSON text otherwise, so
+    ``parse_tensor_file("missing.json")`` raises ``TensorFormatError``
+    ``malformed-json at index 0``, not ``OSError``.  The document is
+    parsed with orjson.  If orjson refuses it or it fails any check, it is
+    parsed again with the standard ``json`` module, which decides the
+    outcome and builds the error.
 
     Raises
     ------
@@ -223,7 +227,8 @@ def parse_tensor_file(source: str | os.PathLike) -> DenseTensor:
         accepts it: orjson has no depth limit, so deep nesting under a
         key that is not read does not stop a document from parsing.
     OSError
-        If ``source`` is a path that cannot be read.
+        If ``source`` is an ``os.PathLike`` that cannot be read, or a
+        ``str`` naming an existing file that cannot be read.
     """
     if isinstance(source, os.PathLike) or os.path.exists(source):
         data = Path(source).read_bytes()

@@ -505,6 +505,16 @@ def _zero_residual(x: np.ndarray, scale: float) -> float:
     return _norm(x) / max(1.0, scale)
 
 
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest of ``residuals``, or NaN if any is NaN.
+
+    Python's ``max`` drops a NaN unless it comes first, and a NaN residual
+    must fail every check, so every worst of several residuals is taken here.
+    """
+    residuals = tuple(residuals)
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 def _unitary_residual(t: DenseTensor) -> float:
     """The larger residual of ``t @ t.H == I`` and ``t.H @ t == I``; inf unless ``t`` is square."""
     if not t.shape.is_square:
@@ -512,7 +522,7 @@ def _unitary_residual(t: DenseTensor) -> float:
     m = t._mat
     mh = _adjoint(m)
     eye = np.eye(len(m), dtype=np.complex128)
-    return max(_compare(((m @ mh, eye), (mh @ m, eye))).tolist())
+    return _worst(_compare(((m @ mh, eye), (mh @ m, eye))).tolist())
 
 
 def _refuse_non_finite(residuals: dict[str, float | None], where: str = "") -> None:
@@ -535,9 +545,10 @@ class _ResidualReport(_Record):
     them at ``tol``.  Residual magnitudes legitimately differ across
     conditions, so equivalence is judged on booleans, never on residual
     values.  A NaN or infinite residual would read as a failed check, so
-    every builder refuses one through ``_checked``, and ``max_residual``
-    never sees a NaN.  ``as_dict`` gives ``tol``, ``residuals`` and
-    ``booleans``, then the properties a report class names in ``_derived``.
+    every builder refuses one through ``_checked``; ``max_residual``, the
+    :func:`_worst` of the residuals, is NaN if one is.  ``as_dict`` gives
+    ``tol``, ``residuals`` and ``booleans``, then the properties a report
+    class names in ``_derived``.
     """
 
     _residual_names = ()  # unannotated, so not a field; each report sets its own
@@ -558,7 +569,7 @@ class _ResidualReport(_Record):
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return _worst(self.residuals.values())
 
     def as_dict(self) -> dict:
         derived = {name: getattr(self, name) for name in self._derived}
@@ -570,9 +581,8 @@ class _ResidualReport(_Record):
         return self
 
 
-def approx_equal(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None) -> bool:
+def approx_equal(a: DenseTensor, b: DenseTensor, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     """True when ``rel_residual(a, b)`` is within ``policy.eq_tol``."""
-    policy = policy or DEFAULT_POLICY
     return rel_residual(a, b) <= policy.eq_tol
 
 
@@ -594,13 +604,12 @@ class StructuralFlags(_Record):
     note: str | None = None
 
 
-def classify(a: DenseTensor, policy: NumericPolicy | None = None) -> StructuralFlags:
+def classify(a: DenseTensor, policy: NumericPolicy = DEFAULT_POLICY) -> StructuralFlags:
     """Classify structural properties of ``a`` under the shared residual rule.
 
     Raises ``ValueError`` naming the first non-finite residual if an
     intermediate product overflowed.
     """
-    policy = policy or DEFAULT_POLICY
     tol = policy.eq_tol
     mask = np.eye(a.shape.row_count, a.shape.col_count, dtype=bool)
     diagonal = _zero_residual(a._mat[~mask], _norm(a._mat))
@@ -618,7 +627,7 @@ def classify(a: DenseTensor, policy: NumericPolicy | None = None) -> StructuralF
     residuals = {
         "hermitian": hermitian,
         "skew_hermitian": skew,
-        "unitary": max(unitary_left, unitary_right),
+        "unitary": _worst((unitary_left, unitary_right)),
         "idempotent": idempotent,
         "diagonal": diagonal,
         "normal": normal,

@@ -8,12 +8,9 @@ run it, so it lives apart from :mod:`tenrol.rol`, and ``import tenrol``
 compiles it on the first access to one of its names; ``tenrol.rol`` still
 serves ``fuzz_search``, ``FuzzSummary`` and ``FUZZ_FAMILIES``.
 
-Trial ``t`` draws from child ``t`` of ``SeedSequence(seed)``, the stream
-of ``np.random.default_rng(child)`` bit for bit for ``t < 2**32``
-(``TestBlockSeeding`` in ``tests/test_rol.py`` pins this), hashing a
-block's PCG64 states at once, and builds the block's factors with one
-batched expression per kind of factor and shape.  One ``rol_report`` call
-evaluates a block as two stacks into the residuals its verdicts come from.
+The docstring of :func:`fuzz_search` states how trials are seeded, drawn
+and evaluated; ``TestBlockSeeding`` in ``tests/test_rol.py`` pins each
+block's streams against numpy's own.
 """
 
 from __future__ import annotations  # evaluated, the np.random.Generator annotations would import numpy.random
@@ -207,7 +204,7 @@ def fuzz_search(
     shape: ModeShape,
     trials: int,
     seed: int,
-    policy: NumericPolicy | None = None,
+    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> FuzzSummary:
     """Randomized cross-validation of the characterization equivalences.
 
@@ -245,7 +242,6 @@ def fuzz_search(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if (seed := _integer("seed", seed)) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    policy = policy or DEFAULT_POLICY
     families = [f for f in FUZZ_FAMILIES if f != "unitary_factor" or shape.row_count == shape.col_count]
     root = np.random.SeedSequence(seed)
     gen = np.random.default_rng(root)

@@ -26,6 +26,7 @@ from .core import (
     _refuse_non_finite,
     _Record,
     _ResidualReport,
+    _worst,
     _zero_residual,
     conj_transpose,
     einstein_product,
@@ -130,7 +131,7 @@ def tsvd(a: DenseTensor) -> SvdFactors:
 
 
 def pinv(
-    a: DenseTensor | Sequence[DenseTensor], policy: NumericPolicy | None = None
+    a: DenseTensor | Sequence[DenseTensor], policy: NumericPolicy = DEFAULT_POLICY
 ) -> DenseTensor | tuple[DenseTensor, ...]:
     """Moore-Penrose inverse of ``a``, or of each tensor in a sequence.
 
@@ -164,7 +165,6 @@ def pinv(
         Tensor with split J x I satisfying the four Penrose equations; for
         a sequence, a tuple of them in the same order.
     """
-    policy = policy or DEFAULT_POLICY
     single = isinstance(a, DenseTensor)
     ts = (a,) if single else tuple(a)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -253,15 +253,14 @@ def _pinv_matrix(mat: np.ndarray, rank_tol: float) -> np.ndarray:
     u, s, v = matrix_svd(mat, complete=False)  # the null columns of v meet zero reciprocals
     k = s.shape[-1]
     sinv = np.zeros(s.shape)  # real; the product with v casts it to complex, as x + 0j
-    if k:
-        # s > 0: when rank_tol * sigma_max underflows to 0, exact zeros are not kept
-        keep = (s >= rank_tol * s[..., :1]) & (s > 0.0)
-        with np.errstate(over="ignore"):
-            np.divide(1.0, s, out=sinv, where=keep)
-        if not (np.isfinite(sinv).all() and np.isfinite(s[..., 0]).all()):
-            index = int(np.flatnonzero(~np.isfinite(sinv).all(axis=-1) | np.isinf(s[..., 0]))[0])
-            kept = s.reshape(-1, k)[index][keep.reshape(-1, k)[index]]
-            raise _PinvOverflow(float(kept.min()), index)
+    # s > 0: when rank_tol * sigma_max underflows to 0, exact zeros are not kept
+    keep = (s >= rank_tol * s[..., :1]) & (s > 0.0)
+    with np.errstate(over="ignore"):
+        np.divide(1.0, s, out=sinv, where=keep)
+    if not (np.isfinite(sinv).all() and np.isfinite(s[..., 0]).all()):
+        index = int(np.flatnonzero(~np.isfinite(sinv).all(axis=-1) | np.isinf(s[..., 0]))[0])
+        kept = s.reshape(-1, k)[index][keep.reshape(-1, k)[index]]
+        raise _PinvOverflow(float(kept.min()), index)
     return (v[..., :k] * sinv[..., None, :]) @ u[..., :k].conj().swapaxes(-1, -2)
 
 
@@ -320,7 +319,7 @@ class IdentitySuiteReport(_ResidualReport):
         return self
 
 
-def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> IdentitySuiteReport:
+def identity_suite(a: DenseTensor, policy: NumericPolicy = DEFAULT_POLICY) -> IdentitySuiteReport:
     """Evaluate the standard pseudoinverse identities on ``a``.
 
     Covers recovery of the adjoint through the projectors, recovery of
@@ -340,7 +339,6 @@ def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> Ident
     and naming the pseudoinverse, such as "in pinv(A.H @ A)", if a kept
     singular value has no finite reciprocal.
     """
-    policy = policy or DEFAULT_POLICY
     ah = conj_transpose(a)
     gram = einstein_product(ah, a)  # A* A, split J x J
     cogram = einstein_product(a, ah)  # A A*, split I x I
@@ -371,7 +369,7 @@ def identity_suite(a: DenseTensor, policy: NumericPolicy | None = None) -> Ident
     return IdentitySuiteReport(*residuals[:12], policy.eq_tol, normal, ep)._checked()
 
 
-def pinv_sum(tensors: Sequence[DenseTensor], policy: NumericPolicy | None = None) -> DenseTensor:
+def pinv_sum(tensors: Sequence[DenseTensor], policy: NumericPolicy = DEFAULT_POLICY) -> DenseTensor:
     """Pseudoinverse of a sum of mutually orthogonal tensors.
 
     Requires ``Ai @ Aj.H == 0`` and ``Ai.H @ Aj == 0`` for every pair
@@ -384,9 +382,9 @@ def pinv_sum(tensors: Sequence[DenseTensor], policy: NumericPolicy | None = None
     OrthogonalityError
         If some pair violates the orthogonality precondition at
         ``policy.eq_tol``; the error reports the offending pair and its
-        residual.
+        residual, the worse of its two products.  A NaN residual, from an
+        overflowing product, fails the check.
     """
-    policy = policy or DEFAULT_POLICY
     ts = list(tensors)
     if not ts:
         raise ValueError("pinv_sum needs at least one tensor")
@@ -398,7 +396,7 @@ def pinv_sum(tensors: Sequence[DenseTensor], policy: NumericPolicy | None = None
         for j in range(i + 1, len(ts)):
             x, y = ts[i]._mat, ts[j]._mat
             scale = frobenius_norm(ts[i]) * frobenius_norm(ts[j])
-            r = max(_zero_residual(x @ _adjoint(y), scale), _zero_residual(_adjoint(x) @ y, scale))
+            r = _worst((_zero_residual(x @ _adjoint(y), scale), _zero_residual(_adjoint(x) @ y, scale)))
             if not r <= policy.eq_tol:  # a NaN from an overflow fails too
                 raise OrthogonalityError((i, j), r)
     parts = pinv(ts, policy)
@@ -409,7 +407,7 @@ def pinv_sum(tensors: Sequence[DenseTensor], policy: NumericPolicy | None = None
 
 
 def idempotent_factorization(
-    c: DenseTensor, policy: NumericPolicy | None = None
+    c: DenseTensor, policy: NumericPolicy = DEFAULT_POLICY
 ) -> tuple[DenseTensor, DenseTensor]:
     """Split an idempotent ``c`` into hermitian idempotents ``(a, b)``.
 
@@ -423,7 +421,6 @@ def idempotent_factorization(
     ShapeMismatchError
         If ``c`` does not have a square mode split.
     """
-    policy = policy or DEFAULT_POLICY
     if not c.shape.is_square:
         raise ShapeMismatchError(f"idempotent factorization needs a square split, got {c.shape}")
     r = rel_residual(einstein_product(c, c), c)
@@ -433,7 +430,7 @@ def idempotent_factorization(
     return einstein_product(c, cp), einstein_product(cp, c)
 
 
-def min_norm_solve(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None) -> DenseTensor:
+def min_norm_solve(a: DenseTensor, b: DenseTensor, policy: NumericPolicy = DEFAULT_POLICY) -> DenseTensor:
     """Minimum-norm least-squares solution of ``a @ x = b``.
 
     Returns ``pinv(a) @ b``, the X minimizing ``||a @ x - b||`` and, among

@@ -25,19 +25,10 @@ herm_right``, ``paired_product`` and ``factor_left AND factor_right`` are
 equivalent; ``commute`` is only implied by them, not conversely.
 ``RolReport._verdicts`` states these verdicts once, for one pair or T.
 
-:func:`rol_report` also takes two sequences of factors and returns one
-report per pair.  One loop evaluates every input as groups of pairs: a
-lone pair, the pairs of a sequence that share their factor shapes as
-stacked tensors (see the ``DenseTensor`` notes in :mod:`tenrol.core`), or
-the two stacks of a block that :func:`tenrol.fuzz.fuzz_search` draws.  A group's
-residual pass multiplies the stored matrices with ``@``, in the same
-product order for a stack as for a lone pair, and hands the nine compared
-pairs to :func:`tenrol.core._compare`, which calls ``rel_residual`` once
-per matrix shape: once at 2x2:2x2, three times at 2:3.  The groups
-write one ``(9, N)`` array, bit for bit the residuals of each pair alone:
-two stacks get it back, the other forms reports of its columns.  The
-other reports list their compared pairs for ``_compare`` the same way,
-and their ``x == 0`` checks go through ``_zero_residual``.
+:func:`rol_report`'s docstring states how it evaluates a pair, a sequence
+of pairs or two stacks of pairs.  Every report lists its compared pairs
+for :func:`tenrol.core._compare`, and its ``x == 0`` checks go through
+``_zero_residual``.
 
 ``fuzz_search``, ``FuzzSummary`` and ``FUZZ_FAMILIES`` are still
 attributes of this module: a module-level ``__getattr__`` (PEP 562) loads
@@ -148,7 +139,7 @@ class RolReport(_ResidualReport):
 def rol_report(
     a: DenseTensor | Sequence[DenseTensor],
     b: DenseTensor | Sequence[DenseTensor],
-    policy: NumericPolicy | None = None,
+    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> RolReport | tuple[RolReport, ...] | np.ndarray:
     """Evaluate every reverse-order-law characterization on the pair (a, b).
 
@@ -181,7 +172,6 @@ def rol_report(
     TypeError
         If one of ``a`` and ``b`` is a tensor and the other a sequence.
     """
-    policy = policy or DEFAULT_POLICY
     single = isinstance(a, DenseTensor)
     if single != isinstance(b, DenseTensor):
         raise TypeError("rol_report takes two tensors or two sequences of tensors")
@@ -270,7 +260,7 @@ def _residuals(
     return _compare(compared)
 
 
-def unitary_rol(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None) -> DenseTensor:
+def unitary_rol(a: DenseTensor, b: DenseTensor, policy: NumericPolicy = DEFAULT_POLICY) -> DenseTensor:
     """Shortcut pseudoinverse of ``a @ b`` when one factor is unitary.
 
     With ``b`` unitary the result is ``b.H @ pinv(a)``; with ``a`` unitary
@@ -279,9 +269,9 @@ def unitary_rol(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = N
     Raises
     ------
     ValueError
-        If neither factor is unitary at ``policy.eq_tol``.
+        If neither factor is unitary at ``policy.eq_tol``; a NaN unitary
+        residual, from an overflowing product, fails the check.
     """
-    policy = policy or DEFAULT_POLICY
     if _unitary_residual(b) <= policy.eq_tol:
         return einstein_product(conj_transpose(b), pinv(a, policy))
     if _unitary_residual(a) <= policy.eq_tol:
@@ -290,7 +280,7 @@ def unitary_rol(a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = N
 
 
 def sandwich_pinv(
-    b: DenseTensor, a: DenseTensor, c: DenseTensor, policy: NumericPolicy | None = None
+    b: DenseTensor, a: DenseTensor, c: DenseTensor, policy: NumericPolicy = DEFAULT_POLICY
 ) -> DenseTensor:
     """Pseudoinverse of the sandwich ``b @ a @ c`` with unitary outer factors.
 
@@ -300,12 +290,12 @@ def sandwich_pinv(
     Raises
     ------
     ValueError
-        If an outer factor is not unitary at ``policy.eq_tol``.
+        If an outer factor is not unitary at ``policy.eq_tol``; a NaN
+        unitary residual, from an overflowing product, fails the check.
     """
-    policy = policy or DEFAULT_POLICY
-    if _unitary_residual(b) > policy.eq_tol:
+    if not _unitary_residual(b) <= policy.eq_tol:  # a NaN from an overflow fails too
         raise ValueError("left factor is not unitary at the given tolerance")
-    if _unitary_residual(c) > policy.eq_tol:
+    if not _unitary_residual(c) <= policy.eq_tol:
         raise ValueError("right factor is not unitary at the given tolerance")
     return conj_transpose(c) @ pinv(a, policy) @ conj_transpose(b)
 
@@ -331,7 +321,7 @@ class ZeroEquivalenceReport(_ResidualReport):
 
 
 def zero_equivalence(
-    b: DenseTensor, a: DenseTensor, policy: NumericPolicy | None = None
+    b: DenseTensor, a: DenseTensor, policy: NumericPolicy = DEFAULT_POLICY
 ) -> ZeroEquivalenceReport:
     """Evaluate the three equivalent ways for ``b`` to annihilate ``a``.
 
@@ -342,7 +332,6 @@ def zero_equivalence(
     naming the first non-finite residual if an intermediate product overflowed,
     or "in pinv(a)" if a kept singular value of ``a`` has no finite reciprocal.
     """
-    policy = policy or DEFAULT_POLICY
     if b.shape.col_dims != a.shape.col_dims:
         raise ShapeMismatchError(
             f"column dims of {b.shape} must match column dims of {a.shape}"
@@ -406,7 +395,7 @@ class ProjectorCommuteReport(_ResidualReport):
 
 
 def projector_commute_report(
-    a: DenseTensor, b: DenseTensor, policy: NumericPolicy | None = None
+    a: DenseTensor, b: DenseTensor, policy: NumericPolicy = DEFAULT_POLICY
 ) -> ProjectorCommuteReport:
     """Evaluate the projector commutation identities on the pair (a, b).
 
@@ -431,7 +420,6 @@ def projector_commute_report(
     product overflowed, or the pseudoinverse ("in pinv(a)" or "in pinv(b)")
     whose kept singular value has no finite reciprocal.
     """
-    policy = policy or DEFAULT_POLICY
     if a.shape.col_dims != b.shape.row_dims or b.shape.col_dims != a.shape.row_dims:
         raise ShapeMismatchError(
             f"projector identities need splits I x J and J x I, got {a.shape} and {b.shape}"

@@ -10,33 +10,11 @@ copy of it and ``dematricize`` wraps a validated copy of its input.
 Everything spectral in this package (SVD, pseudoinverse, rank) is computed
 through this matrix image and mapped back.
 
-The SVD itself is a one-sided Jacobi: plane rotations orthogonalize a set
-of columns, chosen for its simplicity, its reliable convergence at these
-sizes, and its high relative accuracy.  The rotation loop is the hot
-kernel of the package; it lives in ``tenrol._jacobi_py``, which visits the
-pairs of a sweep in round-robin rounds of disjoint pairs so that each
-numpy call rotates many pairs at once.  Before the kernel runs,
-``matrix_svd`` scales the (tall) matrix ``m`` by an exact power of two so
-that its largest real or imaginary part lies in [0.5, 1), sorts its rows
-by decreasing largest part and factors it as ``P m = Q R`` with numpy's
-Householder QR (the preconditioning of Drmac and Veselic, 2008).  From
-``PRESORT_COLS`` columns on, the same gather also sorts the columns, and
-the rotations start from the eigenvectors of the Gram matrix of ``R^H``;
-from ``QLP_COLS`` columns on, two more QR steps come first (Stewart's QLP
-step, 1999).  That mostly leaves the kernel nothing to rotate, and the
-presort keeps the route accurate under two-sided grading.  The kernel
-then orthogonalizes the columns of the last ``R^H``, which come out with
-the singular values as their norms; it treats one whose squared norm is
-at most 1e-64 as null, so singular values at or below about
-``1e-32 * max|entry|`` come out as exactly 0.  A matrix with a NaN or
-infinite entry is rejected with ``ValueError`` before any factorization.
-
-``matrix_svd`` also decomposes a ``(T, rows, cols)`` stack of matrices,
-each with its own power-of-two scale, through stacked kernel calls of at
-most ``KERNEL_BUDGET`` work entries each.  The kernel gives a matrix in a
-stack the rotations it would get alone, then exact identity rotations
-until every matrix of the call has converged, so stacking saves numpy call
-overhead without changing results beyond the sign of zero entries.
+:func:`matrix_svd` is a QR-preconditioned one-sided Jacobi SVD (Drmač and
+Veselić, 2008), chosen for its simplicity, its reliable convergence at
+these sizes and its high relative accuracy; its docstring states the route
+and its contract.  The rotation kernel is
+:func:`tenrol._jacobi_py.jacobi_sweeps`.
 """
 
 from __future__ import annotations
@@ -59,10 +37,6 @@ JACOBI_EPS: float = 1e-14
 #: its slowest one converges, and its work array grows with the stack, so
 #: bounded calls keep a large stack's sweeps short and its work in cache.
 KERNEL_BUDGET: int = 2**14
-
-#: Columns from which ``matrix_svd`` presorts the columns and turns by the
-#: Gram eigenvectors: the count from which the kernel confirms its sweeps.
-PRESORT_COLS: int = _kernel.CONFIRM_COLS
 
 #: Columns from which two more QR steps precede the Gram start.  Below, the
 #: Gram start alone already converges in one sweep, and the steps cost more
@@ -112,30 +86,35 @@ def dematricize(mat: np.ndarray, shape: ModeShape) -> DenseTensor:
 def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``m = u @ diag(s) @ v.conj().T`` by one-sided Jacobi after QR steps.
 
-    With the rows of the prescaled matrix sorted, ``P m = Q R``, the
-    rotations give ``R^H V = W S``; then ``u`` is ``P^T Q`` with its
-    leading columns turned by ``V``, and ``v`` is ``W``.  From
-    ``PRESORT_COLS`` columns on, the columns are sorted too, ``P m Π =
-    Q R``, and the rotations start from ``V_0``, the eigenvectors of the
-    Gram matrix ``R R^H`` in descending order: ``R^H V_0 V = W S`` gives
-    ``u`` as ``P^T Q`` turned by ``V_0 V`` and ``v`` as ``Π W``.  From
-    ``QLP_COLS`` columns on, ``R^H = Q_2 R_2`` and ``R_2^H = Q_3 R_3``
-    come first, and ``R_3`` takes the place of R: ``u`` is ``P^T Q``
-    turned by ``Q_3 V_0 V`` and ``v`` is ``Π Q_2 W`` (for a wide ``m``,
-    the factors of ``m^H`` swapped).  The kernel still decides convergence
-    by its own pairwise test, so ``V_0`` only moves where the rotations
-    start: the turn stays a product of unitary factors, the columns of
-    ``W`` pass the same test, and a poor ``V_0`` costs sweeps, not
-    accuracy.  A null column of ``W``, one per zero singular value, is
+    Each matrix is first scaled by the exact power of two that brings its
+    largest real or imaginary part into [0.5, 1), and its rows are sorted
+    by decreasing largest part.  With ``P`` that sort, ``P m = Q R`` by
+    numpy's Householder QR, and the rotations give ``R^H V = W S``; then
+    ``u`` is ``P^T Q`` with its leading columns turned by ``V``, and ``v``
+    is ``W``.  From ``_jacobi_py.CONFIRM_COLS`` columns on, the columns
+    are sorted too, ``P m Π = Q R``, and the rotations start from ``V_0``,
+    the eigenvectors of the Gram matrix ``R R^H`` in descending order:
+    ``R^H V_0 V = W S`` gives ``u`` as ``P^T Q`` turned by ``V_0 V`` and
+    ``v`` as ``Π W``.  From ``QLP_COLS`` columns on, ``R^H = Q_2 R_2`` and
+    ``R_2^H = Q_3 R_3`` (Stewart's QLP step, 1999) come first, and ``R_3``
+    takes the place of R: ``u`` is ``P^T Q`` turned by ``Q_3 V_0 V`` and
+    ``v`` is ``Π Q_2 W`` (for a wide ``m``, the factors of ``m^H``
+    swapped).  The kernel still decides convergence by its own pairwise
+    test, so ``V_0`` only moves where the rotations start: the turn stays
+    a product of unitary factors, the columns of ``W`` pass the same test,
+    and a poor ``V_0`` costs sweeps, not accuracy.  A null column of ``W``, one per zero singular value, is
     completed by the QR of ``W`` unless ``complete`` is false; ``pinv``
     multiplies those columns by zero reciprocals, so it skips that QR.
     The iteration thresholds are fixed (``JACOBI_EPS``, ``MAX_SWEEPS``)
-    and no rank truncation happens here.  The QRs run on the prescaled
-    matrix, so the result is exactly equivariant under scaling by powers
-    of two (see the module notes).
+    and no rank truncation happens here.  The kernel treats a column whose
+    squared norm is at most ``_jacobi_py.NULL_NORM2`` (1e-64) as null, so
+    singular values at or below about ``1e-32 * max|entry|`` come out as
+    exactly 0.  The QRs run on the prescaled matrix, so the result is
+    exactly equivariant under scaling by powers of two.
 
-    A stack of matrices of one shape is decomposed matrix by matrix, but
-    through shared kernel calls; ``matrix_svd(stack)[k][i]`` equals
+    A stack of matrices of one shape is decomposed matrix by matrix, each
+    with its own scale, but through shared kernel calls of at most
+    ``KERNEL_BUDGET`` work entries each; ``matrix_svd(stack)[k][i]`` equals
     ``matrix_svd(stack[i])[k]`` up to the sign of zero entries.
 
     Parameters
@@ -189,12 +168,12 @@ def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.nda
     e = np.frexp(top)[1]
     # P m Π = Q R, where P sorts the rows by decreasing largest part: without
     # it, the QR loses the small singular values of a matrix whose rows
-    # grow downwards.  From PRESORT_COLS columns on, Π sorts the columns
+    # grow downwards.  From CONFIRM_COLS columns on, Π sorts the columns
     # the same way, by the column maxima of the same ``larger``, in the
     # same gather; below, Π is the identity.
     order = np.argsort(-big, axis=-1, kind="stable")
     rowsort = gather = _rows(order)
-    gram = cols >= PRESORT_COLS
+    gram = cols >= _kernel.CONFIRM_COLS
     if gram:
         colsort = np.argsort(-larger.max(axis=-2), axis=-1, kind="stable")
         stack = (np.arange(len(colsort))[:, None, None],) if colsort.ndim == 2 else ()
@@ -219,11 +198,9 @@ def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.nda
         chunks = [(colrows, vrows)]
     else:
         # kernel calls of at most KERNEL_BUDGET work entries, 2 * ceil(cols / 2)
-        # rows of 2 * cols per matrix; a lone matrix, also one left over at
-        # the end of a stack, takes the plain single call
+        # rows of 2 * cols per matrix
         step = max(1, KERNEL_BUDGET // ((cols + cols % 2) * 2 * cols))
         chunks = [(colrows[i : i + step], vrows[i : i + step]) for i in range(0, len(colrows), step)]
-        chunks = [(c[0], v[0]) if len(c) == 1 else (c, v) for c, v in chunks]
     if min([_kernel.jacobi_sweeps(c, v, JACOBI_EPS, MAX_SWEEPS) for c, v in chunks]) < 0:
         raise SvdConvergenceError(MAX_SWEEPS)
 
@@ -236,8 +213,7 @@ def matrix_svd(m: np.ndarray, complete: bool = True) -> tuple[np.ndarray, np.nda
 
     # The kernel zeroes null columns, so exactly the zero singular values
     # leave a zero column of W; the QR of W extends its nonzero columns to
-    # a unitary basis.  Only the matrices with a zero singular value pay
-    # for it: run on every matrix, it made a 60x4x4 stack 10% slower.
+    # a unitary basis.  Only the matrices with a zero singular value pay for it.
     null = s == 0.0
     w = (colrows / np.where(null, 1.0, s)[..., None]).swapaxes(-1, -2)
     if complete and null.any():

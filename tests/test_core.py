@@ -37,7 +37,7 @@ from tenrol import (
     zeros,
 )
 from tenrol import core
-from tenrol.core import _compare, _norm, _stack, _unitary_residual, _zero_residual
+from tenrol.core import _compare, _norm, _stack, _unitary_residual, _worst, _zero_residual
 
 
 class TestModeShape:
@@ -523,6 +523,21 @@ class TestUnitaryResidual:
 
     def test_non_square_is_infinitely_far(self, rng):
         assert _unitary_residual(golden.random_tensor(rng, ModeShape((2, 2), (4,)))) == float("inf")
+
+
+class TestWorst:
+    """``_worst`` is the one worst of several residuals, and a NaN among them wins."""
+
+    @pytest.mark.parametrize("residuals", [[math.nan, 1.0, 2.0], [1.0, 2.0, math.nan], [math.nan]],
+                             ids=["first", "last", "alone"])
+    def test_nan_anywhere_is_the_worst(self, residuals):
+        assert math.isnan(_worst(residuals))
+        assert math.isnan(_worst(iter(residuals)))
+
+    def test_finite_and_infinite_residuals(self):
+        assert _worst([1e-17, 3.0, 0.5]) == 3.0
+        assert _worst((0.0, math.inf)) == math.inf
+        assert _worst([np.float64(2.0), 1.0]) == 2.0
 
 
 def overflowing_unitary() -> DenseTensor:

@@ -262,7 +262,7 @@ class TestConfirmation:
     """From ``CONFIRM_COLS`` columns on, one all-pairs product confirms a calm sweep."""
 
     def test_threshold_is_the_presort_threshold(self):
-        assert unfold_mod.PRESORT_COLS == CONFIRM_COLS == 3
+        assert CONFIRM_COLS == 3
         assert unfold_mod.QLP_COLS == 5
 
     @pytest.mark.parametrize("n", range(8, 34))

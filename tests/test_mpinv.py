@@ -18,6 +18,7 @@ from tenrol import (
     NotIdempotentError,
     NumericPolicy,
     OrthogonalityError,
+    PenroseResiduals,
     ShapeMismatchError,
     add_scale,
     as_tensor,
@@ -269,6 +270,13 @@ class TestPenroseResiduals:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
             penrose_residuals(a, x)
         assert str(info.value) == "non-finite residual in xax: an intermediate product overflowed"
+
+    def test_nan_residual_is_the_worst_and_fails(self):
+        # max() dropped a NaN that did not come first, so this report read
+        # 0.0 and satisfied any tolerance
+        r = PenroseResiduals(0.0, np.nan, 0.0, 0.0, 1e-10)
+        assert np.isnan(r.max_residual)
+        assert not r.satisfied(1e-10)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -694,6 +702,18 @@ class TestPinvSum:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OrthogonalityError) as exc:
             pinv_sum([a, b])
         assert exc.value.pair == (0, 1)
+
+    def test_one_overflowing_cross_product_fails(self):
+        # x @ y.H is 0, but x.H @ y overflows and its residual is NaN; the
+        # worst of the two once dropped it and returned pinv(x) + pinv(y),
+        # which is not pinv(x + y)
+        x = as_tensor([[1e200, 0], [0, 0]], (2,), (2,))
+        y = as_tensor([[0, 1e200], [0, 0]], (2,), (2,))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OrthogonalityError) as exc:
+            pinv_sum([x, y])
+        assert exc.value.pair == (0, 1)
+        assert np.isnan(exc.value.residual)
+        assert "residual nan" in str(exc.value)
 
     def test_rejects_shape_mismatch_and_empty(self):
         with pytest.raises(ShapeMismatchError):

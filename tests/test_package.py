@@ -9,6 +9,7 @@ name of ``tenrol.__all__`` is the object its home module defines.
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import pickle
 import subprocess
@@ -40,6 +41,25 @@ def test_the_lazy_names_live_in_rol_and_fuzz():
         "FUZZ_FAMILIES", "FuzzSummary", "fuzz_search",
     }
     assert {"rol_report", "RolReport", "projector_commute_report"} <= set(rol.__all__)
+
+
+def parameters(obj) -> dict:
+    """The parameters of a callable, or none for an exception class, whose signature is not introspectable."""
+    try:
+        return dict(inspect.signature(obj).parameters)
+    except ValueError:
+        return {}
+
+
+def test_every_policy_parameter_defaults_to_the_default_policy():
+    # the default is stated in the signature; no body swaps a None for it
+    defaults = {
+        name: params["policy"].default
+        for name in PUBLIC
+        if callable(obj := getattr(tenrol, name)) and "policy" in (params := parameters(obj))
+    }
+    assert {"approx_equal", "classify", "pinv", "rol_report", "fuzz_search"} <= set(defaults)
+    assert {name: d for name, d in defaults.items() if d is not tenrol.DEFAULT_POLICY} == {}
 
 
 def test_dir_lists_every_public_name():

@@ -43,7 +43,7 @@ from tenrol import (
     zeros,
 )
 from tenrol import core, fuzz, mpinv, rol
-from tenrol.core import _ResidualReport, _stack
+from tenrol.core import _ResidualReport, _stack, _unitary_residual
 from tenrol.cli import parse_tensor_file
 from tenrol.fuzz import _FUZZ_BLOCK, _draw_block
 from tenrol.unfold import dematricize
@@ -242,6 +242,18 @@ class TestUnitaryShortcuts:
             sandwich_pinv(bad, a, u)
         with pytest.raises(ValueError, match="right"):
             sandwich_pinv(u, a, bad)
+
+    def test_sandwich_rejects_an_overflowing_outer_factor(self, rng):
+        # the unitary residual of 1e200 * M is NaN, which once read as
+        # "not over tol" and let a finite wrong tensor through
+        gauss = np.random.default_rng(0)
+        m = gauss.standard_normal((2, 2)) + 1j * gauss.standard_normal((2, 2))
+        b = as_tensor(1e200 * m, (2,), (2,))
+        a = golden.random_tensor(rng, ModeShape((2,), (2,)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(_unitary_residual(b))
+            with pytest.raises(ValueError, match="^left factor is not unitary at the given tolerance$"):
+                sandwich_pinv(b, a, identity((2,)))
 
 
 class TestZeroEquivalence:

@@ -3,7 +3,7 @@
 The oracles below keep the formulas written out once, as two passes over
 the magnitudes of the real and imaginary parts: one for the row maxima
 (which give the power-of-two scale and the row order) and one for the
-column maxima (which give the column order from ``PRESORT_COLS`` columns
+column maxima (which give the column order from ``CONFIRM_COLS`` columns
 on).  A spy on ``np.linalg.qr`` catches the matrix that ``matrix_svd``
 hands to its first QR, and the tests assert that it equals the oracle's
 in every byte.  ``pinv`` is compared the same way with the product of
@@ -18,7 +18,8 @@ import pytest
 import golden
 from tenrol import ModeShape, as_tensor, pinv, zeros
 from tenrol.core import DEFAULT_POLICY
-from tenrol.unfold import PRESORT_COLS, matrix_svd
+from tenrol._jacobi_py import CONFIRM_COLS
+from tenrol.unfold import matrix_svd
 
 
 def prescaled_oracle(m: np.ndarray) -> np.ndarray:
@@ -34,7 +35,7 @@ def prescaled_oracle(m: np.ndarray) -> np.ndarray:
     e = np.frexp(top)[1]
     order = np.argsort(-big, axis=-1, kind="stable")
     gather = order if order.ndim == 1 else (np.arange(len(order))[:, None], order)
-    if cols >= PRESORT_COLS:  # second pass: the largest part of each column
+    if cols >= CONFIRM_COLS:  # second pass: the largest part of each column
         colsort = np.argsort(-mags.reshape(*big.shape, cols, 2).max(axis=(-3, -1)), axis=-1, kind="stable")
         stack = (np.arange(len(colsort))[:, None, None],) if colsort.ndim == 2 else ()
         gather = (*stack, order[..., None], colsort[..., None, :])

@@ -564,14 +564,15 @@ class TestStackedSvd:
         self.check(stack)
 
     def test_stack_split_over_kernel_calls(self, rng, monkeypatch):
-        # a budget of two matrices per call leaves a lone matrix at the end
+        # a budget of two matrices per call leaves a lone matrix at the end,
+        # which goes to the kernel as a stack of one
         monkeypatch.setattr(unfold_mod, "KERNEL_BUDGET", 2 * 6 * 11)
         calls = []
         kernel = _jacobi_py.jacobi_sweeps
         monkeypatch.setattr(_jacobi_py, "jacobi_sweeps", lambda c, *rest: calls.append(c.ndim) or kernel(c, *rest))
         stack = rng.standard_normal((5, 6, 5)) + 1j * rng.standard_normal((5, 6, 5))
         self.check(stack)
-        assert calls[:3] == [3, 3, 2]
+        assert calls[:3] == [3, 3, 3]
 
     def test_stack_of_one_non_finite_matrix_is_a_value_error(self, rng):
         stack = rng.standard_normal((3, 4, 4)) + 0j
@@ -587,7 +588,7 @@ class TestStackedSvd:
 class TestSweepCap:
     """The real non-convergence path, reached by lowering ``MAX_SWEEPS`` to one sweep.
 
-    Gaussian inputs from ``PRESORT_COLS`` columns on converge in the one
+    Gaussian inputs from ``CONFIRM_COLS`` columns on converge in the one
     sweep that confirms their Gram start.  Two columns keep the cold start,
     whose first sweep rotates the one pair, so a second sweep must confirm it.
     """
@@ -642,7 +643,7 @@ class TestSweepCap:
 
 
 class TestGramStart:
-    """From ``PRESORT_COLS`` columns on, the rotations start from the Gram eigenvectors of ``R^H``."""
+    """From ``CONFIRM_COLS`` columns on, the rotations start from the Gram eigenvectors of ``R^H``."""
 
     @pytest.mark.parametrize("digits", [60, 150, 280], ids=["1e-60", "1e-150", "1e-280"])
     @pytest.mark.parametrize("family", ["columns", "rows", "two_sided"])
